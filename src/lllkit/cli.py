@@ -9,7 +9,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import random
@@ -36,11 +35,14 @@ class CliError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _parse_fraction(text: str) -> Fraction:
+def _parse_eps(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        eps = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"bad fraction {text!r}: {exc}")
+    if eps <= 0:
+        raise CliError(f"--eps must be positive, got {text!r}")
+    return eps
 
 
 def load_instance_from_config(cfg: dict):
@@ -104,20 +106,18 @@ def _parse_order(order_cfg, n: int):
 
 
 def build_system(graph, rule, partition_cfg, eps: Fraction, order_cfg=None):
+    """(system, window parameter n); n is computed only for ``auto``, else None."""
     adj = graph.sym_adj
+    window_n = None
     if partition_cfg == "singletons":
         partition = Partition.singletons(graph.vertex_count)
-        window_n = landscapes.default_window_params(adj, eps)
     elif partition_cfg == "auto":
         window_n = landscapes.default_window_params(adj, eps)
         partition = sparse_partition(adj, 3 * window_n)
+    elif partition_cfg.isdecimal():
+        partition = sparse_partition(adj, int(partition_cfg))
     else:
-        try:
-            radius = int(partition_cfg)
-        except ValueError:
-            raise CliError(f"bad partition spec {partition_cfg!r}")
-        partition = sparse_partition(adj, radius)
-        window_n = landscapes.default_window_params(adj, eps)
+        raise CliError(f"bad partition spec {partition_cfg!r}; want auto, singletons or a radius >= 0")
     order = _parse_order(order_cfg, graph.vertex_count)
     return engine.MtaSystem.build(graph, rule, partition, order), window_n
 
@@ -149,6 +149,19 @@ def _instance_config_from_args(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _parse_f0(text: str | None, n: int, b: int) -> list[int]:
+    if text is None:
+        return [0] * n
+    try:
+        f0 = json.loads(text)
+    except ValueError:
+        f0 = None
+    digits = isinstance(f0, list) and all(type(d) is int and 0 <= d < b for d in f0)
+    if not digits or len(f0) != n:
+        raise CliError(f"--f0 wants a JSON list of {n} digits in 0..{b - 1}, one per vertex")
+    return f0
+
+
 def cmd_solve(args) -> int:
     graph, rule = load_instance_from_config(_instance_config_from_args(args))
     for x in rule.support:
@@ -164,9 +177,9 @@ def cmd_solve(args) -> int:
         if not args.force:
             raise CliError(msg + "; pass --force to run anyway")
         print(f"warning: {msg}; proceeding under --force", file=sys.stderr)
-    eps = _parse_fraction(args.eps)
+    eps = _parse_eps(args.eps)
+    f0 = _parse_f0(args.f0, graph.vertex_count, rule.b)
     system, _ = build_system(graph, rule, args.partition, eps, args.order)
-    f0 = [0] * graph.vertex_count if args.f0 is None else json.loads(args.f0)
     tape = engine.RandomTape.stream(system.b, args.seed)
     trace = engine.run_until_satisfied(system, f0, tape, args.cap)
     leftover = violating_set(graph, rule, trace.final)
@@ -206,10 +219,7 @@ def _suite_roundtrip(seed: int, tapes: int) -> tuple[int, dict | None]:
     cases = 0
     for name, (graph, rule) in instances.bundled_instances().items():
         eps = Fraction(1, 2)
-        adj = graph.sym_adj
-        n = landscapes.default_window_params(adj, eps)
-        partition = sparse_partition(adj, 3 * n)
-        system = engine.MtaSystem.build(graph, rule, partition)
+        system, n = build_system(graph, rule, "auto", eps)
         k = 5
         for t in range(tapes):
             tape = engine.RandomTape.finite_random(
@@ -228,7 +238,7 @@ def _suite_seq_used(seed: int, runs: int) -> tuple[int, dict | None]:
     rng = random.Random(seed)
     cases = 0
     for _ in range(runs):
-        graph, rule = _random_instance(rng)
+        graph, rule = instances.random_instance(rng)
         partition = sparse_partition(graph.sym_adj, 2)
         system = engine.MtaSystem.build(graph, rule, partition)
         k = rng.randint(1, 5)
@@ -249,7 +259,7 @@ def _suite_grounding(seed: int, runs: int) -> tuple[int, dict | None]:
     rng = random.Random(seed)
     cases = 0
     for _ in range(runs):
-        graph, rule = _random_instance(rng)
+        graph, rule = instances.random_instance(rng)
         partition = sparse_partition(graph.sym_adj, 2)
         system = engine.MtaSystem.build(graph, rule, partition)
         k = rng.randint(1, 5)
@@ -270,7 +280,7 @@ def _suite_padding(seed: int, runs: int) -> tuple[int, dict | None]:
     rng = random.Random(seed)
     cases = 0
     for _ in range(runs):
-        graph, rule = _random_instance(rng, mixed_width=True)
+        graph, rule = instances.random_instance(rng, mixed_width=True)
         partition = sparse_partition(graph.sym_adj, 2)
         system = engine.MtaSystem.build(graph, rule, partition)
         padded, n_orig = engine.pad_uniform(system)
@@ -300,9 +310,7 @@ def _suite_tree_counts() -> tuple[int, dict | None]:
 def _suite_fault_injection(seed: int) -> tuple[int, dict | None]:
     graph, rule = instances.bundled_instances()["disjoint"]
     eps = Fraction(1, 2)
-    n = landscapes.default_window_params(graph.sym_adj, eps)
-    partition = sparse_partition(graph.sym_adj, 3 * n)
-    system = engine.MtaSystem.build(graph, rule, partition)
+    system, n = build_system(graph, rule, "auto", eps)
     k = 4
     tape = engine.RandomTape.finite_random(system.b, system.p, k, seed)
     trace = engine.run_k(system, [0] * graph.vertex_count, k, tape)
@@ -332,29 +340,6 @@ def _suite_sparse_partitions() -> tuple[int, dict | None]:
             if not is_sparse(adj, partition, r):
                 return cases, {"suite": "sparse_partitions", "instance": name, "r": r}
     return cases, None
-
-
-def _random_instance(rng, mixed_width: bool = False):
-    """Small random instance for the fuzz suites."""
-    n_vars = rng.randint(2, 6)
-    n_clauses = rng.randint(1, 4)
-    b = rng.choice((2, 2, 3))
-    out_adj = []
-    allowed = []
-    for _ in range(n_clauses):
-        width = rng.randint(1, 3) if mixed_width else rng.randint(2, 3)
-        width = min(width, n_vars)
-        vs = rng.sample(range(n_vars), width)
-        out_adj.append(tuple(n_clauses + v for v in vs))
-        full = list(itertools.product(range(b), repeat=width))
-        forbidden = rng.sample(full, rng.randint(1, min(2, len(full))))
-        allowed.append(frozenset(set(full) - set(forbidden)))
-    for _ in range(n_vars):
-        out_adj.append(())
-        allowed.append(frozenset([()]))
-    graph = instances.VariableGraph(out_adj)
-    rule = instances.LocalRule.for_graph(graph, b, allowed)
-    return graph, rule
 
 
 def cmd_verify(args) -> int:
@@ -476,8 +461,10 @@ def _svg_line_chart(points: list[tuple[float, float]], title: str) -> str:
 def cmd_tail(args) -> int:
     if args.seeds < 1:
         raise CliError("at least one seed is required")
+    if args.jobs < 1:
+        raise CliError("--jobs must be at least 1")
     graph, rule = load_instance_from_config(_instance_config_from_args(args))
-    eps = _parse_fraction(args.eps)
+    eps = _parse_eps(args.eps)
     system, _ = build_system(graph, rule, args.partition, eps, args.order)
     grid = list(range(0, args.n_max + 1))
     seeds = [args.seed + i for i in range(args.seeds)]

@@ -424,24 +424,17 @@ def is_sparse(adj: Adjacency, partition: Partition, r: int) -> bool:
 def sparse_partition(adj: Adjacency, r: int) -> Partition:
     """Partition in which distinct points of any radius-r ball get distinct parts.
 
-    Two points of a common radius-r ball can be 2r apart, so the power graph
-    connects points at distance <= 2r; parts are iterated greedy maximal
-    independent sets of that graph.  Part count <= max |B_H(x, 2)|.
+    First fit in index order: each vertex takes the least part that no
+    earlier vertex within distance 2r took.  This equals iterated greedy MIS
+    of the distance <= 2r power graph and uses at most max |B(x, 2r)| parts.
     """
-    n = len(adj)
-    power: list[tuple[int, ...]] = []
-    threshold = 2 * r
-    for x in range(n):
-        near = ball(adj, x, threshold)
-        near.discard(x)
-        power.append(tuple(sorted(near)))
-    part_of = [-1] * n
-    remaining = set(range(n))
-    part = 0
-    while remaining:
-        chosen = greedy_mis(power, remaining)
-        for x in chosen:
-            part_of[x] = part
-        remaining -= chosen
-        part += 1
-    return Partition(part if n else 0, part_of)
+    if r < 0:
+        raise ValueError(f"radius must be non-negative, got {r}")
+    part_of: list[int] = []
+    for x in range(len(adj)):
+        taken = {part_of[y] for y in ball(adj, x, 2 * r) if y < x}
+        part = 0
+        while part in taken:
+            part += 1
+        part_of.append(part)
+    return Partition(max(part_of, default=-1) + 1, part_of)

@@ -1,9 +1,10 @@
 """Builders and parsers producing (VariableGraph, LocalRule) pairs.
 
 Covers DIMACS CNF (3-SAT and general mode), torus multicolored-translate
-instances, random bounded-overlap 3-CNF generation, condition checkers for
-the symmetric and tight local-lemma thresholds, and a byte-stable JSON
-instance format (see docs/instance-format.md).
+instances, random bounded-overlap 3-CNF generation, small random fuzz
+instances, condition checkers for the symmetric and tight local-lemma
+thresholds, and a byte-stable JSON instance format (see
+docs/instance-format.md).
 """
 
 from __future__ import annotations
@@ -482,3 +483,27 @@ def bundled_instances() -> dict[str, tuple[VariableGraph, LocalRule]]:
         "chain": chain_sat_instance(),
         "torus": small_torus_instance(),
     }
+
+
+def random_instance(
+    rng: random.Random, *, mixed_width: bool = False
+) -> tuple[VariableGraph, LocalRule]:
+    """At most 4 clauses of width 2..3 (1..3 with ``mixed_width``) over 2..6
+    variables, for the fuzz suites; each forbids one or two words, never all."""
+    n_vars = rng.randint(2, 6)
+    n_clauses = rng.randint(1, 4)
+    b = rng.choice((2, 2, 3))
+    out_adj = []
+    allowed = []
+    for _ in range(n_clauses):
+        width = min(rng.randint(1, 3) if mixed_width else rng.randint(2, 3), n_vars)
+        vs = rng.sample(range(n_vars), width)
+        out_adj.append(tuple(n_clauses + v for v in vs))
+        full = list(itertools.product(range(b), repeat=width))
+        forbidden = rng.sample(full, rng.randint(1, min(2, len(full) - 1)))
+        allowed.append(frozenset(set(full) - set(forbidden)))
+    for _ in range(n_vars):
+        out_adj.append(())
+        allowed.append(frozenset([()]))
+    graph = VariableGraph(out_adj)
+    return graph, LocalRule.for_graph(graph, b, allowed)

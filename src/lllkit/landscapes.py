@@ -12,7 +12,6 @@ per forest vertex, and the partition map.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -602,28 +601,17 @@ class WindowError(ValueError):
 
 
 def default_window_params(adj: Sequence[Sequence[int]], eps: Fraction = Fraction(1, 2)) -> int:
-    """Smallest n with max_x |B(x, 3n)| < (1 + eps)^n for this graph.
+    """Smallest n >= 1 with max_x |B(x, 3n)| < (1 + eps)^n for this graph.
 
-    Always exists on a finite graph: once (1 + eps)^n exceeds the vertex
-    count every ball is small enough.
+    Requires eps > 0.  Then it exists on every finite graph: once
+    (1 + eps)^n exceeds the vertex count every ball is small enough.
     """
-    import bisect
-
-    n_vertices = len(adj)
-    if n_vertices == 0:
-        return 1
-    trivial_n = 1
-    while (1 + eps) ** trivial_n <= n_vertices:
-        trivial_n += 1
-    dists = []
-    for x in range(n_vertices):
-        dists.append(sorted(d for d in _bfs_distances(adj, [x]) if d != math.inf))
-    for n in range(1, trivial_n + 1):
+    if eps <= 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    for n in itertools.count(1):
         bound = (1 + eps) ** n
-        worst = max(bisect.bisect_right(ds, 3 * n) for ds in dists)
-        if worst < bound:
+        if all(len(ball(adj, x, 3 * n)) < bound for x in range(len(adj))):
             return n
-    return trivial_n
 
 
 def find_window(adj: Sequence[Sequence[int]], weights: Sequence[int], eps: Fraction, n: int) -> Window:

@@ -1,39 +1,11 @@
 """Shared helpers for the test suite: small random instances and systems."""
 
-import itertools
 import random
 
 import pytest
 
-from lllkit import LocalRule, MtaSystem, Partition, VariableGraph, sparse_partition
-
-
-def random_instance(rng: random.Random, *, mixed_width: bool = False,
-                    b_choices=(2, 2, 3), max_clauses: int = 4):
-    """A small bipartite-style instance with nontrivial forbidden sets.
-
-    Every generated clause forbids at least one word, so landscapes carry
-    forbidden prev words and failure probabilities are positive.
-    """
-    n_vars = rng.randint(2, 6)
-    n_clauses = rng.randint(1, max_clauses)
-    b = rng.choice(b_choices)
-    out_adj = []
-    allowed = []
-    for _ in range(n_clauses):
-        width = rng.randint(1, 3) if mixed_width else rng.randint(2, 3)
-        width = min(width, n_vars)
-        vs = rng.sample(range(n_vars), width)
-        out_adj.append(tuple(n_clauses + v for v in vs))
-        full = list(itertools.product(range(b), repeat=width))
-        forbidden = rng.sample(full, rng.randint(1, min(2, len(full) - 1)))
-        allowed.append(frozenset(set(full) - set(forbidden)))
-    for _ in range(n_vars):
-        out_adj.append(())
-        allowed.append(frozenset([()]))
-    graph = VariableGraph(out_adj)
-    rule = LocalRule.for_graph(graph, b, allowed)
-    return graph, rule
+from lllkit import MtaSystem, Partition, sparse_partition
+from lllkit.instances import random_instance
 
 
 def random_system(rng: random.Random, *, mixed_width: bool = False,

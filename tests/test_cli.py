@@ -1,8 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from lllkit.cli import main
+from lllkit import bundled_instances, landscapes
+from lllkit.cli import build_system, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 SAT_TEXT = "c three disjoint clauses\np cnf 9 3\n1 2 3 0\n4 5 6 0\n7 8 9 0\n"
 
@@ -175,3 +183,59 @@ class TestConfigFile:
         assert code == 0
         out = capsys.readouterr().out
         assert "25" in out.split("\n")[1]
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("partition", ["auto", "singletons"])
+    @pytest.mark.parametrize("argv", [["solve", "--eps", "0"], ["tail", "--seeds", "1", "--eps", "-1"]])
+    def test_nonpositive_eps_rejected(self, partition, argv):
+        # a non-positive eps once made the window search loop forever
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lllkit.cli", *argv, "--bundled", "chain", "--partition", partition],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--bundled", "chain", "--partition", "-2"],
+        ["solve", "--bundled", "chain", "--partition", "two"],
+        ["tail", "--bundled", "chain", "--seeds", "2", "--jobs", "0"],
+        ["solve", "--bundled", "disjoint", "--f0", "notjson"],
+        ["solve", "--bundled", "disjoint", "--f0", '{"0": 1}'],
+        ["solve", "--bundled", "disjoint", "--f0", "[0,1]"],
+        ["solve", "--bundled", "disjoint", "--f0", json.dumps([0] * 23 + [2])],
+        ["solve", "--bundled", "disjoint", "--f0", json.dumps([0] * 23 + [-1])],
+        ["solve", "--bundled", "disjoint", "--f0", json.dumps([0] * 23 + ["1"])],
+    ])
+    def test_bad_input_is_config_error(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_f0_accepted(self, capsys):
+        f0 = json.dumps([1] * 24)
+        assert main(["solve", "--bundled", "disjoint", "--f0", f0, "--seed", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "satisfied"
+
+
+class TestBuildSystem:
+    @pytest.mark.parametrize("spec", ["singletons", "2"])
+    def test_window_params_skipped(self, spec, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("default_window_params called")
+
+        monkeypatch.setattr(landscapes, "default_window_params", forbidden)
+        graph, rule = bundled_instances()["chain"]
+        system, window_n = build_system(graph, rule, spec, Fraction(1, 2))
+        assert window_n is None
+        assert system.graph is graph
+
+    def test_auto_reports_window_n(self):
+        graph, rule = bundled_instances()["chain"]
+        eps = Fraction(1, 2)
+        _, window_n = build_system(graph, rule, "auto", eps)
+        assert window_n == landscapes.default_window_params(graph.sym_adj, eps)

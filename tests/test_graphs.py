@@ -290,6 +290,12 @@ class TestSparsePartition:
             part = sparse_partition(adj, r)
             bound = max(len(ball(power, x, 2)) for x in range(n))
             assert part.part_count <= bound
+            # first fit: x's part is below the count of earlier points within 2r
+            assert part.part_count <= max(len(ball(adj, x, 2 * r)) for x in range(n))
+
+    def test_negative_radius_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            sparse_partition([(1,), (0,)], -2)
 
 
 class TestPartition:

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from lllkit.instances import (
     default_translates,
     disjoint_clause_instance,
     e_bounds,
+    random_instance,
     surjective_words,
     torus_condition_holds,
 )
@@ -252,6 +254,15 @@ class TestGenerator:
         cnf = random_bounded_overlap_sat(100, 3, seed=7)
         graph, rule, _ = from_cnf(cnf)
         assert check_lll_condition(graph, rule, "tight").all_pass
+
+    @pytest.mark.parametrize("mixed_width", [False, True])
+    def test_fuzz_clauses_forbid_some_but_not_all_words(self, mixed_width):
+        rng = random.Random(5)
+        for _ in range(300):
+            graph, rule = random_instance(rng, mixed_width=mixed_width)
+            for x in rule.support:
+                assert 0 < rule.complement_size(x) < rule.full_size(x)
+            assert rule.support
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):

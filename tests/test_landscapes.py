@@ -390,6 +390,11 @@ class TestFindWindow:
         with pytest.raises(WindowError, match="growth precondition"):
             find_window(adj, [1] * 8, Fraction(1, 2), 1)
 
+    @pytest.mark.parametrize("eps", [Fraction(0), Fraction(-1, 2)])
+    def test_window_params_need_positive_eps(self, eps):
+        with pytest.raises(ValueError, match="positive"):
+            default_window_params(self.path_adj(5), eps)
+
     def test_zero_weight_rejected(self):
         with pytest.raises(ValueError, match="zero"):
             find_window(self.path_adj(5), [0] * 5, Fraction(1, 2), 2)

@@ -45,6 +45,13 @@ def _parse_eps(text: str) -> Fraction:
     return eps
 
 
+def _check_non_negative(args, *names: str) -> None:
+    for name in names:
+        value = getattr(args, name)
+        if value < 0:
+            raise CliError(f"--{name.replace('_', '-')} must be at least 0, got {value}")
+
+
 def load_instance_from_config(cfg: dict):
     kind = cfg.get("kind")
     if kind == "dimacs":
@@ -163,9 +170,10 @@ def _parse_f0(text: str | None, n: int, b: int) -> list[int]:
 
 
 def cmd_solve(args) -> int:
+    _check_non_negative(args, "cap")
     graph, rule = load_instance_from_config(_instance_config_from_args(args))
     for x in rule.support:
-        if not rule.allowed[x]:
+        if rule.complement_size(x) == rule.full_size(x):
             raise CliError(f"vertex {x} allows no assignment; the instance is unsatisfiable")
     report = instances.check_lll_condition(graph, rule, variant="tight")
     worst = min(report.entries, key=lambda e: e.margin, default=None)
@@ -343,6 +351,7 @@ def _suite_sparse_partitions() -> tuple[int, dict | None]:
 
 
 def cmd_verify(args) -> int:
+    _check_non_negative(args, "tapes", "runs")
     suites = [
         ("roundtrip", lambda: _suite_roundtrip(args.seed, args.tapes)),
         ("seq_used", lambda: _suite_seq_used(args.seed + 1, args.runs)),
@@ -389,7 +398,11 @@ LANDSCAPE_COUNT_POINTS = (
 
 
 def cmd_count(args) -> int:
-    deltas = [int(t) for t in args.deltas.split(",")]
+    _check_non_negative(args, "n_max", "budget")
+    try:
+        deltas = [int(t) for t in args.deltas.split(",")]
+    except ValueError:
+        raise CliError(f"--deltas wants comma-separated integers, got {args.deltas!r}")
     if any(d < 2 for d in deltas):
         raise CliError("tree bounds require delta >= 2")
     reports = counting.tree_count_reports(deltas, args.n_max)
@@ -463,6 +476,7 @@ def cmd_tail(args) -> int:
         raise CliError("at least one seed is required")
     if args.jobs < 1:
         raise CliError("--jobs must be at least 1")
+    _check_non_negative(args, "cap", "n_max")
     graph, rule = load_instance_from_config(_instance_config_from_args(args))
     eps = _parse_eps(args.eps)
     system, _ = build_system(graph, rule, args.partition, eps, args.order)

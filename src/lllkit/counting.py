@@ -291,17 +291,15 @@ def _graph_candidates(n1: int, d: int):
 
 
 def _rule_candidates(graph: VariableGraph, b: int, beta: int):
-    """Per-vertex allowed sets with complement size at most beta."""
+    """Per-vertex forbidden sets of size at most beta."""
+    lengths = [len(graph.var(x)) for x in range(graph.vertex_count)]
     per_vertex = []
-    for x in range(graph.vertex_count):
-        full = list(itertools.product(range(b), repeat=len(graph.var(x))))
-        options = []
-        for forbid_count in range(0, min(beta, len(full)) + 1):
-            for forbidden in itertools.combinations(full, forbid_count):
-                options.append(frozenset(set(full) - set(forbidden)))
-        per_vertex.append(options)
+    for n in lengths:
+        full = list(itertools.product(range(b), repeat=n))
+        sizes = range(min(beta, len(full)) + 1)
+        per_vertex.append([frozenset(ws) for k in sizes for ws in itertools.combinations(full, k)])
     for combo in itertools.product(*per_vertex):
-        yield LocalRule.for_graph(graph, b, combo)
+        yield LocalRule(b, combo, lengths)
 
 
 def _grounded_forests(graph: VariableGraph, rel, n2: int):
@@ -353,13 +351,13 @@ def _canonical_key(graph, rule, verts, parent, prev, final, parts):
     for perm in itertools.permutations(range(n1)):
         out_adj = [None] * n1
         in_adj = [None] * n1
-        allowed = [None] * n1
+        forbidden = [None] * n1
         fin = [0] * n1
         par = [0] * n1
         for x in range(n1):
             out_adj[perm[x]] = tuple(perm[y] for y in graph.var(x))
             in_adj[perm[x]] = tuple(perm[y] for y in graph.cl(x))
-            allowed[perm[x]] = tuple(sorted(rule.allowed[x]))
+            forbidden[perm[x]] = tuple(sorted(rule.forbidden[x]))
             fin[perm[x]] = final[x]
             par[perm[x]] = parts[x]
         vs = tuple(sorted((perm[x], lvl) for x, lvl in verts))
@@ -367,7 +365,7 @@ def _canonical_key(graph, rule, verts, parent, prev, final, parts):
             sorted(((perm[c[0]], c[1]), (perm[q[0]], q[1])) for c, q in parent.items())
         )
         pv = tuple(sorted(((perm[v[0]], v[1]), w) for v, w in prev.items()))
-        key = (tuple(out_adj), tuple(in_adj), tuple(allowed), vs, ps, pv, tuple(fin), tuple(par))
+        key = (tuple(out_adj), tuple(in_adj), tuple(forbidden), vs, ps, pv, tuple(fin), tuple(par))
         if best is None or key < best:
             best = key
     return best
@@ -407,7 +405,7 @@ def enumerate_small_landscapes(
                     for v in sorted(verts):
                         x = v[0]
                         if x not in prev_options_cache:
-                            prev_options_cache[x] = rule.complement_words(x)
+                            prev_options_cache[x] = sorted(rule.forbidden[x])
                         options = prev_options_cache[x]
                         if not options:
                             feasible = False

@@ -282,7 +282,7 @@ def _run(system: MtaSystem, f: Sequence[int], tape: RandomTape | None, *,
         dirty = {y for x in chosen for y in system.rel.nbrs[x] if y in support}
         violated -= dirty
         for y in dirty:
-            if restriction_word(graph, assignment, y) not in rule.allowed[y]:
+            if restriction_word(graph, assignment, y) in rule.forbidden[y]:
                 violated.add(y)
     if stop_when_satisfied:
         trace.status = "satisfied" if not violated else "cap_exceeded"
@@ -328,7 +328,7 @@ def used_unused(trace: RunTrace, x: int) -> tuple[Word, Word]:
 def pad_uniform(system: MtaSystem) -> tuple[MtaSystem, int]:
     """Attach dummy variables so every support vertex reads exactly D variables.
 
-    Dummy (x, i) occupies slot i of x's padded var list; allowed words are
+    Dummy (x, i) occupies slot i of x's padded var list; forbidden words are
     extended with every digit combination on the dummy slots, so membership
     depends only on the original coordinates.  The partition gains fresh
     parts indexed by (original part of x, slot), and the vertex order keeps
@@ -342,7 +342,7 @@ def pad_uniform(system: MtaSystem) -> tuple[MtaSystem, int]:
     d_max = params(graph, rule, system.rel).d
     support = set(rule.support)
     out_adj = [list(row) for row in graph.out_adj]
-    allowed: list[frozenset[Word]] = list(rule.allowed)
+    forbidden: list[frozenset[Word]] = list(rule.forbidden)
     p = system.partition.part_count
     part_of = list(system.partition.part_of)
     next_id = n
@@ -351,15 +351,15 @@ def pad_uniform(system: MtaSystem) -> tuple[MtaSystem, int]:
         if deficit <= 0:
             continue
         suffixes = list(itertools.product(range(rule.b), repeat=deficit))
-        allowed[x] = frozenset(w + s for w in rule.allowed[x] for s in suffixes)
+        forbidden[x] = frozenset(w + s for w in rule.forbidden[x] for s in suffixes)
         for slot in range(len(graph.var(x)), d_max):
             out_adj[x].append(next_id)
             out_adj.append([])
-            allowed.append(frozenset([()]))
+            forbidden.append(frozenset())
             part_of.append(p + slot * p + system.partition.part_of[x])
             next_id += 1
     padded_graph = VariableGraph(out_adj)
-    padded_rule = LocalRule.for_graph(padded_graph, rule.b, allowed)
+    padded_rule = LocalRule(rule.b, forbidden, [len(row) for row in out_adj])
     padded_partition = Partition(p * (d_max + 1) if next_id > n else p, part_of)
     order = list(system.order) + list(range(n, next_id))
     return MtaSystem.build(padded_graph, padded_rule, padded_partition, order), n

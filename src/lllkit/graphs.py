@@ -9,6 +9,7 @@ reading x.  Adjacency-list order realizes the well-orders on both sides.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -96,76 +97,74 @@ class VariableGraph:
 
 
 class LocalRule:
-    """Per-vertex allowed assignment sets over alphabet ``b``.
+    """Per-vertex forbidden assignment sets over alphabet ``b``.
 
-    ``allowed[x]`` is a set of words over {0..b-1}; position j of a word is
-    the value given to the j-th entry of var(x).  ``word_lengths`` pins each
-    vertex's expected word length (= its out-degree).
+    ``forbidden[x]`` is a set of words over {0..b-1}; position j of a word is
+    the value given to the j-th entry of var(x), and x is violated exactly
+    when it reads a forbidden word.  ``word_lengths`` pins each vertex's
+    expected word length (= its out-degree).
     """
 
-    def __init__(self, b: int, allowed: Sequence[Iterable[Word]], word_lengths: Sequence[int]):
+    def __init__(self, b: int, forbidden: Sequence[Iterable[Word]], word_lengths: Sequence[int]):
         if b < 1:
             raise ValueError("alphabet size must be at least 1")
-        if len(allowed) != len(word_lengths):
-            raise ValueError("allowed and word_lengths disagree on vertex count")
+        if len(forbidden) != len(word_lengths):
+            raise ValueError("forbidden and word_lengths disagree on vertex count")
         self.b = b
         self.word_lengths = tuple(word_lengths)
         sets = []
         checked: set[tuple[int, int]] = set()  # shared sets validated once
-        for x, words in enumerate(allowed):
+        for x, words in enumerate(forbidden):
             ws = words if isinstance(words, frozenset) else frozenset(tuple(w) for w in words)
             if (id(ws), self.word_lengths[x]) not in checked:
                 for w in ws:
                     if not isinstance(w, tuple) or len(w) != self.word_lengths[x]:
-                        raise ValueError(f"allowed word {w} at vertex {x} has wrong length")
+                        raise ValueError(f"forbidden word {w} at vertex {x} has wrong length")
                     if any(not 0 <= d < b for d in w):
                         raise ValueError(
-                            f"allowed word {w} at vertex {x} has digits outside 0..{b - 1}"
+                            f"forbidden word {w} at vertex {x} has digits outside 0..{b - 1}"
                         )
                 checked.add((id(ws), self.word_lengths[x]))
             sets.append(ws)
-        self.allowed: tuple[frozenset[Word], ...] = tuple(sets)
+        self.forbidden: tuple[frozenset[Word], ...] = tuple(sets)
+        self.support: tuple[int, ...] = tuple(x for x, ws in enumerate(self.forbidden) if ws)
 
     @classmethod
     def for_graph(cls, graph: VariableGraph, b: int, allowed: Sequence[Iterable[Word]]) -> "LocalRule":
+        """The rule allowing exactly ``allowed[x]`` at each vertex x."""
         if len(allowed) != graph.vertex_count:
             raise ValueError("allowed sets do not cover every vertex")
         lengths = [len(graph.var(x)) for x in range(graph.vertex_count)]
-        return cls(b, allowed, lengths)
+        forbidden = []
+        for x, words in enumerate(allowed):
+            full = frozenset(itertools.product(range(b), repeat=lengths[x]))
+            ws = frozenset(tuple(w) for w in words)
+            if not ws <= full:
+                bad = next(iter(ws - full))
+                raise ValueError(f"allowed word {bad} at vertex {x} is no length-{lengths[x]} word over 0..{b - 1}")
+            forbidden.append(full - ws)
+        return cls(b, forbidden, lengths)
 
-    @classmethod
-    def _trusted(cls, b: int, allowed: Sequence[frozenset[Word]], word_lengths: Sequence[int]) -> "LocalRule":
-        """Skip per-word validation for sets taken from an existing rule."""
-        rule = cls.__new__(cls)
-        rule.b = b
-        rule.word_lengths = tuple(word_lengths)
-        rule.allowed = tuple(allowed)
-        return rule
+    @property
+    def allowed(self) -> tuple[frozenset[Word], ...]:
+        """The allowed sets, enumerated on every access (exponential in degree)."""
+        return tuple(
+            frozenset(itertools.product(range(self.b), repeat=n)) - ws
+            for ws, n in zip(self.forbidden, self.word_lengths)
+        )
 
     @property
     def vertex_count(self) -> int:
-        return len(self.allowed)
+        return len(self.forbidden)
 
     def full_size(self, x: int) -> int:
         return self.b ** self.word_lengths[x]
 
     def is_full(self, x: int) -> bool:
-        return len(self.allowed[x]) == self.full_size(x)
+        return not self.forbidden[x]
 
     def complement_size(self, x: int) -> int:
-        return self.full_size(x) - len(self.allowed[x])
-
-    def complement_words(self, x: int) -> list[Word]:
-        """Materialize the forbidden words at x (exponential in degree)."""
-        import itertools
-
-        full = itertools.product(range(self.b), repeat=self.word_lengths[x])
-        return [w for w in full if w not in self.allowed[x]]
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        """Vertices where the rule is non-trivial."""
-        return tuple(x for x in range(self.vertex_count) if not self.is_full(x))
+        return len(self.forbidden[x])
 
     def failure_prob(self, x: int) -> Fraction:
         return Fraction(self.complement_size(x), self.full_size(x))
@@ -175,7 +174,7 @@ class LocalRule:
             isinstance(other, LocalRule)
             and self.b == other.b
             and self.word_lengths == other.word_lengths
-            and self.allowed == other.allowed
+            and self.forbidden == other.forbidden
         )
 
     def __repr__(self) -> str:
@@ -203,7 +202,7 @@ def violating_set(graph: VariableGraph, rule: LocalRule, f: Sequence[int]) -> se
     return {
         x
         for x in rule.support
-        if restriction_word(graph, f, x) not in rule.allowed[x]
+        if restriction_word(graph, f, x) in rule.forbidden[x]
     }
 
 

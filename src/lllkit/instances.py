@@ -134,24 +134,20 @@ def parse_dimacs(text: str, clause_size: int | None = 3) -> CnfInstance:
 def from_cnf(cnf: CnfInstance) -> tuple[VariableGraph, LocalRule, list[tuple[str, int]]]:
     """Variable graph of a CNF: clause vertices first, then variable vertices.
 
-    Clause c_i reads its variables in index order; the allowed words are all
-    assignments except the unique falsifying one.  Returns the graph, the
-    rule (b = 2), and a role map vertex -> ("clause", i) | ("var", j).
+    Clause c_i reads its variables in index order and forbids only its
+    unique falsifying assignment.  Returns the graph, the rule (b = 2), and
+    a role map vertex -> ("clause", i) | ("var", j).
     """
     m, n = cnf.clause_count, cnf.variable_count
     out_adj: list[tuple[int, ...]] = []
-    allowed: list[frozenset[Word]] = []
+    forbidden: list[frozenset[Word]] = []
     for clause in cnf.clauses:
         out_adj.append(tuple(m + v for v, _ in clause))
-        falsifier = tuple(0 if s > 0 else 1 for _, s in clause)
-        words = frozenset(
-            w for w in itertools.product((0, 1), repeat=len(clause)) if w != falsifier
-        )
-        allowed.append(words)
+        forbidden.append(frozenset([tuple(0 if s > 0 else 1 for _, s in clause)]))
     out_adj.extend(() for _ in range(n))
-    allowed.extend(frozenset([()]) for _ in range(n))
+    forbidden.extend(frozenset() for _ in range(n))
     graph = VariableGraph(out_adj)
-    rule = LocalRule.for_graph(graph, 2, allowed)
+    rule = LocalRule(2, forbidden, [len(row) for row in out_adj])
     roles = [("clause", i) for i in range(m)] + [("var", j) for j in range(n)]
     return graph, rule, roles
 
@@ -239,9 +235,10 @@ class TorusSpec:
             )
 
 
-def surjective_words(length: int, b: int) -> frozenset[Word]:
+def non_surjective_words(length: int, b: int) -> frozenset[Word]:
+    """Words over {0..b-1} that miss a colour c, i.e. words over the other b - 1."""
     return frozenset(
-        w for w in itertools.product(range(b), repeat=length) if len(set(w)) == b
+        w for c in range(b) for w in itertools.product([d for d in range(b) if d != c], repeat=length)
     )
 
 
@@ -253,7 +250,7 @@ def torus_point_index(point: Sequence[int], side: int) -> int:
 
 
 def torus_instance(spec: TorusSpec) -> tuple[VariableGraph, LocalRule]:
-    """Every point reads its translate set; allowed words are the surjections.
+    """Every point reads its translate set and forbids the words missing a colour.
 
     A satisfying assignment is exactly a coloring under which every
     translate set x + T is multicolored.
@@ -269,8 +266,8 @@ def torus_instance(spec: TorusSpec) -> tuple[VariableGraph, LocalRule]:
         )
         out_adj.append(row)
     graph = VariableGraph(out_adj)
-    words = surjective_words(len(spec.translates), b)
-    rule = LocalRule.for_graph(graph, b, [words] * n)
+    words = non_surjective_words(len(spec.translates), b)
+    rule = LocalRule(b, [words] * n, [len(spec.translates)] * n)
     return graph, rule
 
 
@@ -407,6 +404,7 @@ def str_to_word(s: str, b: int) -> Word:
 
 def instance_to_json(graph: VariableGraph, rule: LocalRule) -> str:
     """Canonical single-line JSON; identical inputs give identical bytes.
+    Listing the allowed words enumerates b^len words per vertex.
 
     The in-neighbourhood order is not serialized: it is defined to be
     ascending vertex index.  Builders that need a different cl-order must
@@ -423,17 +421,32 @@ def instance_to_json(graph: VariableGraph, rule: LocalRule) -> str:
     return json.dumps(obj, separators=(",", ":")) + "\n"
 
 
+def _is_list_of_lists(value, item_type: type) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(row, list) and all(type(v) is item_type for v in row) for row in value
+    )
+
+
 def instance_from_json(text: str) -> tuple[VariableGraph, LocalRule]:
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError("instance JSON must be an object")
     for key in ("b", "vertices", "out_adj", "allowed"):
         if key not in obj:
             raise ValueError(f"instance JSON missing key {key!r}")
-    n = obj["vertices"]
+    b, n = obj["b"], obj["vertices"]
+    if type(b) is not int or b < 1:
+        raise ValueError("instance JSON: b must be an integer >= 1")
+    if type(n) is not int or n < 0:
+        raise ValueError("instance JSON: vertices must be an integer >= 0")
+    if not _is_list_of_lists(obj["out_adj"], int):
+        raise ValueError("instance JSON: out_adj must be a list of lists of integers")
+    if not _is_list_of_lists(obj["allowed"], str):
+        raise ValueError("instance JSON: allowed must be a list of lists of strings")
     out_adj = [tuple(row) for row in obj["out_adj"]]
     if len(out_adj) != n or len(obj["allowed"]) != n:
         raise ValueError("instance JSON: adjacency/allowed length disagrees with vertex count")
     graph = VariableGraph(out_adj)
-    b = obj["b"]
     allowed = [frozenset(str_to_word(s, b) for s in ws) for ws in obj["allowed"]]
     rule = LocalRule.for_graph(graph, b, allowed)
     return graph, rule
@@ -494,16 +507,15 @@ def random_instance(
     n_clauses = rng.randint(1, 4)
     b = rng.choice((2, 2, 3))
     out_adj = []
-    allowed = []
+    forbidden = []
     for _ in range(n_clauses):
         width = min(rng.randint(1, 3) if mixed_width else rng.randint(2, 3), n_vars)
         vs = rng.sample(range(n_vars), width)
         out_adj.append(tuple(n_clauses + v for v in vs))
         full = list(itertools.product(range(b), repeat=width))
-        forbidden = rng.sample(full, rng.randint(1, min(2, len(full) - 1)))
-        allowed.append(frozenset(set(full) - set(forbidden)))
+        forbidden.append(frozenset(rng.sample(full, rng.randint(1, min(2, len(full) - 1)))))
     for _ in range(n_vars):
         out_adj.append(())
-        allowed.append(frozenset([()]))
+        forbidden.append(frozenset())
     graph = VariableGraph(out_adj)
-    return graph, LocalRule.for_graph(graph, b, allowed)
+    return graph, LocalRule(b, forbidden, [len(row) for row in out_adj])

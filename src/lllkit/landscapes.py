@@ -136,7 +136,7 @@ class DecoratedLandscape:
                 raise InternalConsistencyError(f"prev word at {v} has wrong length")
             if any(not 0 <= d < self.rule.b for d in word):
                 raise InternalConsistencyError(f"prev word at {v} outside alphabet")
-            if not self.rule.is_full(base) and word in self.rule.allowed[base]:
+            if not self.rule.is_full(base) and word not in self.rule.forbidden[base]:
                 raise InternalConsistencyError(f"prev word at {v} is not forbidden")
 
     # -- shape helpers -----------------------------------------------------
@@ -364,13 +364,11 @@ def restrict(ls: DecoratedLandscape, vertices: Iterable[int]) -> tuple[Decorated
     for x in keep:
         in_adj.append(tuple(new_id[y] for y in ls.graph.cl(x) if y in new_id))
     graph = VariableGraph(out_adj, in_adj)
-    allowed: list[frozenset[Word]] = []
-    for i, x in enumerate(keep):
-        if len(out_adj[i]) == len(ls.graph.var(x)):
-            allowed.append(ls.rule.allowed[x])
-        else:
-            allowed.append(frozenset(itertools.product(range(ls.rule.b), repeat=len(out_adj[i]))))
-    rule = LocalRule._trusted(ls.rule.b, allowed, [len(row) for row in out_adj])
+    forbidden = [
+        ls.rule.forbidden[x] if len(out_adj[i]) == len(ls.graph.var(x)) else frozenset()
+        for i, x in enumerate(keep)
+    ]
+    rule = LocalRule(ls.rule.b, forbidden, [len(row) for row in out_adj])
     rel = build_rel(graph)
 
     verts = []

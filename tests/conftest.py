@@ -48,7 +48,7 @@ def random_abstract_landscape(rng: random.Random):
     prev = {}
     for v in verts:
         x = v[0]
-        prev[v] = rng.choice(rule.complement_words(x))
+        prev[v] = rng.choice(sorted(rule.forbidden[x]))
     final = tuple(rng.randrange(rule.b) for _ in range(graph.vertex_count))
     parts = tuple(range(graph.vertex_count))
     return DecoratedLandscape(graph, rule, verts, parent, prev, final, parts, rel=rel)

@@ -209,9 +209,36 @@ class TestInputValidation:
         ["solve", "--bundled", "disjoint", "--f0", json.dumps([0] * 23 + [2])],
         ["solve", "--bundled", "disjoint", "--f0", json.dumps([0] * 23 + [-1])],
         ["solve", "--bundled", "disjoint", "--f0", json.dumps([0] * 23 + ["1"])],
+        ["solve", "--bundled", "chain", "--cap", "-1"],
+        ["tail", "--bundled", "chain", "--seeds", "2", "--cap", "-1"],
+        ["tail", "--bundled", "chain", "--seeds", "2", "--n-max", "-1"],
+        ["count", "--n-max", "-1"],
+        ["count", "--budget", "-5"],
+        ["count", "--deltas", "2,x"],
+        ["verify", "--tapes", "-1", "--runs", "-1"],
+        ["verify", "--tapes", "1", "--runs", "-1"],
     ])
     def test_bad_input_is_config_error(self, argv, capsys):
         assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("instance", [
+        {"b": 2, "vertices": 1, "out_adj": [["a"]], "allowed": [[]]},
+        {"b": 2, "vertices": 2, "out_adj": [[1], []], "allowed": [[1], [""]]},
+        {"b": "2", "vertices": 2, "out_adj": [[1], []], "allowed": [["1"], [""]]},
+        {"b": True, "vertices": 2, "out_adj": [[1], []], "allowed": [["1"], [""]]},
+        {"b": 2, "vertices": -1, "out_adj": [], "allowed": []},
+        {"b": 2, "vertices": 1.0, "out_adj": [[]], "allowed": [[""]]},
+        {"b": 2, "vertices": 1, "out_adj": [0], "allowed": [[""]]},
+        {"b": 2, "vertices": 1, "out_adj": [[]], "allowed": ""},
+        5,
+    ])
+    def test_wrongly_typed_instance_json(self, instance, tmp_path, capsys):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(instance))
+        assert main(["solve", "--instance", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert captured.out == ""
@@ -220,6 +247,19 @@ class TestInputValidation:
         f0 = json.dumps([1] * 24)
         assert main(["solve", "--bundled", "disjoint", "--f0", f0, "--seed", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["status"] == "satisfied"
+
+
+class TestWideRules:
+    def test_torus_with_24_translates_solves(self):
+        # 2^24 words per rule: only a forbidden-set representation fits
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lllkit.cli", "solve", "--torus", "2,64,24,2",
+             "--partition", "singletons", "--seed", "1"],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["certified"] is True
 
 
 class TestBuildSystem:

@@ -135,6 +135,26 @@ class TestFailureProb:
                 assert (p == 0) == (x not in support)
 
 
+class TestLocalRule:
+    def test_for_graph_stores_the_complement(self):
+        g = VariableGraph([(1, 2), (), ()])
+        rule = LocalRule.for_graph(g, 3, [{(0, 1), (2, 2)}, {()}, set()])
+        assert rule.forbidden[0] == {(a, c) for a in range(3) for c in range(3)} - {(0, 1), (2, 2)}
+        assert rule.forbidden[1:] == (frozenset(), frozenset({()}))
+        assert rule.allowed[0] == {(0, 1), (2, 2)}
+        assert rule == LocalRule(3, rule.forbidden, [2, 0, 0])
+        assert rule.support == (0, 2)
+        assert rule.support is rule.support  # computed once, not per access
+
+    @pytest.mark.parametrize("word", [(0,), (0, 1, 1), (0, 3)])
+    def test_bad_words_rejected(self, word):
+        g = VariableGraph([(1, 2), (), ()])
+        with pytest.raises(ValueError, match="allowed word"):
+            LocalRule.for_graph(g, 3, [{word}, {()}, {()}])
+        with pytest.raises(ValueError, match="forbidden word"):
+            LocalRule(3, [{word}, set(), set()], [2, 0, 0])
+
+
 class TestViolatingSet:
     def test_examples(self):
         g = VariableGraph([(1,), ()])

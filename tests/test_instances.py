@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 
 from lllkit import (
     CnfInstance,
+    LocalRule,
     MtaSystem,
     Partition,
     RandomTape,
@@ -28,10 +30,17 @@ from lllkit.instances import (
     default_translates,
     disjoint_clause_instance,
     e_bounds,
+    non_surjective_words,
     random_instance,
-    surjective_words,
     torus_condition_holds,
 )
+
+
+def surjective_words(length: int, b: int) -> frozenset:
+    """Oracle: the allowed torus words, by enumerating every word."""
+    return frozenset(
+        w for w in itertools.product(range(b), repeat=length) if len(set(w)) == b
+    )
 
 
 class TestCnf:
@@ -150,6 +159,24 @@ class TestTorus:
     def test_surjective_word_count(self):
         assert len(surjective_words(3, 2)) == 6
         assert len(surjective_words(10, 2)) == 1022
+
+    @pytest.mark.parametrize("b", [1, 2, 3, 4])
+    def test_non_surjective_words_complement_oracle(self, b):
+        for length in range(b, 7):
+            full = frozenset(itertools.product(range(b), repeat=length))
+            assert non_surjective_words(length, b) == full - surjective_words(length, b)
+
+    @pytest.mark.parametrize("b", [1, 2, 3, 4])
+    def test_rule_matches_surjective_oracle(self, b):
+        for spec in (
+            TorusSpec(1, 7, tuple((i,) for i in range(max(b, 2))), b),
+            TorusSpec(1, 9, ((0,), (2,), (3,), (5,), (7,)), b),
+            TorusSpec(2, 4, default_translates(2, 4), b),
+        ):
+            graph, rule = torus_instance(spec)
+            words = surjective_words(len(spec.translates), b)
+            assert rule == LocalRule.for_graph(graph, b, [words] * graph.vertex_count)
+            assert rule.support == (() if b == 1 else tuple(range(graph.vertex_count)))
 
 
 class TestConditionCheck:

@@ -482,25 +482,14 @@ def cmd_tail(args) -> int:
     system, _ = build_system(graph, rule, args.partition, eps, args.order)
     grid = list(range(0, args.n_max + 1))
     seeds = [args.seed + i for i in range(args.seeds)]
-    run_map = map
-    if args.jobs > 1:
-        import multiprocessing
-
-        pool = multiprocessing.Pool(args.jobs)
-        run_map = pool.map
-    try:
-        est = counting.tail_estimate(
-            system,
-            [0] * graph.vertex_count,
-            seeds,
-            grid,
-            args.cap,
-            run_map=run_map,
-        )
-    finally:
-        if args.jobs > 1:
-            pool.close()
-            pool.join()
+    est = counting.tail_estimate(
+        system,
+        [0] * graph.vertex_count,
+        seeds,
+        grid,
+        args.cap,
+        run_map=map if args.jobs == 1 else counting.process_map(args.jobs),
+    )
     rows = ["N,trials,exceedances,phat,ci"]
     for n, c, p, ci in zip(est.n_grid, est.exceed_counts, est.phat, est.ci_half):
         rows.append(f"{n},{est.trials},{c},{p!r},{ci!r}")

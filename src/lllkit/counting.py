@@ -9,6 +9,7 @@ inequalities are evaluated in exact integers/rationals.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import statistics
@@ -503,9 +504,9 @@ def tail_estimate(
     seeds = list(seeds)
     if not seeds:
         raise ValueError("at least one seed is required")
-    args = [(system, tuple(f), seed, step_cap, collect_witness_sizes, eps, window_n)
-            for seed in seeds]
-    results = list(run_map(_tail_worker, args))
+    trial = functools.partial(_tail_worker, system, tuple(f), step_cap, collect_witness_sizes,
+                              eps, window_n)
+    results = list(run_map(trial, seeds))
     max_counts = tuple(r[0] for r in results)
     capped = sum(1 for r in results if r[1])
     witness_sizes = tuple(r[2] for r in results) if collect_witness_sizes else None
@@ -529,8 +530,8 @@ def tail_estimate(
     )
 
 
-def _tail_worker(args) -> tuple[int, bool, int]:
-    system, f, seed, step_cap, collect, eps, window_n = args
+def _tail_worker(system: MtaSystem, f: tuple[int, ...], step_cap: int, collect: bool,
+                 eps: Fraction, window_n: int | None, seed: int) -> tuple[int, bool, int]:
     tape = RandomTape.stream(system.b, seed)
     trace = run_until_satisfied(system, f, tape, step_cap)
     size = 0
@@ -539,3 +540,37 @@ def _tail_worker(args) -> tuple[int, bool, int]:
             code = encode_tape(trace, eps=eps, n=window_n)
             size = 0 if code.witness is None else len(code.witness.verts)
     return trace.max_resamples, trace.status == "cap_exceeded", size
+
+
+def process_map(jobs: int) -> Callable:
+    """A ``run_map`` for ``tail_estimate`` over ``jobs`` worker processes.
+
+    ``fn`` reaches each worker once, through the pool initializer; the
+    tasks carry only the items, in chunks, and results keep item order.
+    """
+
+    def run_map(fn: Callable, items: Iterable) -> list:
+        import multiprocessing
+
+        items = list(items)
+        chunksize = max(1, -(-len(items) // (4 * jobs)))
+        pool = multiprocessing.Pool(jobs, initializer=_install_worker_fn, initargs=(fn,))
+        try:
+            return list(pool.imap(_call_worker_fn, items, chunksize))
+        finally:
+            pool.close()
+            pool.join()
+
+    return run_map
+
+
+_worker_fn: Callable | None = None  # set in each pool worker by process_map
+
+
+def _install_worker_fn(fn: Callable) -> None:
+    global _worker_fn
+    _worker_fn = fn
+
+
+def _call_worker_fn(item):
+    return _worker_fn(item)

@@ -13,7 +13,8 @@ import itertools
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 from .graphs import (
     LocalRule,
@@ -24,9 +25,10 @@ from .graphs import (
     build_rel,
     greedy_mis,
     params,
-    restriction_word,
     violating_set,
 )
+
+Reader = Callable[[Sequence[int]], Word]  # an assignment to the word one vertex reads
 
 
 class TapeExhausted(Exception):
@@ -40,6 +42,9 @@ class RandomTape:
     (seed, part, position) to a digit through a keyed hash with rejection
     sampling, so any digit is addressable without generating predecessors
     and the digits are uniform over 0..b-1.
+
+    ``digit`` is the reference; the batch paths ``draw`` and ``row`` return
+    exactly the digits ``digit`` gives, cell by cell.
     """
 
     def __init__(self, b: int, *, digits: tuple[tuple[int, ...], ...] | None = None,
@@ -51,13 +56,18 @@ class RandomTape:
         self.b = b
         self.digits = digits
         self.seed = seed
-        self._key = None if seed is None else seed.to_bytes(16, "big", signed=True)
+        # Reject the top sliver of the 64-bit range so digits are exactly uniform.
+        self._limit = (1 << 64) - ((1 << 64) % b)
+        self._hasher = None
+        if seed is not None:
+            key = seed.to_bytes(16, "big", signed=True)
+            self._hasher = hashlib.blake2b(key=key, digest_size=8)
         if digits is not None:
             widths = {len(row) for row in digits}
             if len(widths) > 1:
                 raise ValueError("finite tape streams must share one width")
             for row in digits:
-                if any(not 0 <= d < b for d in row):
+                if row and (min(row) < 0 or max(row) >= b):
                     raise ValueError("finite tape digit outside alphabet")
 
     @classmethod
@@ -70,8 +80,13 @@ class RandomTape:
 
     @classmethod
     def finite_random(cls, b: int, parts: int, width: int, seed: int) -> "RandomTape":
-        src = cls.stream(b, seed)
-        return cls.finite(b, [[src.digit(i, j) for j in range(width)] for i in range(parts)])
+        return cls.stream(b, seed).prefix(parts, width)
+
+    def __reduce__(self):
+        # A keyed hasher does not pickle; rebuild the tape from its definition.
+        if self.is_finite:
+            return RandomTape.finite, (self.b, self.digits)
+        return RandomTape.stream, (self.b, self.seed)
 
     @property
     def is_finite(self) -> bool:
@@ -94,20 +109,47 @@ class RandomTape:
             return self.digits[part][pos]
         if self.b == 1:
             return 0
-        # Reject the top sliver of the 64-bit range so digits are exactly uniform.
-        limit = (1 << 64) - ((1 << 64) % self.b)
         for attempt in itertools.count():
-            msg = b"%d:%d:%d" % (part, pos, attempt)
-            h = hashlib.blake2b(msg, key=self._key, digest_size=8).digest()
-            w = int.from_bytes(h, "big")
-            if w < limit:
+            h = self._hasher.copy()
+            h.update(b"%d:%d:%d" % (part, pos, attempt))
+            w = int.from_bytes(h.digest(), "big")
+            if w < self._limit:
                 return w % self.b
+
+    def draw(self, cells: Iterable[tuple[int, int]]) -> list[int]:
+        """The digits at the (part, position) cells, in order.
+
+        Raises TapeExhausted at the first cell a finite tape lacks.  A stream
+        hashes attempt 0 inline and leaves rejected cells to ``digit``.
+        """
+        if self.digits is not None:
+            cells = list(cells)
+            rows = self.digits
+            try:
+                return [rows[part][pos] for part, pos in cells]
+            except IndexError:
+                return [self.digit(part, pos) for part, pos in cells]
+        b = self.b
+        if b == 1:
+            return [0 for _ in cells]
+        copy, limit = self._hasher.copy, self._limit
+        out = []
+        for part, pos in cells:
+            h = copy()
+            h.update(b"%d:%d:0" % (part, pos))
+            w = int.from_bytes(h.digest(), "big")
+            out.append(w % b if w < limit else self.digit(part, pos))
+        return out
+
+    def row(self, part: int, width: int) -> tuple[int, ...]:
+        """Digits 0..width-1 of stream ``part``."""
+        if self.digits is not None and part < len(self.digits) and width <= len(self.digits[part]):
+            return self.digits[part][:width]
+        return tuple(self.draw([(part, pos) for pos in range(width)]))
 
     def prefix(self, parts: int, width: int) -> "RandomTape":
         """Materialize a finite p-by-k tape from this source."""
-        return RandomTape.finite(
-            self.b, [[self.digit(i, j) for j in range(width)] for i in range(parts)]
-        )
+        return RandomTape.finite(self.b, [self.row(i, width) for i in range(parts)])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RandomTape):
@@ -138,6 +180,7 @@ class MtaSystem:
         self.rel = rel
         self.partition = partition
         self.order = tuple(order)
+        self._tables: tuple[dict[int, Reader], list[int] | None] | None = None
 
     @classmethod
     def build(cls, graph: VariableGraph, rule: LocalRule, partition: Partition,
@@ -156,6 +199,38 @@ class MtaSystem:
 
     def independent_violated(self, violated: set[int]) -> set[int]:
         return greedy_mis(self.rel.adj_noself, violated, self.order)
+
+    def loop_tables(self) -> tuple[dict[int, Reader], list[int] | None]:
+        """The resample loop's tables, built on the first run, not in ``build``.
+
+        ``readers[x]``, for each support vertex x, maps an assignment to the
+        word x reads.  Every reader pickles, so a system that has run still
+        does.  ``rank`` maps a vertex to its position in the order; it is
+        None for the identity order.
+        """
+        if self._tables is None:
+            readers: dict[int, Reader] = {}
+            for x in self.rule.support:
+                var = self.graph.var(x)
+                readers[x] = itemgetter(*var) if len(var) > 1 else _OneOrNoVariable(var)
+            rank = None
+            if self.order != tuple(range(len(self.order))):
+                rank = [0] * len(self.order)
+                for i, x in enumerate(self.order):
+                    rank[x] = i
+            self._tables = readers, rank
+        return self._tables
+
+
+class _OneOrNoVariable:
+    """Reader of a word of length 0 or 1, where ``itemgetter`` would not
+    return a tuple."""
+
+    def __init__(self, var: Word):
+        self.var = var
+
+    def __call__(self, f: Sequence[int]) -> Word:
+        return tuple(f[v] for v in self.var)
 
 
 @dataclass(frozen=True)
@@ -236,12 +311,19 @@ def step(system: MtaSystem, state: RunState, tape: RandomTape) -> tuple[RunState
 def _run(system: MtaSystem, f: Sequence[int], tape: RandomTape | None, *,
          max_steps: int, stop_when_satisfied: bool,
          rng: random.Random | None = None) -> RunTrace:
-    graph, rule = system.graph, system.rule
+    """The incremental form of repeated ``step``: same states, same digits.
+
+    The violated set is computed once and then re-checked only at the
+    support vertices sharing a variable with a resampled one; the greedy
+    independent set walks the violated vertices in vertex-order rank.
+    """
+    graph = system.graph
     n = graph.vertex_count
+    b = system.b
     assignment = list(f)
     if len(assignment) != n:
         raise ValueError("initial assignment has wrong length")
-    if any(not 0 <= d < system.b for d in assignment):
+    if assignment and (min(assignment) < 0 or max(assignment) >= b):
         raise ValueError("initial assignment has digits outside the alphabet")
     if tape is None and rng is None:
         raise ValueError("a tape is required unless running the classic baseline")
@@ -250,39 +332,46 @@ def _run(system: MtaSystem, f: Sequence[int], tape: RandomTape | None, *,
     trace.assignments.append(tuple(assignment))
     trace.counters.append(tuple(counters))
     part_of = system.partition.part_of
+    var = graph.out_adj
+    readers, rank = system.loop_tables()
+    forbidden = system.rule.forbidden
+    nbrs, adj_noself = system.rel.nbrs, system.rel.adj_noself
 
-    violated = violating_set(graph, rule, assignment)
-    support = set(rule.support)
+    violated = {x for x, read in readers.items() if read(assignment) in forbidden[x]}
     for _ in range(max_steps):
         if stop_when_satisfied and not violated:
             trace.status = "satisfied"
             return trace
-        chosen = system.independent_violated(violated)
-        if not chosen:
+        if not violated:
             trace.resampled.append(frozenset())
             trace.assignments.append(tuple(assignment))
             trace.counters.append(tuple(counters))
             continue
-        targets = sorted({v for x in chosen for v in graph.var(x)})
+        # Walking only the violated vertices, in rank order, picks the set a
+        # walk over the whole vertex order picks.
+        ranked = sorted(violated) if rank is None else sorted(violated, key=rank.__getitem__)
+        chosen = greedy_mis(adj_noself, violated, ranked)
+        # Chosen vertices share no variable, so the targets are distinct.
+        targets = sorted([v for x in chosen for v in var[x]])
         if rng is not None:
-            fresh = {v: rng.randrange(system.b) for v in targets}
+            fresh = [rng.randrange(b) for _ in targets]
         else:
             try:
-                fresh = {v: tape.digit(part_of[v], counters[v]) for v in targets}
+                fresh = tape.draw([(part_of[v], counters[v]) for v in targets])
             except TapeExhausted:
                 trace.status = "tape_exhausted"
                 return trace
-        for v in targets:
-            assignment[v] = fresh[v]
+        for v, d in zip(targets, fresh):
+            assignment[v] = d
             counters[v] += 1
         trace.resampled.append(frozenset(chosen))
         trace.assignments.append(tuple(assignment))
         trace.counters.append(tuple(counters))
         # Only constraints reading a redrawn variable can change status.
-        dirty = {y for x in chosen for y in system.rel.nbrs[x] if y in support}
+        dirty = {y for x in chosen for y in nbrs[x] if y in readers}
         violated -= dirty
         for y in dirty:
-            if restriction_word(graph, assignment, y) in rule.forbidden[y]:
+            if readers[y](assignment) in forbidden[y]:
                 violated.add(y)
     if stop_when_satisfied:
         trace.status = "satisfied" if not violated else "cap_exceeded"
@@ -319,10 +408,8 @@ def used_unused(trace: RunTrace, x: int) -> tuple[Word, Word]:
         raise ValueError("trace has no tape (classic baseline run)")
     part = trace.system.partition.part_of[x]
     h = trace.h_final[x]
-    k = trace.k
-    used = tuple(trace.tape.digit(part, j) for j in range(h))
-    unused = tuple(trace.tape.digit(part, j) for j in range(h, k))
-    return used, unused
+    digits = trace.tape.row(part, trace.k)
+    return digits[:h], digits[h:]
 
 
 def pad_uniform(system: MtaSystem) -> tuple[MtaSystem, int]:

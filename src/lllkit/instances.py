@@ -29,6 +29,9 @@ from .graphs import (
 Literal = tuple[int, int]  # (0-based variable index, sign in {+1, -1})
 
 WORD_DIGITS = string.digits + string.ascii_lowercase
+# Loading complements each allowed list within all b^len(var(x)) words, so
+# a vertex with more words than this is refused before any enumeration.
+MAX_LOAD_WORDS = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +450,13 @@ def instance_from_json(text: str) -> tuple[VariableGraph, LocalRule]:
     if len(out_adj) != n or len(obj["allowed"]) != n:
         raise ValueError("instance JSON: adjacency/allowed length disagrees with vertex count")
     graph = VariableGraph(out_adj)
+    for x, row in enumerate(out_adj):
+        # b >= 2 and len > 20 already exceed 2^20; the cut keeps b ** len small
+        if b > 1 and (len(row) > 20 or b ** len(row) > MAX_LOAD_WORDS):
+            raise ValueError(
+                f"instance JSON: vertex {x} has {b}^{len(row)} words, "
+                f"more than the {MAX_LOAD_WORDS} a vertex may have on load"
+            )
     allowed = [frozenset(str_to_word(s, b) for s in ws) for ws in obj["allowed"]]
     rule = LocalRule.for_graph(graph, b, allowed)
     return graph, rule

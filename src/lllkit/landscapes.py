@@ -681,9 +681,7 @@ def encode_tape(trace: RunTrace, eps: Fraction = Fraction(1, 2), n: int | None =
     k = trace.k
     ls = extract_landscape(trace)
     if ls.is_empty:
-        payload = tuple(
-            trace.tape.digit(i, j) for i in range(p) for j in range(k)
-        )
+        payload = tuple(d for i in range(p) for d in trace.tape.row(i, k))
         return TapeCode(frozenset(), payload, None, system.b)
     adj = system.graph.sym_adj
     if n is None:
@@ -709,7 +707,7 @@ def encode_tape(trace: RunTrace, eps: Fraction = Fraction(1, 2), n: int | None =
             _, unused = used_unused(trace, x)
             payload.extend(unused)
         else:
-            payload.extend(trace.tape.digit(i, j) for j in range(k))
+            payload.extend(trace.tape.row(i, k))
     return TapeCode(part_ids, tuple(payload), witness, system.b)
 
 

@@ -11,6 +11,7 @@ from lllkit import bundled_instances, landscapes
 from lllkit.cli import build_system, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+DATA = Path(__file__).resolve().parent / "data"
 
 SAT_TEXT = "c three disjoint clauses\np cnf 9 3\n1 2 3 0\n4 5 6 0\n7 8 9 0\n"
 
@@ -217,6 +218,7 @@ class TestInputValidation:
         ["count", "--deltas", "2,x"],
         ["verify", "--tapes", "-1", "--runs", "-1"],
         ["verify", "--tapes", "1", "--runs", "-1"],
+        ["solve", "--instance", str(DATA / "wide_alphabet.json")],
     ])
     def test_bad_input_is_config_error(self, argv, capsys):
         assert main(argv) == 2
@@ -242,6 +244,18 @@ class TestInputValidation:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert captured.out == ""
+
+    @pytest.mark.parametrize("b, width", [(10**5, 2), (2, 21), (1025, 2)])
+    def test_instance_beyond_the_load_word_limit(self, b, width, tmp_path, capsys):
+        # loading enumerates b^width words per vertex: here 2^21 to 10^10 of them
+        instance = {"b": b, "vertices": width + 1, "out_adj": [list(range(1, width + 1))]
+                    + [[] for _ in range(width)], "allowed": [["0" * width]] + [[""]] * width}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(instance))
+        assert main(["solve", "--instance", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "words" in captured.err and captured.out == ""
 
     def test_f0_accepted(self, capsys):
         f0 = json.dumps([1] * 24)

@@ -20,6 +20,7 @@ from lllkit import (
 from lllkit.counting import (
     critical_abscissa,
     landscape_class_prefactor,
+    process_map,
     _canonical_key,
 )
 from lllkit.instances import disjoint_clause_instance
@@ -194,3 +195,27 @@ class TestTailEstimate:
         assert abs(
             est.witness_size_prob(0) + est.witness_size_tail(0) - 1.0
         ) < 1e-12
+
+    def test_run_map_is_sent_only_the_seeds(self):
+        graph, rule = disjoint_clause_instance(2)
+        system = MtaSystem.build(graph, rule, Partition.singletons(graph.vertex_count))
+        sent = []
+
+        def recording_map(fn, items):
+            items = list(items)
+            sent.extend(items)
+            return map(fn, items)
+
+        est = tail_estimate(system, [0] * graph.vertex_count, range(7, 19), [0, 1], 100,
+                            run_map=recording_map)
+        assert sent == list(range(7, 19))
+        assert est == tail_estimate(system, [0] * graph.vertex_count, range(7, 19), [0, 1], 100)
+
+    def test_process_map_keeps_item_order(self):
+        graph, rule = disjoint_clause_instance(2)
+        system = MtaSystem.build(graph, rule, Partition.singletons(graph.vertex_count))
+        f0 = [0] * graph.vertex_count
+        seeds = range(40)
+        assert (tail_estimate(system, f0, seeds, [0, 1, 2], 100, run_map=process_map(2))
+                == tail_estimate(system, f0, seeds, [0, 1, 2], 100))
+        assert process_map(2)(abs, [-3, 1, -2]) == [3, 1, 2]

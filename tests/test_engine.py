@@ -1,4 +1,7 @@
+import hashlib
+import itertools
 import math
+import pickle
 import random
 import statistics
 
@@ -9,6 +12,7 @@ from lllkit import (
     MtaSystem,
     Partition,
     RandomTape,
+    RunTrace,
     TapeExhausted,
     VariableGraph,
     classic_parallel_mta,
@@ -19,6 +23,7 @@ from lllkit import (
     violating_set,
 )
 from lllkit.engine import RunState, step
+from lllkit.instances import TorusSpec, default_translates, random_instance, torus_instance
 from conftest import random_system
 
 
@@ -372,3 +377,225 @@ class TestTraceDump:
 
         rec = json.loads(lines[0])
         assert set(rec) == {"step", "resampled", "counters_digest"}
+
+
+def oracle_digit(b: int, seed: int, part: int, pos: int) -> int:
+    """The stream digit formula, restated independently of the package:
+    blake2b over b"part:pos:attempt" with the seed as a 16-byte signed key,
+    an 8-byte digest, and rejection of the top sliver of the 64-bit range."""
+    if b == 1:
+        return 0
+    key = seed.to_bytes(16, "big", signed=True)
+    limit = (1 << 64) - ((1 << 64) % b)
+    for attempt in itertools.count():
+        h = hashlib.blake2b(b"%d:%d:%d" % (part, pos, attempt), key=key, digest_size=8)
+        w = int.from_bytes(h.digest(), "big")
+        if w < limit:
+            return w % b
+
+
+class TestDigitOracle:
+    PARTS, WIDTH = 5, 40
+
+    @pytest.mark.parametrize("b", [1, 2, 3, 7, 3 * 2**62])
+    @pytest.mark.parametrize("seed", [0, 41, -7])
+    def test_batch_paths_match_oracle(self, b, seed):
+        rows = tuple(
+            tuple(oracle_digit(b, seed, i, j) for j in range(self.WIDTH)) for i in range(self.PARTS)
+        )
+        cells = [(i, j) for i in range(self.PARTS) for j in range(self.WIDTH)]
+        tape = RandomTape.stream(b, seed)
+        assert tape.draw(cells) == [rows[i][j] for i, j in cells]
+        assert [tape.digit(i, j) for i, j in cells] == [rows[i][j] for i, j in cells]
+        assert RandomTape.finite_random(b, self.PARTS, self.WIDTH, seed).digits == rows
+        assert tape.prefix(self.PARTS, self.WIDTH).digits == rows
+        assert tape.prefix(2, 7).prefix(2, 3).digits == tuple(row[:3] for row in rows[:2])
+
+    def test_large_alphabet_reaches_later_attempts(self):
+        # b = 3*2^62 rejects a quarter of the attempt-0 hashes
+        b, seed = 3 * 2**62, 41
+        key = seed.to_bytes(16, "big", signed=True)
+        rejected = [
+            (i, j) for i in range(self.PARTS) for j in range(self.WIDTH)
+            if int.from_bytes(hashlib.blake2b(b"%d:%d:0" % (i, j), key=key, digest_size=8).digest(),
+                              "big") >= b
+        ]
+        assert len(rejected) > 10
+        tape = RandomTape.stream(b, seed)
+        assert tape.draw(rejected) == [oracle_digit(b, seed, i, j) for i, j in rejected]
+
+    def test_finite_draw_raises_at_the_cell_digit_raises_at(self):
+        tape = RandomTape.finite(2, [[0, 1], [1, 1]])
+        assert tape.draw([(1, 0), (0, 0)]) == [1, 0]
+        with pytest.raises(TapeExhausted) as batch:
+            tape.draw([(0, 1), (1, 2), (2, 0)])
+        with pytest.raises(TapeExhausted) as single:
+            tape.digit(1, 2)
+        assert str(batch.value) == str(single.value)
+        with pytest.raises(TapeExhausted):
+            tape.row(0, 3)
+        with pytest.raises(TapeExhausted):
+            tape.row(2, 1)
+
+    def test_run_stops_before_mutating_on_exhaustion(self, rng):
+        seen = 0
+        for _ in range(60):
+            system = random_system(rng)
+            width = rng.randint(0, 2)
+            tape = RandomTape.finite_random(system.b, system.p, width, seed=rng.randrange(2**30))
+            f0 = [rng.randrange(system.b) for _ in range(system.graph.vertex_count)]
+            trace = run_k(system, f0, 6, tape)
+            if trace.status != "tape_exhausted":
+                continue
+            seen += 1
+            state = RunState(trace.k, trace.final, trace.h_final)
+            with pytest.raises(TapeExhausted):
+                step(system, state, tape)
+            assert len(trace.assignments) == len(trace.counters) == trace.k + 1
+        assert seen > 10
+
+    def test_tapes_pickle(self):
+        for tape in (RandomTape.stream(3, -5), RandomTape.finite(2, [[0, 1], [1, 0]])):
+            copy = pickle.loads(pickle.dumps(tape))
+            assert copy == tape
+            assert copy.draw([(1, 0), (0, 1)]) == tape.draw([(1, 0), (0, 1)])
+
+
+def awkward_system(rng: random.Random) -> MtaSystem:
+    """A random system with one-variable and zero-variable support vertices,
+    self-reads and a shuffled vertex order."""
+    n = rng.randint(3, 9)
+    b = rng.choice((2, 3))
+    out_adj, forbidden = [], []
+    for x in range(n):
+        width = rng.choice((0, 0, 1, 1, 2, 3))
+        row = tuple(rng.sample(range(n), min(width, n)))
+        words = list(itertools.product(range(b), repeat=len(row)))
+        if not row:
+            picked = rng.choice(([], [], [()]))  # a zero-variable support vertex is always violated
+        else:
+            picked = rng.sample(words, rng.randint(0, len(words) - 1))
+        out_adj.append(row)
+        forbidden.append(frozenset(picked))
+    graph = VariableGraph(out_adj)
+    rule = LocalRule(b, forbidden, [len(row) for row in out_adj])
+    order = list(range(n))
+    rng.shuffle(order)
+    partition = Partition(n, list(range(n))) if rng.random() < 0.5 else Partition(1, [0] * n)
+    return MtaSystem.build(graph, rule, partition, order)
+
+
+def assert_run_matches_step(system: MtaSystem, f0, k: int, tape: RandomTape) -> RunTrace:
+    """The incremental loop against ``step``, which recomputes the violated
+    set and the greedy independent set from scratch every round."""
+    trace = run_k(system, f0, k, tape)
+    state = RunState(0, tuple(f0), (0,) * system.graph.vertex_count)
+    for j in range(trace.k):
+        state, resampled = step(system, state, tape)
+        assert state.assignment == trace.assignments[j + 1]
+        assert state.counters == trace.counters[j + 1]
+        assert resampled == trace.resampled[j]
+    if trace.status == "tape_exhausted":
+        with pytest.raises(TapeExhausted):
+            step(system, state, tape)
+    else:
+        assert trace.k == k
+    return trace
+
+
+class TestLoopOracle:
+    def test_custom_vertex_order(self, rng):
+        for _ in range(50):
+            system = random_system(rng, mixed_width=True)
+            order = list(range(system.graph.vertex_count))
+            rng.shuffle(order)
+            system = MtaSystem.build(system.graph, system.rule, system.partition, order)
+            assert system.loop_tables()[1] is not None or order == sorted(order)
+            f0 = [rng.randrange(system.b) for _ in range(system.graph.vertex_count)]
+            assert_run_matches_step(system, f0, 5, RandomTape.stream(system.b, rng.randrange(2**30)))
+
+    def test_identity_order_builds_no_rank(self, rng):
+        assert random_system(rng).loop_tables()[1] is None
+
+    def test_one_and_zero_variable_words(self, rng):
+        widths = set()
+        for _ in range(80):
+            system = awkward_system(rng)
+            widths.update(len(system.graph.var(x)) for x in system.rule.support)
+            f0 = [rng.randrange(system.b) for _ in range(system.graph.vertex_count)]
+            seed = rng.randrange(2**30)
+            assert_run_matches_step(system, f0, 6, RandomTape.stream(system.b, seed))
+            assert_run_matches_step(system, f0, 6, RandomTape.finite_random(system.b, system.p, 3, seed))
+        assert {0, 1, 2} <= widths
+
+    def test_wide_torus_words(self):
+        graph, rule = torus_instance(TorusSpec(2, 8, default_translates(2, 10), 2))
+        system = MtaSystem.build(graph, rule, Partition.singletons(graph.vertex_count))
+        for seed in range(3):
+            trace = assert_run_matches_step(system, [0] * graph.vertex_count, 4,
+                                            RandomTape.stream(2, seed))
+            assert trace.resampled[0]
+
+    def test_stream_tapes_many_systems(self, rng):
+        for i in range(60):
+            system = random_system(rng, mixed_width=bool(i % 2), singleton_parts=i % 3 == 0)
+            f0 = [rng.randrange(system.b) for _ in range(system.graph.vertex_count)]
+            assert_run_matches_step(system, f0, 6, RandomTape.stream(system.b, rng.randrange(2**30)))
+
+    def test_pickled_system_after_a_run(self, rng):
+        for _ in range(10):
+            system = awkward_system(rng)
+            f0 = [rng.randrange(system.b) for _ in range(system.graph.vertex_count)]
+            tape = RandomTape.stream(system.b, rng.randrange(2**30))
+            first = run_until_satisfied(system, f0, tape, 20)
+            copy = pickle.loads(pickle.dumps(system))
+            again = run_until_satisfied(copy, f0, tape, 20)
+            assert again.status == first.status
+            assert again.assignments == first.assignments
+            assert again.to_jsonl() == first.to_jsonl()
+
+
+class TestClassicPinned:
+    def test_trace_digest(self):
+        # the rng draws over the sorted targets of each round, in order
+        graph, rule = torus_instance(TorusSpec(2, 8, default_translates(2, 10), 2))
+        system = MtaSystem.build(graph, rule, Partition.singletons(graph.vertex_count))
+        h = hashlib.sha256()
+        for seed in range(10):
+            trace = classic_parallel_mta(system, [0] * graph.vertex_count, seed, 200)
+            h.update((trace.status + trace.to_jsonl() + repr(trace.final)).encode())
+        assert h.hexdigest() == "e32a1f49badddfb168c39dab3a9f424449045644c44e8424d690350bb66c6f02"
+
+    def test_trace_digest_shuffled_orders(self):
+        rng = random.Random(3)
+        h = hashlib.sha256()
+        for _ in range(30):
+            graph, rule = random_instance(rng, mixed_width=True)
+            order = list(range(graph.vertex_count))
+            rng.shuffle(order)
+            system = MtaSystem.build(graph, rule, Partition.singletons(graph.vertex_count), order)
+            trace = classic_parallel_mta(system, [0] * graph.vertex_count, rng.randrange(1000), 50)
+            h.update((trace.status + trace.to_jsonl() + repr(trace.final)).encode())
+        assert h.hexdigest() == "544f8aff22a82c35739f9e87195be11a9f6200f7e838f32f5eedbac6106389e7"
+
+
+class TestUsedUnusedRows:
+    def test_matches_digit_by_digit(self, rng):
+        for _ in range(30):
+            system = random_system(rng)
+            seed = rng.randrange(2**30)
+            f0 = [rng.randrange(system.b) for _ in range(system.graph.vertex_count)]
+            for tape in (RandomTape.stream(system.b, seed),
+                         RandomTape.finite_random(system.b, system.p, 6, seed)):
+                trace = run_k(system, f0, 5, tape)
+                for x in range(system.graph.vertex_count):
+                    part, h = system.partition.part_of[x], trace.h_final[x]
+                    want = [tape.digit(part, j) for j in range(trace.k)]
+                    assert used_unused(trace, x) == (tuple(want[:h]), tuple(want[h:]))
+
+    def test_finite_tape_narrower_than_the_run(self):
+        system = single_clause_system()
+        trace = run_k(system, [1, 1], 3, RandomTape.finite(2, [[0, 1], [1, 0]]))
+        assert trace.k == 3
+        with pytest.raises(TapeExhausted):
+            used_unused(trace, 1)

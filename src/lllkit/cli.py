@@ -52,6 +52,13 @@ def _check_non_negative(args, *names: str) -> None:
             raise CliError(f"--{name.replace('_', '-')} must be at least 0, got {value}")
 
 
+def _check_seed(args) -> None:
+    # A stream tape keys its hash with the seed in 16 signed bytes, and verify
+    # derives tape seeds seed * 100003 + t: a 64-bit seed keeps both in range.
+    if not -(1 << 63) <= args.seed < 1 << 63:
+        raise CliError(f"--seed must fit in 64 signed bits, got {args.seed}")
+
+
 def load_instance_from_config(cfg: dict):
     kind = cfg.get("kind")
     if kind == "dimacs":
@@ -171,6 +178,7 @@ def _parse_f0(text: str | None, n: int, b: int) -> list[int]:
 
 def cmd_solve(args) -> int:
     _check_non_negative(args, "cap")
+    _check_seed(args)
     graph, rule = load_instance_from_config(_instance_config_from_args(args))
     for x in rule.support:
         if rule.complement_size(x) == rule.full_size(x):
@@ -352,6 +360,7 @@ def _suite_sparse_partitions() -> tuple[int, dict | None]:
 
 def cmd_verify(args) -> int:
     _check_non_negative(args, "tapes", "runs")
+    _check_seed(args)
     suites = [
         ("roundtrip", lambda: _suite_roundtrip(args.seed, args.tapes)),
         ("seq_used", lambda: _suite_seq_used(args.seed + 1, args.runs)),
@@ -477,6 +486,7 @@ def cmd_tail(args) -> int:
     if args.jobs < 1:
         raise CliError("--jobs must be at least 1")
     _check_non_negative(args, "cap", "n_max")
+    _check_seed(args)
     graph, rule = load_instance_from_config(_instance_config_from_args(args))
     eps = _parse_eps(args.eps)
     system, _ = build_system(graph, rule, args.partition, eps, args.order)
@@ -586,6 +596,8 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
             cfg = json.load(fh)
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot read config {path}: {exc}")
+    if not isinstance(cfg, dict):
+        raise CliError(f"config {path} must hold a JSON object")
     rest = argv[:idx] + argv[idx + 2 :]
     if not rest:
         raise CliError("config file given but no subcommand")

@@ -14,7 +14,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .graphs import (
     LocalRule,
@@ -197,9 +197,6 @@ class MtaSystem:
     def p(self) -> int:
         return self.partition.part_count
 
-    def independent_violated(self, violated: set[int]) -> set[int]:
-        return greedy_mis(self.rel.adj_noself, violated, self.order)
-
     def loop_tables(self) -> tuple[dict[int, Reader], list[int] | None]:
         """The resample loop's tables, built on the first run, not in ``build``.
 
@@ -242,13 +239,16 @@ class RunState:
 
 @dataclass
 class RunTrace:
-    """History of a run: assignments, counters and resample sets per step."""
+    """What a run did: the initial assignment, each round's resample set and
+    drawn digits (over its sorted targets), and the ending; ``states()`` replays the rest."""
 
     system: MtaSystem
     tape: RandomTape | None
-    assignments: list[tuple[int, ...]] = field(default_factory=list)
-    counters: list[tuple[int, ...]] = field(default_factory=list)
+    initial: tuple[int, ...]
     resampled: list[frozenset[int]] = field(default_factory=list)
+    drawn: list[tuple[int, ...]] = field(default_factory=list)
+    final: tuple[int, ...] = ()
+    h_final: tuple[int, ...] = ()
     status: str = "ok"  # ok | satisfied | cap_exceeded | tape_exhausted
 
     @property
@@ -256,28 +256,36 @@ class RunTrace:
         return len(self.resampled)
 
     @property
-    def initial(self) -> tuple[int, ...]:
-        return self.assignments[0]
-
-    @property
-    def final(self) -> tuple[int, ...]:
-        return self.assignments[-1]
-
-    @property
-    def h_final(self) -> tuple[int, ...]:
-        return self.counters[-1]
-
-    @property
     def max_resamples(self) -> int:
         return max(self.h_final, default=0)
 
-    def used_unused(self, x: int) -> tuple[Word, Word]:
-        return used_unused(self, x)
+    def states(self) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """(assignment, counters) before the first round and after each round."""
+        assignment, counters = list(self.initial), [0] * len(self.initial)
+        var = self.system.graph.out_adj
+        state = tuple(assignment), tuple(counters)
+        yield state
+        for chosen, digits in zip(self.resampled, self.drawn):
+            if digits:  # a round that drew nothing leaves the state as it was
+                for v, d in zip(sorted([v for x in chosen for v in var[x]]), digits):
+                    assignment[v] = d
+                    counters[v] += 1
+                state = tuple(assignment), tuple(counters)
+            yield state
+
+    @property
+    def assignments(self) -> list[tuple[int, ...]]:
+        return [a for a, _ in self.states()]
+
+    @property
+    def counters(self) -> list[tuple[int, ...]]:
+        return [h for _, h in self.states()]
 
     def to_jsonl(self) -> str:
         lines = []
-        for j, res in enumerate(self.resampled):
-            digest = hashlib.sha256(repr(self.counters[j + 1]).encode()).hexdigest()[:16]
+        after = itertools.islice(self.states(), 1, None)
+        for j, (res, (_, counters)) in enumerate(zip(self.resampled, after)):
+            digest = hashlib.sha256(repr(counters).encode()).hexdigest()[:16]
             lines.append(json.dumps(
                 {"step": j, "resampled": sorted(res), "counters_digest": digest},
                 separators=(",", ":"),
@@ -294,7 +302,7 @@ def step(system: MtaSystem, state: RunState, tape: RandomTape) -> tuple[RunState
     anything if the tape is too short.
     """
     violated = violating_set(system.graph, system.rule, state.assignment)
-    chosen = system.independent_violated(violated)
+    chosen = greedy_mis(system.rel.adj_noself, violated, system.order)
     if not chosen:
         return RunState(state.step + 1, state.assignment, state.counters), frozenset()
     targets = sorted({v for x in chosen for v in system.graph.var(x)})
@@ -310,12 +318,13 @@ def step(system: MtaSystem, state: RunState, tape: RandomTape) -> tuple[RunState
 
 def _run(system: MtaSystem, f: Sequence[int], tape: RandomTape | None, *,
          max_steps: int, stop_when_satisfied: bool,
-         rng: random.Random | None = None) -> RunTrace:
+         draw: Callable[[list[tuple[int, int]]], Sequence[int]] | None = None) -> RunTrace:
     """The incremental form of repeated ``step``: same states, same digits.
 
     The violated set is computed once and then re-checked only at the
     support vertices sharing a variable with a resampled one; the greedy
     independent set walks the violated vertices in vertex-order rank.
+    ``draw`` maps a round's (part, position) cells to digits (default ``tape.draw``).
     """
     graph = system.graph
     n = graph.vertex_count
@@ -325,12 +334,10 @@ def _run(system: MtaSystem, f: Sequence[int], tape: RandomTape | None, *,
         raise ValueError("initial assignment has wrong length")
     if assignment and (min(assignment) < 0 or max(assignment) >= b):
         raise ValueError("initial assignment has digits outside the alphabet")
-    if tape is None and rng is None:
-        raise ValueError("a tape is required unless running the classic baseline")
+    if draw is None:
+        draw = tape.draw
     counters = [0] * n
-    trace = RunTrace(system, tape)
-    trace.assignments.append(tuple(assignment))
-    trace.counters.append(tuple(counters))
+    trace = RunTrace(system, tape, tuple(assignment))
     part_of = system.partition.part_of
     var = graph.out_adj
     readers, rank = system.loop_tables()
@@ -339,13 +346,11 @@ def _run(system: MtaSystem, f: Sequence[int], tape: RandomTape | None, *,
 
     violated = {x for x, read in readers.items() if read(assignment) in forbidden[x]}
     for _ in range(max_steps):
-        if stop_when_satisfied and not violated:
-            trace.status = "satisfied"
-            return trace
         if not violated:
+            if stop_when_satisfied:
+                break
             trace.resampled.append(frozenset())
-            trace.assignments.append(tuple(assignment))
-            trace.counters.append(tuple(counters))
+            trace.drawn.append(())
             continue
         # Walking only the violated vertices, in rank order, picks the set a
         # walk over the whole vertex order picks.
@@ -353,28 +358,25 @@ def _run(system: MtaSystem, f: Sequence[int], tape: RandomTape | None, *,
         chosen = greedy_mis(adj_noself, violated, ranked)
         # Chosen vertices share no variable, so the targets are distinct.
         targets = sorted([v for x in chosen for v in var[x]])
-        if rng is not None:
-            fresh = [rng.randrange(b) for _ in targets]
-        else:
-            try:
-                fresh = tape.draw([(part_of[v], counters[v]) for v in targets])
-            except TapeExhausted:
-                trace.status = "tape_exhausted"
-                return trace
+        try:
+            fresh = draw([(part_of[v], counters[v]) for v in targets])
+        except TapeExhausted:
+            trace.status = "tape_exhausted"
+            break
         for v, d in zip(targets, fresh):
             assignment[v] = d
             counters[v] += 1
         trace.resampled.append(frozenset(chosen))
-        trace.assignments.append(tuple(assignment))
-        trace.counters.append(tuple(counters))
+        trace.drawn.append(tuple(fresh))
         # Only constraints reading a redrawn variable can change status.
         dirty = {y for x in chosen for y in nbrs[x] if y in readers}
         violated -= dirty
         for y in dirty:
             if readers[y](assignment) in forbidden[y]:
                 violated.add(y)
-    if stop_when_satisfied:
-        trace.status = "satisfied" if not violated else "cap_exceeded"
+    if stop_when_satisfied and trace.status == "ok":
+        trace.status = "cap_exceeded" if violated else "satisfied"
+    trace.final, trace.h_final = tuple(assignment), tuple(counters)
     return trace
 
 
@@ -397,8 +399,9 @@ def classic_parallel_mta(system: MtaSystem, f: Sequence[int], seed: int,
                          step_cap: int) -> RunTrace:
     """Baseline: identical loop, but every redraw uses a fresh independent
     digit instead of the shared per-part streams."""
-    rng = random.Random(seed)
-    return _run(system, f, None, max_steps=step_cap, stop_when_satisfied=True, rng=rng)
+    rng, b = random.Random(seed), system.b
+    return _run(system, f, None, max_steps=step_cap, stop_when_satisfied=True,
+                draw=lambda cells: [rng.randrange(b) for _ in cells])
 
 
 def used_unused(trace: RunTrace, x: int) -> tuple[Word, Word]:

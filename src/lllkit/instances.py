@@ -276,6 +276,8 @@ def torus_instance(spec: TorusSpec) -> tuple[VariableGraph, LocalRule]:
 
 def default_translates(dimension: int, count: int) -> tuple[tuple[int, ...], ...]:
     """A deterministic set of small translate vectors (origin first)."""
+    if dimension < 1:
+        raise ValueError(f"torus dimension must be positive, got {dimension}")
     vecs = sorted(
         itertools.product(range(0, count), repeat=dimension),
         key=lambda v: (max(v), v),

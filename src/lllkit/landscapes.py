@@ -181,24 +181,6 @@ class DecoratedLandscape:
             comps.append(frozenset(comp))
         return comps
 
-    def tree_of(self, v: ForestVertex) -> frozenset[ForestVertex]:
-        while v in self.parent:
-            v = self.parent[v]
-        for tree in self.trees():
-            if v in tree:
-                return tree
-        raise KeyError(v)
-
-    def subtree(self, v: ForestVertex) -> set[ForestVertex]:
-        ch = self.children()
-        out = set()
-        stack = [v]
-        while stack:
-            w = stack.pop()
-            out.add(w)
-            stack.extend(ch[w])
-        return out
-
     @property
     def is_grounded(self) -> bool:
         return all(v[1] == 0 for v in self.roots())
@@ -252,21 +234,20 @@ class DecoratedLandscape:
 # ---------------------------------------------------------------------------
 
 
-def extract_landscape(trace: RunTrace, partition: Partition | None = None) -> DecoratedLandscape:
+def extract_landscape(trace: RunTrace) -> DecoratedLandscape:
     """Level i of the forest is the step-i resample set; the parent of a
     level-(i+1) vertex is the dependency-adjacent level-i vertex with the
     least base.  Prev records the violated word each resample erased."""
     system = trace.system
-    part = partition if partition is not None else system.partition
     rel = system.rel
     verts: list[ForestVertex] = []
     parent: dict[ForestVertex, ForestVertex] = {}
     prev: dict[ForestVertex, Word] = {}
-    for i, resampled in enumerate(trace.resampled):
+    for i, (resampled, (assignment, _)) in enumerate(zip(trace.resampled, trace.states())):
         for x in resampled:
             v = (x, i)
             verts.append(v)
-            prev[v] = tuple(trace.assignments[i][u] for u in system.graph.var(x))
+            prev[v] = tuple(assignment[u] for u in system.graph.var(x))
             if i > 0:
                 candidates = [
                     y for y in trace.resampled[i - 1] if rel.adjacent(y, x)
@@ -278,7 +259,8 @@ def extract_landscape(trace: RunTrace, partition: Partition | None = None) -> De
                     )
                 parent[v] = (min(candidates), i - 1)
     return DecoratedLandscape(
-        system.graph, system.rule, verts, parent, prev, trace.final, part.part_of, rel=rel
+        system.graph, system.rule, verts, parent, prev, trace.final,
+        system.partition.part_of, rel=rel,
     )
 
 
@@ -729,7 +711,7 @@ def decode_tape(
         raise CodeCorruptionError("alphabet disagrees with the instance")
     if partition is not None and partition.part_count != p:
         raise CodeCorruptionError("partition size disagrees with p")
-    if any(not 0 <= d < code.b for d in code.payload):
+    if code.payload and (min(code.payload) < 0 or max(code.payload) >= code.b):
         raise CodeCorruptionError("payload digit outside the alphabet")
     if any(not 0 <= i < p for i in code.part_ids):
         raise CodeCorruptionError("part id outside 0..p-1")

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from lllkit import bundled_instances, landscapes
+from lllkit import bundled_instances, instance_to_json, landscapes
 from lllkit.cli import build_system, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -293,3 +294,88 @@ class TestBuildSystem:
         eps = Fraction(1, 2)
         _, window_n = build_system(graph, rule, "auto", eps)
         assert window_n == landscapes.default_window_params(graph.sym_adj, eps)
+
+
+def mutated_instances(rng: random.Random, count: int) -> list[str]:
+    """Instance JSON texts, each the bundled chain with one seeded defect."""
+    base = json.loads(instance_to_json(*bundled_instances()["chain"]))
+    n = base["vertices"]
+    junk = [None, -1, 0, 1.5, "x", [], {}, True, [[]], [["0"]], 10**6]
+    texts = []
+    for _ in range(count):
+        obj = json.loads(json.dumps(base))
+        kind = rng.randrange(6)
+        if kind == 0:
+            del obj[rng.choice(sorted(obj))]
+        elif kind == 1:
+            obj[rng.choice(sorted(obj))] = rng.choice(junk)
+        elif kind == 2:
+            obj["out_adj"][rng.randrange(n)] = rng.choice([[-1], [n], ["a"], None, [0, 0], 7, []])
+        elif kind == 3:
+            obj["allowed"][rng.randrange(n)].append(rng.choice(["9", "a", "", "0000", 5, None]))
+        elif kind == 4:
+            obj["vertices"] += rng.choice((-1, 1))
+        text = json.dumps(obj)
+        if kind == 5:
+            text = text[: rng.randrange(len(text))]
+        texts.append(text)
+    return texts
+
+
+class TestMalformedInput:
+    """Every malformed input either runs or fails with a documented exit code
+    and at most one line on stderr; nothing raises.  Inputs whose size alone
+    allocates without bound (such as a 10^10-point torus) are left out."""
+
+    def test_malformed_argv_and_instances(self, tmp_path, capsys):
+        files = {
+            "two.cnf": "p cnf 3 1\n1 2 0\n",
+            "range.cnf": "p cnf 3 1\n1 2 9 0\n",
+            "short.cnf": "p cnf 3 2\n1 2 3 0\n",
+            "empty.cnf": "",
+            "list.json": "[1, 2]",
+            "broken.json": "{",
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        cases = [
+            ["solve", "--torus", "0,4,2,2"],
+            ["solve", "--torus=-1,4,2,2"],
+            ["solve", "--torus", "2,0,2,2"],
+            ["solve", "--torus", "2,4,0,2"],
+            ["solve", "--torus", "2,4,2,0"],
+            ["solve", "--torus", "2,4,3,5"],
+            ["solve", "--torus", "2,4,2"],
+            ["solve", "--generate", "0,3"],
+            ["solve", "--generate=-5,3"],
+            ["solve", "--generate", "5,0"],
+            ["solve", "--generate", "x,3"],
+            ["solve", "--bundled", "nope"],
+            ["solve", "--bundled", "chain", "--eps", "1/0"],
+            ["solve", "--bundled", "chain", "--eps", "nan"],
+            ["solve", "--bundled", "chain", "--partition", "1.5"],
+            ["solve", "--bundled", "chain", "--order", "[0]"],
+            ["solve", "--bundled", "chain", "--order", "null"],
+            ["solve", "--bundled", "chain", "--seed", str(2**127)],
+            ["verify", f"--seed=-{2**64}", "--tapes", "1", "--runs", "1"],
+            ["tail", "--bundled", "chain", "--seeds", "-3"],
+            ["tail", "--bundled", "chain", "--seeds", "2", "--n-max", "0", "--cap", "0"],
+            ["count", "--deltas", "2,,3", "--n-max", "2"],
+            ["--config"],
+        ]
+        cases += [["solve", "--dimacs", str(tmp_path / name)] for name in files if name.endswith(".cnf")]
+        cases += [["solve", "--dimacs", str(tmp_path / "missing.cnf")]]
+        cases += [["--config", str(tmp_path / name), "solve", "--bundled", "chain"]
+                  for name in ("list.json", "broken.json", "missing.json")]
+        for i, text in enumerate(mutated_instances(random.Random(5), 12)):
+            path = tmp_path / f"mutant{i}.json"
+            path.write_text(text)
+            cases.append(["solve", "--instance", str(path)])
+        assert len(cases) >= 40
+        for argv in cases:
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code in (0, 2, 3, 4), argv
+            assert captured.err.count("\n") <= 1, (argv, captured.err)
+        main(["solve", "--torus", "0,4,2,2"])
+        assert "dimension" in capsys.readouterr().err

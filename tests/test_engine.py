@@ -599,3 +599,58 @@ class TestUsedUnusedRows:
         assert trace.k == 3
         with pytest.raises(TapeExhausted):
             used_unused(trace, 1)
+
+
+def assert_record_replays(trace: RunTrace) -> None:
+    """The stored record replays to the stored ending: every drawn digit
+    bumps one counter, and every recorded round drew one digit tuple."""
+    states = list(trace.states())
+    assert states[-1] == (trace.final, trace.h_final)
+    assert len(states) == trace.k + 1
+    assert sum(map(len, trace.drawn)) == sum(trace.h_final)
+    assert len(trace.drawn) == trace.k
+
+
+class TestRunRecord:
+    def test_replay_ends_at_the_stored_ending(self, rng):
+        seen = set()
+        for i in range(80):
+            system = awkward_system(rng) if i % 2 else random_system(rng, mixed_width=True)
+            f0 = [rng.randrange(system.b) for _ in range(system.graph.vertex_count)]
+            seed = rng.randrange(2**30)
+            finite = RandomTape.finite_random(system.b, system.p, rng.randint(0, 3), seed)
+            stream = RandomTape.stream(system.b, seed)
+            for kind, trace in (
+                ("finite", run_k(system, f0, 5, finite)),
+                ("finite", run_until_satisfied(system, f0, finite, 5)),
+                ("stream", run_k(system, f0, 5, stream)),
+                ("stream", run_until_satisfied(system, f0, stream, rng.randint(0, 3))),
+                ("classic", classic_parallel_mta(system, f0, seed, rng.randint(0, 3))),
+            ):
+                assert_record_replays(trace)
+                seen.add((kind, trace.status))
+        assert {("finite", "satisfied"), ("finite", "tape_exhausted"), ("finite", "ok"),
+                ("stream", "satisfied"), ("stream", "cap_exceeded"), ("stream", "ok"),
+                ("classic", "satisfied"), ("classic", "cap_exceeded")} <= seen
+
+    def test_trace_keeps_no_per_round_state(self):
+        # one clause reads one variable and forbids both words, so every
+        # round redraws that variable; the other 4,999 vertices only widen
+        # any per-round copy of the assignment or the counters
+        import tracemalloc
+
+        n = 5000
+        graph = VariableGraph([(1,)] + [()] * (n - 1))
+        rule = LocalRule(2, [frozenset({(0,), (1,)})] + [frozenset()] * (n - 1),
+                         [1] + [0] * (n - 1))
+        system = MtaSystem.build(graph, rule, Partition.singletons(n))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace = run_k(system, [0] * n, 200, RandomTape.stream(2, 0))
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert trace.k == 200 and trace.h_final[1] == 200
+        assert kept < 1_000_000
+        assert_record_replays(trace)

@@ -467,6 +467,21 @@ class TestTapeCode:
         with pytest.raises(CodeCorruptionError):
             decode_tape(bad_parts, system.p, k)
 
+    def test_payload_digit_bounds(self):
+        system, n = self._system("chain")
+        k = 4
+        tape = RandomTape.finite_random(system.b, system.p, k, seed=11)
+        code = encode_tape(run_k(system, [0] * system.graph.vertex_count, k, tape), n=n)
+        from lllkit import TapeCode
+
+        for bad in (-1, code.b, code.b + 7):
+            for at in (0, len(code.payload) - 1):
+                payload = code.payload[:at] + (bad,) + code.payload[at + 1:]
+                with pytest.raises(CodeCorruptionError):
+                    decode_tape(TapeCode(code.part_ids, payload, code.witness, code.b), system.p, k)
+        empty = TapeCode(frozenset(), (), None, code.b)
+        assert decode_tape(empty, system.p, 0) == RandomTape.finite(code.b, [()] * system.p)
+
     def test_non_sparse_partition_rejected(self):
         from lllkit import bundled_instances
 

@@ -9,14 +9,14 @@ failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
-import random
 import sys
 from fractions import Fraction
 
-from . import counting, engine, instances, landscapes
-from .graphs import Partition, is_sparse, sparse_partition, violating_set
+from . import counting, engine, instances, landscapes, properties
+from .graphs import Partition, sparse_partition, violating_set
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -230,154 +230,35 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _suite_roundtrip(seed: int, tapes: int) -> tuple[int, dict | None]:
-    failures = None
-    cases = 0
+def _bundled_runs(k: int, tape_seeds, only: str | None = None):
+    """(name, window n, run) per bundled instance and tape seed, on the auto partition."""
     for name, (graph, rule) in instances.bundled_instances().items():
-        eps = Fraction(1, 2)
-        system, n = build_system(graph, rule, "auto", eps)
-        k = 5
-        for t in range(tapes):
-            tape = engine.RandomTape.finite_random(
-                system.b, system.p, k, seed * 100003 + t
-            )
-            trace = engine.run_k(system, [0] * graph.vertex_count, k, tape)
-            code = landscapes.encode_tape(trace, eps=eps, n=n)
-            back = landscapes.decode_tape(code, system.p, k)
-            cases += 1
-            if back != tape:
-                return cases, {"suite": "roundtrip", "instance": name, "tape_seed": seed * 100003 + t}
-    return cases, failures
-
-
-def _suite_seq_used(seed: int, runs: int) -> tuple[int, dict | None]:
-    rng = random.Random(seed)
-    cases = 0
-    for _ in range(runs):
-        graph, rule = instances.random_instance(rng)
-        partition = sparse_partition(graph.sym_adj, 2)
-        system = engine.MtaSystem.build(graph, rule, partition)
-        k = rng.randint(1, 5)
-        tape = engine.RandomTape.finite_random(system.b, system.p, k, rng.randrange(2**30))
-        f0 = [rng.randrange(system.b) for _ in range(graph.vertex_count)]
-        trace = engine.run_k(system, f0, k, tape)
-        ls = landscapes.extract_landscape(trace)
-        seqs = landscapes.asgn_seq(ls)
-        cases += 1
-        for x in range(graph.vertex_count):
-            used, _ = engine.used_unused(trace, x)
-            if seqs[x] != used:
-                return cases, {"suite": "seq_used", "vertex": x, "seq": list(seqs[x]), "used": list(used)}
-    return cases, None
-
-
-def _suite_grounding(seed: int, runs: int) -> tuple[int, dict | None]:
-    rng = random.Random(seed)
-    cases = 0
-    for _ in range(runs):
-        graph, rule = instances.random_instance(rng)
-        partition = sparse_partition(graph.sym_adj, 2)
-        system = engine.MtaSystem.build(graph, rule, partition)
-        k = rng.randint(1, 5)
-        tape = engine.RandomTape.finite_random(system.b, system.p, k, rng.randrange(2**30))
-        trace = engine.run_k(system, [0] * graph.vertex_count, k, tape)
-        ls = landscapes.extract_landscape(trace)
-        before = landscapes.asgn_seq(ls)
-        grounded = landscapes.ground(ls)
-        cases += 1
-        if not grounded.is_grounded:
-            return cases, {"suite": "grounding", "problem": "roots above level 0"}
-        if landscapes.asgn_seq(grounded) != before:
-            return cases, {"suite": "grounding", "problem": "sequence changed"}
-    return cases, None
-
-
-def _suite_padding(seed: int, runs: int) -> tuple[int, dict | None]:
-    rng = random.Random(seed)
-    cases = 0
-    for _ in range(runs):
-        graph, rule = instances.random_instance(rng, mixed_width=True)
-        partition = sparse_partition(graph.sym_adj, 2)
-        system = engine.MtaSystem.build(graph, rule, partition)
-        padded, n_orig = engine.pad_uniform(system)
-        k = rng.randint(1, 5)
-        seed_t = rng.randrange(2**30)
-        t1 = engine.RandomTape.stream(system.b, seed_t)
-        tr1 = engine.run_k(system, [0] * graph.vertex_count, k, t1)
-        tr2 = engine.run_k(padded, [0] * padded.graph.vertex_count, k, t1)
-        cases += 1
-        if tr1.h_final != tr2.h_final[:n_orig]:
-            return cases, {"suite": "padding", "original": list(tr1.h_final), "padded": list(tr2.h_final[:n_orig])}
-    return cases, None
-
-
-def _suite_tree_counts() -> tuple[int, dict | None]:
-    cases = 0
-    for delta in (2, 3, 4):
-        for n in range(1, 9):
-            cases += 1
-            got = counting.count_labelled_trees(delta, n)
-            want = counting.fuss_catalan(delta, n)
-            if got != want or got > counting.labelled_tree_bound(delta, n):
-                return cases, {"suite": "tree_counts", "delta": delta, "n": n, "got": got, "want": want}
-    return cases, None
-
-
-def _suite_fault_injection(seed: int) -> tuple[int, dict | None]:
-    graph, rule = instances.bundled_instances()["disjoint"]
-    eps = Fraction(1, 2)
-    system, n = build_system(graph, rule, "auto", eps)
-    k = 4
-    tape = engine.RandomTape.finite_random(system.b, system.p, k, seed)
-    trace = engine.run_k(system, [0] * graph.vertex_count, k, tape)
-    code = landscapes.encode_tape(trace, eps=eps, n=n)
-    cases = 0
-    for corrupted in (
-        landscapes.TapeCode(code.part_ids, code.payload[:-1], code.witness, code.b),
-        landscapes.TapeCode(code.part_ids, code.payload + (0,), code.witness, code.b),
-        landscapes.TapeCode(code.part_ids, code.payload[:-1] + (code.b,), code.witness, code.b),
-    ):
-        cases += 1
-        try:
-            landscapes.decode_tape(corrupted, system.p, k)
-        except landscapes.CodeCorruptionError:
-            continue
-        return cases, {"suite": "fault_injection", "problem": "corruption went undetected"}
-    return cases, None
-
-
-def _suite_sparse_partitions() -> tuple[int, dict | None]:
-    cases = 0
-    for name, (graph, rule) in instances.bundled_instances().items():
-        adj = graph.sym_adj
-        for r in range(1, 4):
-            cases += 1
-            partition = sparse_partition(adj, r)
-            if not is_sparse(adj, partition, r):
-                return cases, {"suite": "sparse_partitions", "instance": name, "r": r}
-    return cases, None
+        if only in (None, name):
+            system, n = build_system(graph, rule, "auto", Fraction(1, 2))
+            for tape_seed in tape_seeds:
+                yield name, n, properties.Run(system, k, tape_seed, [0] * graph.vertex_count)
 
 
 def cmd_verify(args) -> int:
     _check_non_negative(args, "tapes", "runs")
     _check_seed(args)
+    seed, runs, fuzz = args.seed, args.runs, properties.fuzz_runs
     suites = [
-        ("roundtrip", lambda: _suite_roundtrip(args.seed, args.tapes)),
-        ("seq_used", lambda: _suite_seq_used(args.seed + 1, args.runs)),
-        ("grounding", lambda: _suite_grounding(args.seed + 2, args.runs)),
-        ("padding", lambda: _suite_padding(args.seed + 3, args.runs)),
-        ("tree_counts", _suite_tree_counts),
-        ("fault_injection", lambda: _suite_fault_injection(args.seed + 4)),
-        ("sparse_partitions", _suite_sparse_partitions),
+        ("roundtrip", properties.roundtrip, _bundled_runs(5, range(seed * 100003, seed * 100003 + args.tapes))),
+        ("seq_used", properties.seq_used, fuzz(seed + 1, runs, radius=2, random_f0=True)),
+        ("grounding", properties.grounding, ((run, None) for run in fuzz(seed + 2, runs, radius=2))),
+        ("padding", properties.padding, fuzz(seed + 3, runs, radius=2, mixed_width=True)),
+        ("tree_counts", properties.tree_counts, itertools.product((2, 3, 4), range(1, 9))),
+        ("fault_injection", properties.fault_injection, _bundled_runs(4, [seed + 4], only="disjoint")),
+        ("sparse_partitions", properties.sparse_partitions,
+         ((name, g.sym_adj, r) for name, (g, _) in instances.bundled_instances().items() for r in (1, 2, 3))),
     ]
     failed = None
     lines = []
-    for name, fn in suites:
-        cases, failure = fn()
-        status = "PASS" if failure is None else "FAIL"
-        lines.append(f"{name}: {status} ({cases} cases)")
-        if failure is not None and failed is None:
-            failed = failure
+    for name, check, cases in suites:
+        count, failure = check(cases)
+        lines.append(f"{name}: {'PASS' if failure is None else 'FAIL'} ({count} cases)")
+        failed = failed or failure
     report = "\n".join(lines) + "\n"
     sys.stdout.write(report)
     if args.out:
@@ -534,8 +415,15 @@ def _add_instance_args(sub) -> None:
     sub.add_argument("--generate", help="random 3-SAT spec clauses,delta")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line (subparsers inherit the class)."""
+
+    def error(self, message: str):
+        raise CliError(message)
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="lllkit", description=__doc__)
+    parser = _Parser(prog="lllkit", description=__doc__)
     parser.add_argument("--config", help="JSON config file; flags override its entries")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -625,7 +513,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exc.code
-    except SystemExit as exc:  # argparse errors carry exit code 2
+    except SystemExit as exc:  # --help; usage errors raise CliError
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
 
 

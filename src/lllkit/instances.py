@@ -16,7 +16,7 @@ import random
 import string
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .graphs import (
     LocalRule,
@@ -245,6 +245,12 @@ def non_surjective_words(length: int, b: int) -> frozenset[Word]:
     )
 
 
+def non_surjective_count(length: int, b: int) -> int:
+    """``len(non_surjective_words(length, b))`` for length >= 1, by inclusion-exclusion
+    over the j missed colours: sum of (-1)^(j+1) C(b, j) (b - j)^length."""
+    return sum((-1) ** (j + 1) * math.comb(b, j) * (b - j) ** length for j in range(1, b))
+
+
 def torus_point_index(point: Sequence[int], side: int) -> int:
     idx = 0
     for c in point:
@@ -259,6 +265,9 @@ def torus_instance(spec: TorusSpec) -> tuple[VariableGraph, LocalRule]:
     translate set x + T is multicolored.
     """
     d, m, b = spec.dimension, spec.side, spec.colors
+    beta = non_surjective_count(len(spec.translates), b)
+    if beta > MAX_LOAD_WORDS:
+        raise ValueError(f"each point would forbid {beta} words, more than the {MAX_LOAD_WORDS} a rule may hold")
     n = m ** d
     points = list(itertools.product(range(m), repeat=d))
     out_adj = []
@@ -275,14 +284,27 @@ def torus_instance(spec: TorusSpec) -> tuple[VariableGraph, LocalRule]:
 
 
 def default_translates(dimension: int, count: int) -> tuple[tuple[int, ...], ...]:
-    """A deterministic set of small translate vectors (origin first)."""
+    """The first ``count`` vectors of N^dimension by max coordinate, lexicographic
+    within each max (origin first); the work is O(count * dimension)."""
     if dimension < 1:
         raise ValueError(f"torus dimension must be positive, got {dimension}")
-    vecs = sorted(
-        itertools.product(range(0, count), repeat=dimension),
-        key=lambda v: (max(v), v),
-    )
-    return tuple(vecs[:count])
+    return tuple(itertools.islice(_by_max_coordinate(dimension), max(count, 0)))
+
+
+def _by_max_coordinate(dimension: int) -> Iterator[tuple[int, ...]]:
+    for m in itertools.count():
+        v = [0] * (dimension - 1) + [m]
+        while True:
+            yield tuple(v)
+            i = dimension - 1
+            while i >= 0 and v[i] == m:  # odometer step in base m + 1
+                v[i] = 0
+                i -= 1
+            if i < 0:
+                break
+            v[i] += 1
+            if m not in v:  # the least vector from here on that reaches m
+                v[-1] = m
 
 
 def torus_condition_holds(spec: TorusSpec) -> bool:

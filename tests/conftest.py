@@ -1,21 +1,24 @@
-"""Shared helpers for the test suite: small random instances and systems."""
+"""Shared helpers for the test suite: random abstract landscapes and adjacencies."""
 
 import random
 
 import pytest
 
-from lllkit import MtaSystem, Partition, sparse_partition
+from lllkit import ball
 from lllkit.instances import random_instance
+from lllkit.properties import fuzz_runs
 
 
-def random_system(rng: random.Random, *, mixed_width: bool = False,
-                  singleton_parts: bool = False) -> MtaSystem:
-    graph, rule = random_instance(rng, mixed_width=mixed_width)
-    if singleton_parts:
-        partition = Partition.singletons(graph.vertex_count)
-    else:
-        partition = sparse_partition(graph.sym_adj, rng.choice((1, 2, 3)))
-    return MtaSystem.build(graph, rule, partition)
+def restricted_runs(rng: random.Random, count: int, plain: int, *, k_max: int = 5):
+    """Grounding cases: ``fuzz_runs`` whose landscapes, after the first ``plain``,
+    are restricted to a ball of random centre and radius 1..3 (drawn after the run)."""
+    for i, run in enumerate(fuzz_runs(rng, count, k_max=k_max)):
+        graph = run.system.graph
+        if i < plain:
+            yield run, None
+        else:
+            center = rng.randrange(graph.vertex_count)
+            yield run, ball(graph.sym_adj, center, rng.randint(1, 3))
 
 
 def random_abstract_landscape(rng: random.Random):

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; everything is seed-pinned and deterministic.
 """
 
+import itertools
 import math
 import random
 import time
@@ -13,61 +14,42 @@ from lllkit import (
     MtaSystem,
     Partition,
     RandomTape,
-    asgn_seq,
     bundled_instances,
-    count_labelled_trees,
-    decode_tape,
-    default_window_params,
-    encode_tape,
     enumerate_labelled_trees,
     enumerate_small_landscapes,
-    extract_landscape,
     from_cnf,
     fuss_catalan,
-    ground,
     check_lll_condition,
-    is_sparse,
-    labelled_tree_bound,
     landscape_class_bound,
-    pad_uniform,
     q_value_upper_bounds,
     q_values_exact,
     random_bounded_overlap_sat,
-    restrict,
-    run_k,
     run_until_satisfied,
-    sparse_partition,
     tail_estimate,
     torus_instance,
-    used_unused,
     violating_set,
 )
+from lllkit import properties
+from lllkit.cli import build_system
 from lllkit.instances import TorusSpec, chain_sat_instance, default_translates, disjoint_clause_instance
-from lllkit.landscapes import ball
-from conftest import random_system
+from lllkit.properties import Run
+from conftest import restricted_runs
 
 
 def _bundled_systems():
-    systems = {}
-    for name, (graph, rule) in bundled_instances().items():
-        n = default_window_params(graph.sym_adj)
-        partition = sparse_partition(graph.sym_adj, 3 * n)
-        systems[name] = (MtaSystem.build(graph, rule, partition), n)
-    return systems
+    return {name: build_system(*instance, "auto", Fraction(1, 2)) for name, instance in bundled_instances().items()}
 
 
 def test_01_tape_encoding_injective_roundtrip():
     """decode(encode(tape)) == tape on 3 bundled instances x 10^4 tapes."""
     start = time.time()
     tapes_per_instance = 10_000
-    k = 5
-    for name, (system, n) in _bundled_systems().items():
-        f0 = [0] * system.graph.vertex_count
-        for i in range(tapes_per_instance):
-            tape = RandomTape.finite_random(system.b, system.p, k, seed=i)
-            trace = run_k(system, f0, k, tape)
-            code = encode_tape(trace, n=n)
-            assert decode_tape(code, system.p, k) == tape, (name, i)
+    cases = (
+        (name, n, Run(system, 5, i, [0] * system.graph.vertex_count))
+        for name, (system, n) in _bundled_systems().items()
+        for i in range(tapes_per_instance)
+    )
+    assert properties.roundtrip(cases) == (3 * tapes_per_instance, None)
     elapsed = time.time() - start
     assert elapsed < 120, f"runtime target missed: {elapsed:.1f}s"
     print(f"ACCEPTANCE 01 PASS: 3x{tapes_per_instance} exact roundtrips in {elapsed:.1f}s")
@@ -75,55 +57,29 @@ def test_01_tape_encoding_injective_roundtrip():
 
 def test_02_decoded_sequences_equal_consumed_digits():
     """Seq(x) == Used(x) for every vertex on 10^3 fuzzed runs, exactly."""
-    rng = random.Random(101)
     runs = 1000
-    for _ in range(runs):
-        system = random_system(rng)
-        k = rng.randint(1, 6)
-        tape = RandomTape.finite_random(system.b, system.p, k, seed=rng.randrange(2**30))
-        f0 = [rng.randrange(system.b) for _ in range(system.graph.vertex_count)]
-        trace = run_k(system, f0, k, tape)
-        seqs = asgn_seq(extract_landscape(trace))
-        for x in range(system.graph.vertex_count):
-            used, _ = used_unused(trace, x)
-            assert seqs[x] == used
+    cases = properties.fuzz_runs(random.Random(101), runs, k_max=6, random_f0=True)
+    assert properties.seq_used(cases) == (runs, None)
     print(f"ACCEPTANCE 02 PASS: Seq == Used on {runs} fuzzed runs")
 
 
 def test_03_grounding_terminates_and_preserves_sequences():
     """ground() on 10^3 fuzzed landscapes: guard holds, roots at level 0,
-    per-vertex sequences unchanged."""
-    rng = random.Random(202)
+    per-vertex sequences and base columns unchanged."""
     extracted, restricted = 600, 400
-    for i in range(extracted + restricted):
-        system = random_system(rng)
-        k = rng.randint(1, 6)
-        tape = RandomTape.finite_random(system.b, system.p, k, seed=rng.randrange(2**30))
-        trace = run_k(system, [0] * system.graph.vertex_count, k, tape)
-        ls = extract_landscape(trace)
-        if i >= extracted:
-            center = rng.randrange(system.graph.vertex_count)
-            ls, _ = restrict(ls, ball(system.graph.sym_adj, center, rng.randint(1, 3)))
-        before = asgn_seq(ls)
-        grounded = ground(ls)  # raises GroundingError if the guard trips
-        assert grounded.is_grounded
-        assert asgn_seq(grounded) == before
+    total = extracted + restricted
+    # ground() raises GroundingError if the guard trips
+    cases = restricted_runs(random.Random(202), total, extracted, k_max=6)
+    assert properties.grounding(cases) == (total, None)
     print(f"ACCEPTANCE 03 PASS: {extracted + restricted} groundings, sequences preserved")
 
 
 def test_04_padding_preserves_resample_counts():
     """Padded vs original runs with a shared tape prefix: identical
     per-original-vertex counters on 10^3 paired runs."""
-    rng = random.Random(303)
     pairs = 1000
-    for _ in range(pairs):
-        system = random_system(rng, mixed_width=True)
-        padded, n_orig = pad_uniform(system)
-        k = rng.randint(1, 6)
-        tape = RandomTape.stream(system.b, rng.randrange(2**30))
-        t_orig = run_k(system, [0] * n_orig, k, tape)
-        t_pad = run_k(padded, [0] * padded.graph.vertex_count, k, tape)
-        assert t_orig.h_final == t_pad.h_final[:n_orig]
+    cases = properties.fuzz_runs(random.Random(303), pairs, k_max=6, mixed_width=True)
+    assert properties.padding(cases) == (pairs, None)
     print(f"ACCEPTANCE 04 PASS: {pairs} padded/original paired runs agree exactly")
 
 
@@ -134,11 +90,8 @@ def test_05_tree_counts_match_oracles_and_bound():
     for delta in (2, 3, 4):
         for n in range(0, 8):
             assert fuss_catalan(delta, n) == enumerate_labelled_trees(delta, n)
-        for n in range(0, 13):
-            count = count_labelled_trees(delta, n)
-            assert count == fuss_catalan(delta, n)
-            if n >= 1:
-                assert count <= labelled_tree_bound(delta, n)
+    cases = itertools.product((2, 3, 4), range(0, 13))
+    assert properties.tree_counts(cases) == (39, None)
     print("ACCEPTANCE 05 PASS: tree counts match both oracles and stay below the bound")
 
 
@@ -236,11 +189,11 @@ def test_09_tail_decay():
 def test_10_sparse_partitions_exhaustive():
     """sparse_partition output satisfies the ball predicate for r = 1..6 on
     every bundled instance."""
-    checked = 0
-    for name, (graph, rule) in bundled_instances().items():
-        adj = graph.sym_adj
-        for r in range(1, 7):
-            partition = sparse_partition(adj, r)
-            assert is_sparse(adj, partition, r), (name, r)
-            checked += 1
+    cases = (
+        (name, graph.sym_adj, r)
+        for name, (graph, _) in bundled_instances().items()
+        for r in range(1, 7)
+    )
+    checked, failure = properties.sparse_partitions(cases)
+    assert (checked, failure) == (18, None)
     print(f"ACCEPTANCE 10 PASS: {checked} instance/radius sparseness checks")

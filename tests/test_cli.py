@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import random
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from lllkit import bundled_instances, instance_to_json, landscapes
+from lllkit import bundled_instances, counting, engine, graphs, instance_to_json, landscapes
 from lllkit.cli import build_system, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -90,6 +91,40 @@ class TestSolve:
         assert a.read_bytes() == b.read_bytes()
 
 
+# the real functions, captured before a test patches them
+_decode, _ground, _pad, _count = (
+    landscapes.decode_tape, landscapes.ground, engine.pad_uniform, counting.count_labelled_trees)
+
+
+def _decode_then_lose(code, p, k):
+    _decode(code, p, k)  # still rejects a corrupt code
+
+
+def _decode_leniently(code, p, k):
+    with contextlib.suppress(landscapes.CodeCorruptionError):
+        return _decode(code, p, k)
+
+
+def _ground_one_level_up(ls):
+    # every Seq(x) is unchanged, so tape codes still decode, but no root is at level 0
+    g = _ground(ls)
+    lift = {v: (v[0], v[1] + 1) for v in g.verts}
+    return g._replace(verts=list(lift.values()), parent={lift[c]: lift[q] for c, q in g.parent.items()},
+                      prev={lift[v]: w for v, w in g.prev.items()})
+
+
+# suite -> (module, function the property calls through it, a wrong version)
+PLANTED = {
+    "roundtrip": (landscapes, "decode_tape", _decode_then_lose),
+    "seq_used": (engine, "used_unused", lambda trace, x: ((-1,), ())),
+    "grounding": (landscapes, "ground", _ground_one_level_up),
+    "padding": (engine, "pad_uniform", lambda system: (_pad(system)[0], system.graph.vertex_count - 1)),
+    "tree_counts": (counting, "count_labelled_trees", lambda delta, n: _count(delta, n) + 1),
+    "fault_injection": (landscapes, "decode_tape", _decode_leniently),
+    "sparse_partitions": (graphs, "is_sparse", lambda adj, partition, r: False),
+}
+
+
 class TestVerify:
     def test_default_suite_passes(self, capsys, tmp_path):
         out = tmp_path / "report.txt"
@@ -106,6 +141,18 @@ class TestVerify:
         capsys.readouterr()
         main(["verify", "--tapes", "5", "--runs", "8", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("suite", list(PLANTED))
+    def test_planted_fault_fails_its_suite(self, suite, monkeypatch, capsys):
+        module, name, wrong = PLANTED[suite]
+        monkeypatch.setattr(module, name, wrong)
+        assert main(["verify", "--tapes", "4", "--runs", "25"]) == 4
+        captured = capsys.readouterr()
+        for line in captured.out.splitlines():
+            assert (" FAIL " in line) == line.startswith(suite + ":"), line
+        assert captured.out.count("\n") == 7
+        assert captured.err.count("\n") == 1
+        assert json.loads(captured.err)["suite"] == suite
 
 
 class TestCount:
@@ -379,3 +426,17 @@ class TestMalformedInput:
             assert captured.err.count("\n") <= 1, (argv, captured.err)
         main(["solve", "--torus", "0,4,2,2"])
         assert "dimension" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--seed", "x"],
+        ["solve", "--generate", "-5,3"],
+        ["--config", "null_seed.json", "solve", "--bundled", "chain"],
+        ["solve", "--torus", "3,8,1000,2"],  # translates collide; 1000^3 vectors are never built
+        ["solve", "--torus", "2,64,24,3"],  # 3 * 2^24 - 3 forbidden words per point
+    ])
+    def test_config_error_on_one_line(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "null_seed.json").write_text('{"seed": null}')
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from lllkit import (
     tail_estimate,
     tree_count_iterates,
 )
+from lllkit import properties
 from lllkit.counting import (
     critical_abscissa,
     landscape_class_prefactor,
@@ -38,9 +40,8 @@ class TestTreeCounts:
             assert count_labelled_trees(1, n) == 1
 
     def test_matches_closed_form(self):
-        for delta in (2, 3, 4):
-            for n in range(0, 13):
-                assert count_labelled_trees(delta, n) == fuss_catalan(delta, n)
+        # and stays below the bound
+        assert properties.tree_counts(itertools.product((2, 3, 4), range(0, 13))) == (39, None)
 
     def test_matches_brute_force(self):
         for delta in (2, 3, 4):
@@ -48,9 +49,8 @@ class TestTreeCounts:
                 assert count_labelled_trees(delta, n) == enumerate_labelled_trees(delta, n)
 
     def test_below_bound(self):
-        for delta in (2, 3, 4):
-            for n in range(1, 13):
-                assert count_labelled_trees(delta, n) <= labelled_tree_bound(delta, n)
+        # and matches the closed form
+        assert properties.tree_counts(itertools.product((2, 3, 4), range(1, 13))) == (36, None)
 
     def test_bound_values(self):
         assert labelled_tree_bound(2, 3) == 64

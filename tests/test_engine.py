@@ -24,7 +24,8 @@ from lllkit import (
 )
 from lllkit.engine import RunState, step
 from lllkit.instances import TorusSpec, default_translates, random_instance, torus_instance
-from conftest import random_system
+from lllkit import properties
+from lllkit.properties import random_system
 
 
 def single_clause_system(falsifier=(0,), b=2):
@@ -325,17 +326,8 @@ class TestPadUniform:
         assert padded.partition.part_count == system.p
 
     def test_resample_counts_agree(self, rng):
-        for _ in range(30):
-            system = random_system(rng, mixed_width=True)
-            padded, n_orig = pad_uniform(system)
-            k = rng.randint(1, 5)
-            tape = RandomTape.stream(system.b, rng.randrange(2**30))
-            t1 = run_k(system, [0] * n_orig, k, tape)
-            t2 = run_k(padded, [0] * padded.graph.vertex_count, k, tape)
-            assert t1.h_final == t2.h_final[:n_orig]
-            assert t1.resampled == t2.resampled
-            for x in range(n_orig):
-                assert t1.final[x] == t2.final[x]
+        # counters, resample sets and the original vertices' final digits
+        assert properties.padding(properties.fuzz_runs(rng, 30, mixed_width=True)) == (30, None)
 
 
 class TestClassicBaseline:
@@ -538,7 +530,11 @@ class TestLoopOracle:
 
     def test_stream_tapes_many_systems(self, rng):
         for i in range(60):
-            system = random_system(rng, mixed_width=bool(i % 2), singleton_parts=i % 3 == 0)
+            if i % 3 == 0:  # singleton parts
+                graph, rule = random_instance(rng, mixed_width=bool(i % 2))
+                system = MtaSystem.build(graph, rule, Partition.singletons(graph.vertex_count))
+            else:
+                system = random_system(rng, mixed_width=bool(i % 2))
             f0 = [rng.randrange(system.b) for _ in range(system.graph.vertex_count)]
             assert_run_matches_step(system, f0, 6, RandomTape.stream(system.b, rng.randrange(2**30)))
 

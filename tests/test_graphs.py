@@ -16,6 +16,7 @@ from lllkit import (
     interior,
     is_sparse,
     params,
+    properties,
     sparse_partition,
     violating_set,
 )
@@ -289,12 +290,12 @@ class TestSparsePartition:
         assert is_sparse(adj, part, 2)
 
     def test_sparseness_predicate_exhaustively(self, rng):
-        for _ in range(25):
-            n = rng.randint(1, 14)
-            adj = random_symmetric_adjacency(rng, n)
-            r = rng.randint(0, 4)
-            part = sparse_partition(adj, r)
-            assert is_sparse(adj, part, r)
+        def cases():
+            for _ in range(25):
+                adj = random_symmetric_adjacency(rng, rng.randint(1, 14))
+                yield "random", adj, rng.randint(0, 4)
+
+        assert properties.sparse_partitions(cases()) == (25, None)
 
     def test_part_count_bound(self, rng):
         # parts <= max |B_H(x, 2)| where H joins points at distance <= 2r

@@ -30,6 +30,7 @@ from lllkit.instances import (
     default_translates,
     disjoint_clause_instance,
     e_bounds,
+    non_surjective_count,
     non_surjective_words,
     random_instance,
     torus_condition_holds,
@@ -177,6 +178,18 @@ class TestTorus:
             words = surjective_words(len(spec.translates), b)
             assert rule == LocalRule.for_graph(graph, b, [words] * graph.vertex_count)
             assert rule.support == (() if b == 1 else tuple(range(graph.vertex_count)))
+
+    def test_non_surjective_count_closed_form(self):
+        for b in range(1, 6):
+            for length in range(1, 9):
+                assert non_surjective_count(length, b) == len(non_surjective_words(length, b)), (length, b)
+        assert non_surjective_count(8, 3) == 765
+
+    def test_default_translates_sorted_oracle(self):
+        for d in (1, 2, 3):
+            for count in range(31):
+                vecs = sorted(itertools.product(range(count), repeat=d), key=lambda v: (max(v), v))
+                assert default_translates(d, count) == tuple(vecs[:count]), (d, count)
 
 
 class TestConditionCheck:

@@ -27,7 +27,6 @@ from lllkit import (
     rebranch,
     restrict,
     run_k,
-    used_unused,
 )
 from lllkit.landscapes import (
     GroundingError,
@@ -38,7 +37,10 @@ from lllkit.landscapes import (
     joinable_pairs,
     rebranchable_triples,
 )
-from conftest import random_system
+from lllkit import properties
+from lllkit.cli import build_system
+from lllkit.properties import Run, random_system
+from conftest import restricted_runs
 
 
 def single_clause_landscape(final_v=1, prev_digit=0):
@@ -146,11 +148,8 @@ class TestExtract:
         assert ls.final == trace.final
 
     def test_fuzzed_invariants_and_parents(self, rng):
-        for _ in range(40):
-            system = random_system(rng)
-            k = rng.randint(1, 5)
-            tape = RandomTape.finite_random(system.b, system.p, k, seed=rng.randrange(2**30))
-            trace = run_k(system, [0] * system.graph.vertex_count, k, tape)
+        for run in properties.fuzz_runs(rng, 40):
+            trace = run.trace()
             ls = extract_landscape(trace)  # validates on construction
             for (x, level) in ls.verts:
                 if level > 0:
@@ -173,16 +172,7 @@ class TestAsgnSeq:
         assert seqs[0] == ()  # nothing reads the clause vertex
 
     def test_seq_equals_used_fuzz(self, rng):
-        for _ in range(60):
-            system = random_system(rng)
-            k = rng.randint(1, 5)
-            tape = RandomTape.finite_random(system.b, system.p, k, seed=rng.randrange(2**30))
-            f0 = [rng.randrange(system.b) for _ in range(system.graph.vertex_count)]
-            trace = run_k(system, f0, k, tape)
-            seqs = asgn_seq(extract_landscape(trace))
-            for x in range(system.graph.vertex_count):
-                used, _ = used_unused(trace, x)
-                assert seqs[x] == used
+        assert properties.seq_used(properties.fuzz_runs(rng, 60, random_f0=True)) == (60, None)
 
 
 class TestRestrict:
@@ -210,13 +200,9 @@ class TestRestrict:
         assert all(v[0] != new_of[0] for v in restricted.verts)
 
     def test_faithful_vertex_preserves_seq(self, rng):
-        for _ in range(40):
-            system = random_system(rng)
-            k = rng.randint(1, 4)
-            tape = RandomTape.finite_random(system.b, system.p, k, seed=rng.randrange(2**30))
-            trace = run_k(system, [0] * system.graph.vertex_count, k, tape)
-            ls = extract_landscape(trace)
-            n = system.graph.vertex_count
+        for run in properties.fuzz_runs(rng, 40, k_max=4):
+            ls = extract_landscape(run.trace())
+            n = run.system.graph.vertex_count
             keep = sorted(rng.sample(range(n), rng.randint(1, n)))
             restricted, mapping = restrict(ls, keep)
             new_of = {old: new for new, old in enumerate(mapping)}
@@ -310,18 +296,9 @@ class TestGround:
         assert [op[0] for op in ops] == ["push_tree"] * 3
 
     def test_fuzzed_grounding(self, rng):
-        for _ in range(60):
-            system = random_system(rng)
-            k = rng.randint(1, 5)
-            tape = RandomTape.finite_random(system.b, system.p, k, seed=rng.randrange(2**30))
-            trace = run_k(system, [0] * system.graph.vertex_count, k, tape)
-            ls = extract_landscape(trace)
-            before = asgn_seq(ls)
-            grounded = ground(ls)
-            assert grounded.is_grounded
-            assert asgn_seq(grounded) == before
-            # base-column vertex multiset is preserved
-            assert sorted(v[0] for v in grounded.verts) == sorted(v[0] for v in ls.verts)
+        # roots at level 0, sequences and the base-column multiset preserved
+        cases = ((run, None) for run in properties.fuzz_runs(rng, 60))
+        assert properties.grounding(cases) == (60, None)
 
     def test_grounding_abstract_landscapes(self, rng):
         # arbitrary roots, level gaps and tree counts, beyond what runs produce
@@ -338,21 +315,7 @@ class TestGround:
             assert sorted(v[0] for v in grounded.verts) == sorted(v[0] for v in ls.verts)
 
     def test_grounding_restricted_landscapes(self, rng):
-        from lllkit import ball
-
-        for _ in range(40):
-            system = random_system(rng)
-            k = rng.randint(1, 5)
-            tape = RandomTape.finite_random(system.b, system.p, k, seed=rng.randrange(2**30))
-            trace = run_k(system, [0] * system.graph.vertex_count, k, tape)
-            ls = extract_landscape(trace)
-            adj = system.graph.sym_adj
-            center = rng.randrange(system.graph.vertex_count)
-            restricted, _ = restrict(ls, ball(adj, center, rng.randint(1, 3)))
-            before = asgn_seq(restricted)
-            grounded = ground(restricted)
-            assert grounded.is_grounded
-            assert asgn_seq(grounded) == before
+        assert properties.grounding(restricted_runs(rng, 40, 0)) == (40, None)
 
 
 class TestFindWindow:
@@ -402,13 +365,9 @@ class TestFindWindow:
 
 class TestTapeCode:
     def _system(self, name="chain"):
-        from lllkit import bundled_instances, sparse_partition
+        from lllkit import bundled_instances
 
-        graph, rule = bundled_instances()[name]
-        eps = Fraction(1, 2)
-        n = default_window_params(graph.sym_adj, eps)
-        partition = sparse_partition(graph.sym_adj, 3 * n)
-        return MtaSystem.build(graph, rule, partition), n
+        return build_system(*bundled_instances()[name], "auto", Fraction(1, 2))
 
     def test_empty_landscape_marker(self):
         system, n = self._system("disjoint")
@@ -440,14 +399,13 @@ class TestTapeCode:
             assert len(code.payload) == system.p * k - consumed
 
     def test_roundtrip(self, rng):
-        for name in ("disjoint", "chain", "torus"):
-            system, n = self._system(name)
-            k = 5
-            for seed in range(60):
-                tape = RandomTape.finite_random(system.b, system.p, k, seed=seed)
-                trace = run_k(system, [0] * system.graph.vertex_count, k, tape)
-                code = encode_tape(trace, n=n)
-                assert decode_tape(code, system.p, k) == tape
+        cases = (
+            (name, n, Run(system, 5, seed, [0] * system.graph.vertex_count))
+            for name in ("disjoint", "chain", "torus")
+            for system, n in [self._system(name)]
+            for seed in range(60)
+        )
+        assert properties.roundtrip(cases) == (180, None)
 
     def test_corrupt_payload_detected(self):
         system, n = self._system("chain")

@@ -13,16 +13,14 @@ import pytest
 from lllkit import (
     CnfInstance,
     LocalRule,
-    RandomTape,
     bundled_instances,
     extract_landscape,
     from_cnf,
     pad_uniform,
     random_bounded_overlap_sat,
     restrict,
-    run_k,
 )
-from conftest import random_system
+from lllkit.properties import fuzz_runs, random_system
 
 
 def full_words(b, length):
@@ -79,12 +77,9 @@ def test_from_cnf_matches_oracle_on_generated_cnfs():
 
 def test_restrict_matches_oracle():
     rng = random.Random(42)
-    for _ in range(300):
-        system = random_system(rng)
-        k = rng.randint(1, 4)
-        tape = RandomTape.finite_random(system.b, system.p, k, seed=rng.randrange(2**30))
-        ls = extract_landscape(run_k(system, [0] * system.graph.vertex_count, k, tape))
-        n = system.graph.vertex_count
+    for run in fuzz_runs(rng, 300, k_max=4):
+        ls = extract_landscape(run.trace())
+        n = run.system.graph.vertex_count
         restricted, mapping = restrict(ls, rng.sample(range(n), rng.randint(1, n)))
         oracle = restrict_allowed_oracle(ls, restricted.graph, mapping)
         assert restricted.rule == LocalRule.for_graph(restricted.graph, ls.rule.b, oracle)

@@ -121,15 +121,14 @@ def _parse_order(order_cfg, n: int):
 
 def build_system(graph, rule, partition_cfg, eps: Fraction, order_cfg=None):
     """(system, window parameter n); n is computed only for ``auto``, else None."""
-    adj = graph.sym_adj
     window_n = None
     if partition_cfg == "singletons":
         partition = Partition.singletons(graph.vertex_count)
     elif partition_cfg == "auto":
-        window_n = landscapes.default_window_params(adj, eps)
-        partition = sparse_partition(adj, 3 * window_n)
+        window_n = landscapes.default_window_params(graph.sym_adj, eps)
+        partition = sparse_partition(graph.sym_adj, 3 * window_n)
     elif partition_cfg.isdecimal():
-        partition = sparse_partition(adj, int(partition_cfg))
+        partition = sparse_partition(graph.sym_adj, int(partition_cfg))
     else:
         raise CliError(f"bad partition spec {partition_cfg!r}; want auto, singletons or a radius >= 0")
     order = _parse_order(order_cfg, graph.vertex_count)

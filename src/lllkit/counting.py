@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .engine import MtaSystem, RandomTape, run_until_satisfied
-from .graphs import LocalRule, VariableGraph, Word, build_rel
+from .graphs import LocalRule, VariableGraph, Word
 from .landscapes import encode_tape
 
 # ---------------------------------------------------------------------------
@@ -303,7 +303,7 @@ def _rule_candidates(graph: VariableGraph, b: int, beta: int):
         yield LocalRule(b, combo, lengths)
 
 
-def _grounded_forests(graph: VariableGraph, rel, n2: int):
+def _grounded_forests(graph: VariableGraph, n2: int):
     """(vertex set, parent map) pairs of grounded forests with n2 vertices."""
     if n2 == 0:
         yield frozenset(), {}
@@ -316,7 +316,7 @@ def _grounded_forests(graph: VariableGraph, rel, n2: int):
         ok = True
         for lvl, bases in by_level.items():
             for a, c in itertools.combinations(bases, 2):
-                if rel.adjacent(a, c):
+                if graph.rel.adjacent(a, c):
                     ok = False
                     break
             if not ok:
@@ -332,7 +332,7 @@ def _grounded_forests(graph: VariableGraph, rel, n2: int):
                 continue
             candidates = [
                 (y, lvl - 1)
-                for y in rel.nbrs[x]
+                for y in graph.rel.nbrs[x]
                 if (y, lvl - 1) in vert_set
             ]
             if not candidates:
@@ -392,10 +392,9 @@ def enumerate_small_landscapes(
     examined = 0
     for size in range(1, n1 + 1):
         for graph in _graph_candidates(size, d):
-            rel = build_rel(graph)
-            if any(rel.degree(x) > delta for x in range(size)):
+            if any(len(row) > delta for row in graph.rel.nbrs):
                 continue
-            forests = list(_grounded_forests(graph, rel, n2))
+            forests = list(_grounded_forests(graph, n2))
             if not forests:
                 continue
             for rule in _rule_candidates(graph, b, beta):

@@ -19,10 +19,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .graphs import (
     LocalRule,
     Partition,
-    RelGraph,
     VariableGraph,
     Word,
-    build_rel,
     greedy_mis,
     params,
     violating_set,
@@ -167,17 +165,19 @@ class RandomTape:
 class MtaSystem:
     """Everything a run depends on besides the initial assignment and tape."""
 
-    def __init__(self, graph: VariableGraph, rule: LocalRule, rel: RelGraph,
-                 partition: Partition, order: Sequence[int]):
+    def __init__(self, graph: VariableGraph, rule: LocalRule, partition: Partition,
+                 order: Sequence[int]):
         if rule.vertex_count != graph.vertex_count:
             raise ValueError("rule does not cover the graph")
+        if rule.word_lengths != tuple(map(len, graph.out_adj)):
+            raise ValueError("rule word lengths disagree with the graph's out-degrees")
         if partition.vertex_count != graph.vertex_count:
             raise ValueError("partition does not cover the graph")
         if sorted(order) != list(range(graph.vertex_count)):
             raise ValueError("order must be a permutation of the vertices")
         self.graph = graph
         self.rule = rule
-        self.rel = rel
+        self.rel = graph.rel
         self.partition = partition
         self.order = tuple(order)
         self._tables: tuple[dict[int, Reader], list[int] | None] | None = None
@@ -187,7 +187,7 @@ class MtaSystem:
               order: Sequence[int] | None = None) -> "MtaSystem":
         if order is None:
             order = range(graph.vertex_count)
-        return cls(graph, rule, build_rel(graph), partition, order)
+        return cls(graph, rule, partition, order)
 
     @property
     def b(self) -> int:
@@ -429,7 +429,7 @@ def pad_uniform(system: MtaSystem) -> tuple[MtaSystem, int]:
     """
     graph, rule = system.graph, system.rule
     n = graph.vertex_count
-    d_max = params(graph, rule, system.rel).d
+    d_max = params(graph, rule).d
     support = set(rule.support)
     out_adj = [list(row) for row in graph.out_adj]
     forbidden: list[frozenset[Word]] = list(rule.forbidden)

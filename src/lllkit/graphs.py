@@ -61,6 +61,7 @@ class VariableGraph:
             if edges_out != edges_in:
                 raise ValueError("in_adj is not the transpose of out_adj")
         self._sym: tuple[Word, ...] | None = None
+        self._rel: RelGraph | None = None
 
     @property
     def vertex_count(self) -> int:
@@ -81,6 +82,13 @@ class VariableGraph:
                 for x in range(self.vertex_count)
             )
         return self._sym
+
+    @property
+    def rel(self) -> RelGraph:
+        """The dependency graph with its edge labeling, built on first use."""
+        if self._rel is None:
+            self._rel = build_rel(self)
+        return self._rel
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -286,16 +294,14 @@ class InstanceParams:
     trivially_satisfiable: bool
 
 
-def params(graph: VariableGraph, rule: LocalRule, rel: RelGraph | None = None) -> InstanceParams:
+def params(graph: VariableGraph, rule: LocalRule) -> InstanceParams:
     """D = max |var| over the support, delta = max dependency degree,
     beta = max forbidden-set size.  A trivially satisfiable instance
     (empty support) is flagged and gets D = 0.
     """
-    if rel is None:
-        rel = build_rel(graph)
     support = rule.support
     d = max((len(graph.var(x)) for x in support), default=0)
-    delta = max((rel.degree(x) for x in range(graph.vertex_count)), default=0)
+    delta = max(map(len, graph.rel.nbrs), default=0)
     beta = max((rule.complement_size(x) for x in range(rule.vertex_count)), default=0)
     return InstanceParams(d, delta, beta, trivially_satisfiable=not support)
 
@@ -365,14 +371,13 @@ def greedy_mis(
     """
     member_set = set(members)
     if order is None:
-        order = range(len(adj))
-    blocked = [False] * len(adj)
+        order = sorted(member_set)
+    blocked: set[int] = set()
     chosen: set[int] = set()
     for x in order:
-        if x in member_set and not blocked[x]:
+        if x in member_set and x not in blocked:
             chosen.add(x)
-            for y in adj[x]:
-                blocked[y] = True
+            blocked.update(adj[x])
     return chosen
 
 

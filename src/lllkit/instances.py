@@ -20,10 +20,9 @@ from typing import Iterator, Sequence
 
 from .graphs import (
     LocalRule,
-    RelGraph,
     VariableGraph,
     Word,
-    build_rel,
+    params,
 )
 
 Literal = tuple[int, int]  # (0-based variable index, sign in {+1, -1})
@@ -372,7 +371,6 @@ def check_lll_condition(
     graph: VariableGraph,
     rule: LocalRule,
     variant: str = "tight",
-    rel: RelGraph | None = None,
 ) -> ConditionReport:
     """Per-vertex comparison of failure probability against a threshold.
 
@@ -382,9 +380,7 @@ def check_lll_condition(
     """
     if variant not in ("tight", "symmetric"):
         raise ValueError(f"unknown variant {variant!r}")
-    if rel is None:
-        rel = build_rel(graph)
-    delta = max((rel.degree(x) for x in range(graph.vertex_count)), default=0)
+    delta = params(graph, rule).delta
     support = rule.support
     if delta == 0:
         if support:

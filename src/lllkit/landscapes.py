@@ -20,13 +20,12 @@ from .engine import RandomTape, RunTrace, used_unused
 from .graphs import (
     LocalRule,
     Partition,
-    RelGraph,
     VariableGraph,
     Word,
     _bfs_distances,
     ball,
-    build_rel,
     interior,
+    params,
 )
 
 ForestVertex = tuple[int, int]  # (base vertex, level)
@@ -90,11 +89,10 @@ class DecoratedLandscape:
         prev: dict[ForestVertex, Word],
         final: Sequence[int],
         part_of: Sequence[int],
-        rel: RelGraph | None = None,
     ):
         self.graph = graph
         self.rule = rule
-        self.rel = rel if rel is not None else build_rel(graph)
+        self.rel = graph.rel
         self.verts = frozenset(verts)
         self.parent = dict(parent)
         self.prev = dict(prev)
@@ -187,13 +185,9 @@ class DecoratedLandscape:
 
     def type_of(self) -> LandscapeType:
         d = max((len(row) for row in self.graph.out_adj), default=0)
-        delta = max((self.rel.degree(x) for x in range(self.graph.vertex_count)), default=0)
-        beta = max(
-            (self.rule.complement_size(x) for x in range(self.graph.vertex_count)),
-            default=0,
-        )
+        bounds = params(self.graph, self.rule)
         p = 1 + max(self.part_of, default=-1)
-        return LandscapeType(d, delta, beta, self.graph.vertex_count, len(self.verts), p)
+        return LandscapeType(d, bounds.delta, bounds.beta, self.graph.vertex_count, len(self.verts), p)
 
     def _replace(self, verts=None, parent=None, prev=None) -> "DecoratedLandscape":
         return DecoratedLandscape(
@@ -204,7 +198,6 @@ class DecoratedLandscape:
             self.prev if prev is None else prev,
             self.final,
             self.part_of,
-            rel=self.rel,
         )
 
     def __eq__(self, other: object) -> bool:
@@ -260,7 +253,7 @@ def extract_landscape(trace: RunTrace) -> DecoratedLandscape:
                 parent[v] = (min(candidates), i - 1)
     return DecoratedLandscape(
         system.graph, system.rule, verts, parent, prev, trace.final,
-        system.partition.part_of, rel=rel,
+        system.partition.part_of,
     )
 
 
@@ -351,7 +344,6 @@ def restrict(ls: DecoratedLandscape, vertices: Iterable[int]) -> tuple[Decorated
         for i, x in enumerate(keep)
     ]
     rule = LocalRule(ls.rule.b, forbidden, [len(row) for row in out_adj])
-    rel = build_rel(graph)
 
     verts = []
     prev = {}
@@ -371,11 +363,11 @@ def restrict(ls: DecoratedLandscape, vertices: Iterable[int]) -> tuple[Decorated
         if child[0] in new_id and par[0] in new_id:
             c = (new_id[child[0]], child[1])
             q = (new_id[par[0]], par[1])
-            if c in vert_set and q in vert_set and rel.adjacent(q[0], c[0]):
+            if c in vert_set and q in vert_set and graph.rel.adjacent(q[0], c[0]):
                 parent[c] = q
     final = tuple(ls.final[x] for x in keep)
     part_of = tuple(ls.part_of[x] for x in keep)
-    restricted = DecoratedLandscape(graph, rule, verts, parent, prev, final, part_of, rel=rel)
+    restricted = DecoratedLandscape(graph, rule, verts, parent, prev, final, part_of)
     return restricted, tuple(keep)
 
 

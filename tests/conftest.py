@@ -54,7 +54,7 @@ def random_abstract_landscape(rng: random.Random):
         prev[v] = rng.choice(sorted(rule.forbidden[x]))
     final = tuple(rng.randrange(rule.b) for _ in range(graph.vertex_count))
     parts = tuple(range(graph.vertex_count))
-    return DecoratedLandscape(graph, rule, verts, parent, prev, final, parts, rel=rel)
+    return DecoratedLandscape(graph, rule, verts, parent, prev, final, parts)
 
 
 def random_symmetric_adjacency(rng: random.Random, n: int, p_edge: float = 0.3):

@@ -155,6 +155,26 @@ class TestVerify:
         assert json.loads(captured.err)["suite"] == suite
 
 
+class TestDependencyGraphOnce:
+    def test_solve_builds_rel_once(self, dimacs_file, monkeypatch, capsys):
+        calls = []
+        build_rel = graphs.build_rel
+
+        def counted(graph):
+            calls.append(graph)
+            return build_rel(graph)
+
+        monkeypatch.setattr(graphs, "build_rel", counted)
+        assert main(["solve", "--dimacs", dimacs_file, "--seed", "1"]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("spec", ["singletons", "auto", "1"])
+    def test_system_shares_the_graphs_rel(self, spec):
+        graph, rule = bundled_instances()["chain"]
+        system, _ = build_system(graph, rule, spec, Fraction(1, 2))
+        assert system.rel is graph.rel
+
+
 class TestCount:
     def test_csv_rows(self, tmp_path, capsys):
         out = tmp_path / "counts.csv"

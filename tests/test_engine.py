@@ -36,6 +36,16 @@ def single_clause_system(falsifier=(0,), b=2):
     return MtaSystem.build(graph, rule, Partition.singletons(2))
 
 
+class TestMtaSystemChecks:
+    def test_word_lengths_must_match_out_degrees(self):
+        # a length-2 forbidden word at a vertex reading one variable is never
+        # read, so a run would report a false certificate
+        graph = VariableGraph([(1,), ()])
+        rule = LocalRule(2, [{(0, 0)}, set()], [2, 0])
+        with pytest.raises(ValueError, match="word lengths"):
+            MtaSystem.build(graph, rule, Partition.singletons(2))
+
+
 class TestRandomTape:
     def test_finite_lookup_and_exhaustion(self):
         tape = RandomTape.finite(2, [[0, 1], [1, 1]])

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -268,6 +269,28 @@ class TestGreedyMis:
                 assert not (set(adj[x]) & chosen) - {x}
             for x in members - chosen:
                 assert set(adj[x]) & chosen, "greedy result is not maximal"
+
+
+class TestGreedyMisCost:
+    def test_call_allocates_nothing_per_vertex(self):
+        # two members on a million-vertex graph: no length-V scratch list
+        adj = [()] * 10**6
+        adj[3], adj[4] = (4,), (3,)
+        tracemalloc.start()
+        try:
+            chosen = greedy_mis(adj, [4, 3])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert chosen == {3}
+        assert peak < 64 * 1024
+
+
+class TestDependencyGraphCache:
+    def test_rel_is_built_once_and_matches_build_rel(self):
+        g = VariableGraph([(1, 2), (2,), (0,)])
+        assert g.rel is g.rel
+        assert g.rel == build_rel(g)
 
 
 class TestSparsePartition:

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 
 from .engine import MtaSystem, RandomTape, run_until_satisfied
 from .graphs import LocalRule, VariableGraph, Word
-from .landscapes import encode_tape
+from .landscapes import canvas_sources, encode_tape
 
 # ---------------------------------------------------------------------------
 # Truncated polynomial helpers (integer coefficients, degree <= cap)
@@ -324,23 +324,9 @@ def _grounded_forests(graph: VariableGraph, n2: int):
         if not ok:
             continue
         vert_set = frozenset(combo)
-        parent_options = []
-        grounded = True
-        for v in combo:
-            x, lvl = v
-            if lvl == 0:
-                continue
-            candidates = [
-                (y, lvl - 1)
-                for y in graph.rel.nbrs[x]
-                if (y, lvl - 1) in vert_set
-            ]
-            if not candidates:
-                grounded = False  # a level>0 vertex with no parent is a high root
-                break
-            parent_options.append((v, candidates))
-        if not grounded:
-            continue
+        parent_options = [(v, canvas_sources(graph.rel, vert_set, v)) for v in combo if v[1] > 0]
+        if not all(candidates for _, candidates in parent_options):
+            continue  # a level>0 vertex with no parent is a high root
         keys = [v for v, _ in parent_options]
         for choice in itertools.product(*(c for _, c in parent_options)):
             yield vert_set, dict(zip(keys, choice))
@@ -432,6 +418,9 @@ def enumerate_small_landscapes(
 # ---------------------------------------------------------------------------
 
 
+MIN_POSITIVE = 30  # exceedances a grid point needs to enter the slope fit
+
+
 @dataclass
 class TailEstimate:
     """Empirical exceedance of max resample counts over a seed ensemble."""
@@ -444,7 +433,6 @@ class TailEstimate:
     slope: float | None  # fitted slope of log_b phat vs N (negative = decay)
     slope_se: float | None
     cap_exceeded: int
-    max_counts: tuple[int, ...]
     witness_sizes: tuple[int, ...] | None = None
 
     def slope_ci95(self) -> tuple[float, float] | None:
@@ -486,7 +474,6 @@ def tail_estimate(
     n_grid: Sequence[int],
     step_cap: int,
     *,
-    min_positive: int = 30,
     collect_witness_sizes: bool = False,
     eps: Fraction = Fraction(1, 2),
     window_n: int | None = None,
@@ -495,7 +482,7 @@ def tail_estimate(
     """Run the engine across seeds and estimate P(max resamples > N).
 
     The slope of log_b P-hat against N is fitted over grid points with at
-    least ``min_positive`` exceedances.  Cap-exceeded runs are counted as
+    least ``MIN_POSITIVE`` exceedances.  Cap-exceeded runs are counted as
     exceeding every N (their true counts are at least the truncated ones).
     With ``collect_witness_sizes`` each run is also pushed through window
     extraction + grounding and the witness forest size recorded.
@@ -506,7 +493,6 @@ def tail_estimate(
     trial = functools.partial(_tail_worker, system, tuple(f), step_cap, collect_witness_sizes,
                               eps, window_n)
     results = list(run_map(trial, seeds))
-    max_counts = tuple(r[0] for r in results)
     capped = sum(1 for r in results if r[1])
     witness_sizes = tuple(r[2] for r in results) if collect_witness_sizes else None
     grid = tuple(n_grid)
@@ -516,16 +502,15 @@ def tail_estimate(
     trials = len(seeds)
     phat = tuple(c / trials for c in exceed)
     ci = tuple(1.96 * math.sqrt(p * (1 - p) / trials) for p in phat)
-    xs = [n for n, c in zip(grid, exceed) if c >= min_positive]
+    xs = [n for n, c in zip(grid, exceed) if c >= MIN_POSITIVE]
     ys = [
         math.log(c / trials, system.b)
         for n, c in zip(grid, exceed)
-        if c >= min_positive
+        if c >= MIN_POSITIVE
     ]
     slope, slope_se = _fit_slope([float(x) for x in xs], ys)
     return TailEstimate(
-        grid, trials, tuple(exceed), phat, ci, slope, slope_se, capped, max_counts,
-        witness_sizes,
+        grid, trials, tuple(exceed), phat, ci, slope, slope_se, capped, witness_sizes,
     )
 
 

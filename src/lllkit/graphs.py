@@ -222,7 +222,7 @@ class RelGraph:
     with nonempty var(x) carries a self-loop and appears in its own list.
     """
 
-    def __init__(self, nbrs: Sequence[Sequence[int]]):
+    def __init__(self, nbrs: Iterable[Iterable[int]]):
         self.nbrs: tuple[Word, ...] = tuple(tuple(row) for row in nbrs)
         self._noself: tuple[Word, ...] | None = None
         self._index: list[dict[int, int] | None] = [None] * len(self.nbrs)
@@ -261,27 +261,14 @@ def build_rel(graph: VariableGraph) -> RelGraph:
     """Build the dependency graph with its canonical edge labeling.
 
     At x the neighbours are ordered by the var(x)-least shared variable;
-    ties (same shared variable v) are broken by position in cl(v).
+    ties (same shared variable v) are broken by position in cl(v).  Walking
+    var(x) and each cl(v) in order and keeping first appearances yields
+    exactly this order.
     """
-    n = graph.vertex_count
-    var_sets = [set(graph.var(x)) for x in range(n)]
-    cl_pos: list[dict[int, int]] = [
-        {y: j for j, y in enumerate(graph.cl(v))} for v in range(n)
-    ]
-    nbrs = []
-    for x in range(n):
-        candidates: set[int] = set()
-        for v in graph.var(x):
-            candidates.update(graph.cl(v))
-
-        def key(y: int) -> tuple[int, int]:
-            for pos, v in enumerate(graph.var(x)):
-                if v in var_sets[y]:
-                    return (pos, cl_pos[v][y])
-            raise AssertionError("candidate shares no variable")
-
-        nbrs.append(tuple(sorted(candidates, key=key)))
-    return RelGraph(nbrs)
+    cl = graph.in_adj
+    return RelGraph(
+        dict.fromkeys(y for v in graph.var(x) for y in cl[v]) for x in range(graph.vertex_count)
+    )
 
 
 @dataclass(frozen=True)

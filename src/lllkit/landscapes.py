@@ -12,14 +12,15 @@ per forest vertex, and the partition map.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
 from .engine import RandomTape, RunTrace, used_unused
 from .graphs import (
     LocalRule,
-    Partition,
+    RelGraph,
     VariableGraph,
     Word,
     _bfs_distances,
@@ -222,6 +223,15 @@ class DecoratedLandscape:
         }
 
 
+def canvas_sources(rel: RelGraph, verts: Container[ForestVertex], v: ForestVertex) -> list[ForestVertex]:
+    """The members of ``verts`` with a canvas edge into v, in label order
+    (none when v is at level 0)."""
+    base, level = v
+    if level == 0:
+        return []
+    return [(y, level - 1) for y in rel.nbrs[base] if (y, level - 1) in verts]
+
+
 # ---------------------------------------------------------------------------
 # Extraction from run traces
 # ---------------------------------------------------------------------------
@@ -232,27 +242,22 @@ def extract_landscape(trace: RunTrace) -> DecoratedLandscape:
     level-(i+1) vertex is the dependency-adjacent level-i vertex with the
     least base.  Prev records the violated word each resample erased."""
     system = trace.system
-    rel = system.rel
-    verts: list[ForestVertex] = []
     parent: dict[ForestVertex, ForestVertex] = {}
     prev: dict[ForestVertex, Word] = {}
     for i, (resampled, (assignment, _)) in enumerate(zip(trace.resampled, trace.states())):
         for x in resampled:
             v = (x, i)
-            verts.append(v)
             prev[v] = tuple(assignment[u] for u in system.graph.var(x))
             if i > 0:
-                candidates = [
-                    y for y in trace.resampled[i - 1] if rel.adjacent(y, x)
-                ]
-                if not candidates:
+                sources = canvas_sources(system.rel, prev, v)  # prev's keys: the forest so far
+                if not sources:
                     raise InternalConsistencyError(
                         f"resampled vertex {x} at step {i} has no adjacent "
                         f"predecessor; the previous resample set was not maximal"
                     )
-                parent[v] = (min(candidates), i - 1)
+                parent[v] = min(sources)
     return DecoratedLandscape(
-        system.graph, system.rule, verts, parent, prev, trace.final,
+        system.graph, system.rule, prev.keys(), parent, prev, trace.final,
         system.partition.part_of,
     )
 
@@ -393,12 +398,8 @@ def is_faithful_at(ls: DecoratedLandscape, vertices: Iterable[int], x: int) -> b
 def _cross_edges_into(ls: DecoratedLandscape, tree: frozenset[ForestVertex]) -> Iterator[tuple[ForestVertex, ForestVertex]]:
     """Canvas edges (o, v) with o in another tree and v in this tree."""
     for v in sorted(tree):
-        base, level = v
-        if level == 0:
-            continue
-        for nb in ls.rel.nbrs[base]:
-            o = (nb, level - 1)
-            if o in ls.verts and o not in tree:
+        for o in canvas_sources(ls.rel, ls.verts, v):
+            if o not in tree:
                 yield (o, v)
 
 
@@ -406,16 +407,24 @@ def is_landscape_pushable(ls: DecoratedLandscape) -> bool:
     return bool(ls.verts) and all(level > 0 for _, level in ls.verts)
 
 
+def _push(ls: DecoratedLandscape, moved: Container[ForestVertex]) -> DecoratedLandscape:
+    """Shift the forest vertices in ``moved`` down one level."""
+    down = lambda v: (v[0], v[1] - 1) if v in moved else v
+    new_verts = {down(v) for v in ls.verts}
+    if len(new_verts) != len(ls.verts):
+        raise InternalConsistencyError("push collided with an existing vertex")
+    return ls._replace(
+        verts=new_verts,
+        parent={down(c): down(p) for c, p in ls.parent.items()},
+        prev={down(v): w for v, w in ls.prev.items()},
+    )
+
+
 def push_all(ls: DecoratedLandscape) -> DecoratedLandscape:
     """Shift the whole forest down one level."""
     if not is_landscape_pushable(ls):
         raise LandscapeError("push_all: some vertex is already at level 0")
-    down = lambda v: (v[0], v[1] - 1)
-    return ls._replace(
-        verts=(down(v) for v in ls.verts),
-        parent={down(c): down(p) for c, p in ls.parent.items()},
-        prev={down(v): w for v, w in ls.prev.items()},
-    )
+    return _push(ls, ls.verts)
 
 
 def is_tree_pushable(ls: DecoratedLandscape, tree: frozenset[ForestVertex]) -> bool:
@@ -436,25 +445,15 @@ def push_tree(ls: DecoratedLandscape, tree: frozenset[ForestVertex]) -> Decorate
         raise LandscapeError("push_tree: not a tree of this landscape")
     if not is_tree_pushable(ls, tree):
         raise LandscapeError("push_tree: tree is at level 0 or receives a cross edge")
-    down = lambda v: (v[0], v[1] - 1) if v in tree else v
-    new_verts = {down(v) for v in ls.verts}
-    if len(new_verts) != len(ls.verts):
-        raise InternalConsistencyError("push collided with an existing vertex")
-    return ls._replace(
-        verts=new_verts,
-        parent={down(c): down(p) for c, p in ls.parent.items()},
-        prev={down(v): w for v, w in ls.prev.items()},
-    )
+    return _push(ls, tree)
 
 
 def rebranchable_triples(ls: DecoratedLandscape) -> Iterator[tuple[ForestVertex, ForestVertex, ForestVertex]]:
     """(x, y, z): (x, z) is a forest edge, (y, z) a canvas edge, y a forest
     vertex distinct from x."""
     for z, x in sorted(ls.parent.items()):
-        base, level = z
-        for nb in ls.rel.nbrs[base]:
-            y = (nb, level - 1)
-            if y in ls.verts and y != x and y != z:
+        for y in canvas_sources(ls.rel, ls.verts, z):
+            if y != x:
                 yield (x, y, z)
 
 
@@ -474,13 +473,8 @@ def rebranch(ls: DecoratedLandscape, triple: tuple[ForestVertex, ForestVertex, F
 def joinable_pairs(ls: DecoratedLandscape) -> Iterator[tuple[ForestVertex, ForestVertex]]:
     """(y, z): z is a root, (y, z) a canvas edge from a forest vertex."""
     for z in ls.roots():
-        base, level = z
-        if level == 0:
-            continue
-        for nb in ls.rel.nbrs[base]:
-            y = (nb, level - 1)
-            if y in ls.verts:
-                yield (y, z)
+        for y in canvas_sources(ls.rel, ls.verts, z):
+            yield (y, z)
 
 
 def join(ls: DecoratedLandscape, pair: tuple[ForestVertex, ForestVertex]) -> DecoratedLandscape:
@@ -580,10 +574,30 @@ def default_window_params(adj: Sequence[Sequence[int]], eps: Fraction = Fraction
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    for n in itertools.count(1):
-        bound = (1 + eps) ** n
-        if all(len(ball(adj, x, 3 * n)) < bound for x in range(len(adj))):
+    base = 1 + eps
+    n, bound = 1, base
+    while True:
+        x = next((x for x in range(len(adj)) if len(ball(adj, x, 3 * n)) >= bound), None)
+        if x is None:
             return n
+        size = len(ball(adj, x, 3 * n))
+        if len(ball(adj, x, 3 * n + 1)) > size:
+            n, bound = n + 1, bound * base
+            continue
+        # B(x, 3n) is its whole component, so it fails for every larger n
+        # while base^n <= its size.  Jump past those: estimate the last one
+        # in floats (an eps that underflows gives no estimate), settle it
+        # with one exact power.  Jumping only once the ball is saturated
+        # keeps these powers to one per component size.
+        rate = math.log1p(eps)
+        m = max(n, math.floor(math.log(size) / rate) if rate else 0)
+        power = base ** m
+        while power > size:
+            m -= 1
+            power = base ** m
+        n, bound = m + 1, power * base
+        while bound <= size:
+            n, bound = n + 1, bound * base
 
 
 def find_window(adj: Sequence[Sequence[int]], weights: Sequence[int], eps: Fraction, n: int) -> Window:
@@ -685,13 +699,7 @@ def encode_tape(trace: RunTrace, eps: Fraction = Fraction(1, 2), n: int | None =
     return TapeCode(part_ids, tuple(payload), witness, system.b)
 
 
-def decode_tape(
-    code: TapeCode,
-    p: int,
-    k: int,
-    instance: tuple[VariableGraph, LocalRule] | None = None,
-    partition: Partition | None = None,
-) -> RandomTape:
+def decode_tape(code: TapeCode, p: int, k: int) -> RandomTape:
     """Rebuild the tape a code came from.
 
     The witness alone determines the split: an interior part's leftover has
@@ -699,10 +707,6 @@ def decode_tape(
     other part's leftover is a full stream, and the consumed prefix of an
     interior part is exactly the decoded sequence.
     """
-    if instance is not None and instance[1].b != code.b:
-        raise CodeCorruptionError("alphabet disagrees with the instance")
-    if partition is not None and partition.part_count != p:
-        raise CodeCorruptionError("partition size disagrees with p")
     if code.payload and (min(code.payload) < 0 or max(code.payload) >= code.b):
         raise CodeCorruptionError("payload digit outside the alphabet")
     if any(not 0 <= i < p for i in code.part_ids):

@@ -125,7 +125,10 @@ def build_system(graph, rule, partition_cfg, eps: Fraction, order_cfg=None):
     if partition_cfg == "singletons":
         partition = Partition.singletons(graph.vertex_count)
     elif partition_cfg == "auto":
-        window_n = landscapes.default_window_params(graph.sym_adj, eps)
+        try:
+            window_n = landscapes.default_window_params(graph.sym_adj, eps)
+        except ValueError as exc:
+            raise CliError(f"--partition auto: {exc}; use a larger --eps")
         partition = sparse_partition(graph.sym_adj, 3 * window_n)
     elif partition_cfg.isdecimal():
         partition = sparse_partition(graph.sym_adj, int(partition_cfg))

@@ -289,7 +289,7 @@ def params(graph: VariableGraph, rule: LocalRule) -> InstanceParams:
     support = rule.support
     d = max((len(graph.var(x)) for x in support), default=0)
     delta = max(map(len, graph.rel.nbrs), default=0)
-    beta = max((rule.complement_size(x) for x in range(rule.vertex_count)), default=0)
+    beta = max(map(len, rule.forbidden), default=0)
     return InstanceParams(d, delta, beta, trivially_satisfiable=not support)
 
 
@@ -317,11 +317,18 @@ def graph_distance(adj: Adjacency, x: int, y: int):
     return dist[y]
 
 
-def ball(adj: Adjacency, x: int, r: int) -> set[int]:
-    """All vertices within distance r of x (x included)."""
+def ball(adj: Adjacency, x: int, r: int, limit: int | None = None) -> set[int]:
+    """All vertices within distance r of x (x included).
+
+    With a ``limit``, growth stops after the first distance layer that
+    brings the set to ``limit`` vertices or more: the result has at least
+    ``limit`` vertices exactly when the whole ball does.
+    """
     found = {x}
     frontier = [x]
     for _ in range(r):
+        if limit is not None and len(found) >= limit:
+            break
         nxt = []
         for z in frontier:
             for w in adj[z]:
@@ -332,6 +339,35 @@ def ball(adj: Adjacency, x: int, r: int) -> set[int]:
             break
         frontier = nxt
     return found
+
+
+def _components(adj: Adjacency) -> list[tuple[list[int], int]]:
+    """Connected components of a symmetric graph in one O(V + E) pass,
+    ordered by least vertex.  Each is (its vertices in increasing order,
+    its reach): the largest distance from its least vertex, found by one
+    breadth-first search from there."""
+    label = [-1] * len(adj)
+    reach: list[int] = []
+    for s in range(len(adj)):
+        if label[s] < 0:
+            c = len(reach)
+            label[s] = c
+            frontier = [s]
+            depth = -1
+            while frontier:
+                depth += 1
+                nxt = []
+                for z in frontier:
+                    for y in adj[z]:
+                        if label[y] < 0:
+                            label[y] = c
+                            nxt.append(y)
+                frontier = nxt
+            reach.append(depth)
+    members: list[list[int]] = [[] for _ in reach]
+    for x, c in enumerate(label):
+        members[c].append(x)
+    return list(zip(members, reach))
 
 
 def interior(adj: Adjacency, subset: Iterable[int], i: int) -> set[int]:
@@ -418,14 +454,23 @@ def sparse_partition(adj: Adjacency, r: int) -> Partition:
     First fit in index order: each vertex takes the least part that no
     earlier vertex within distance 2r took.  This equals iterated greedy MIS
     of the distance <= 2r power graph and uses at most max |B(x, 2r)| parts.
+    ``adj`` must be symmetric.  Components are independent: where a
+    component's least vertex is within r of all of it, any two of its
+    vertices lie within 2r, so first fit gives each vertex its rank in the
+    component and no ball is taken there.
     """
     if r < 0:
         raise ValueError(f"radius must be non-negative, got {r}")
-    part_of: list[int] = []
-    for x in range(len(adj)):
-        taken = {part_of[y] for y in ball(adj, x, 2 * r) if y < x}
-        part = 0
-        while part in taken:
-            part += 1
-        part_of.append(part)
+    part_of = [0] * len(adj)
+    for members, reach in _components(adj):
+        if reach <= r:
+            for rank, x in enumerate(members):
+                part_of[x] = rank
+            continue
+        for x in members:
+            taken = {part_of[y] for y in ball(adj, x, 2 * r) if y < x}
+            part = 0
+            while part in taken:
+                part += 1
+            part_of[x] = part
     return Partition(max(part_of, default=-1) + 1, part_of)

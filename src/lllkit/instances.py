@@ -395,17 +395,22 @@ def check_lll_condition(
         e_lo, e_hi = e_bounds()
         thr_lo = 1 / (e_hi * delta)
         thr_hi = 1 / (e_lo * delta)
+    # p(x) depends only on (|forbidden(x)|, word length), and instances
+    # have few such pairs: each case, (p, passes, margin) or () where p = 0,
+    # is computed once and its objects shared.
+    cases: dict[tuple[int, int], tuple] = {}
     entries = []
-    all_pass = True
     trivial = 0
-    for x in range(graph.vertex_count):
-        p = rule.failure_prob(x)
-        if p == 0:
+    for x, key in enumerate(zip(map(len, rule.forbidden), rule.word_lengths)):
+        case = cases.get(key)
+        if case is None:
+            p = rule.failure_prob(x)
+            case = cases[key] = (p, p < thr_lo, thr_lo - p) if p else ()
+        if case:
+            entries.append(ConditionEntry(x, *case))
+        else:
             trivial += 1
-            continue
-        passes = p < thr_lo
-        all_pass = all_pass and passes
-        entries.append(ConditionEntry(x, p, passes, thr_lo - p))
+    all_pass = all(case[1] for case in cases.values() if case)
     return ConditionReport(variant, delta, thr_lo, thr_hi, tuple(entries), all_pass, trivial)
 
 

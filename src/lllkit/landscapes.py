@@ -24,6 +24,7 @@ from .graphs import (
     VariableGraph,
     Word,
     _bfs_distances,
+    _components,
     ball,
     interior,
     params,
@@ -566,31 +567,51 @@ class WindowError(ValueError):
     """The growth precondition failed at the weight's argmax."""
 
 
+MAX_WINDOW_N = 10**6  # larger window parameters are refused, not computed
+
+
 def default_window_params(adj: Sequence[Sequence[int]], eps: Fraction = Fraction(1, 2)) -> int:
     """Smallest n >= 1 with max_x |B(x, 3n)| < (1 + eps)^n for this graph.
 
     Requires eps > 0.  Then it exists on every finite graph: once
     (1 + eps)^n exceeds the vertex count every ball is small enough.
+    ``adj`` must be symmetric.  Raises ``ValueError`` when n would exceed
+    ``MAX_WINDOW_N`` (estimated in floats before any exact power), since
+    the exact power (1 + eps)^n alone then takes seconds to minutes.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     base = 1 + eps
+    components = _components(adj)
     n, bound = 1, base
     while True:
-        x = next((x for x in range(len(adj)) if len(ball(adj, x, 3 * n)) >= bound), None)
-        if x is None:
+        if n > MAX_WINDOW_N:
+            raise ValueError(f"window parameter n would exceed {MAX_WINDOW_N}")
+        need = math.ceil(bound)  # a ball fails exactly when it has need vertices
+        # A component smaller than the bound holds no failing ball; it stays
+        # out of every later search, as the bound only grows.
+        components = [(members, reach) for members, reach in components if len(members) >= need]
+        failing = next(
+            ((members, reach) for members, reach in components for x in members
+             if len(ball(adj, x, 3 * n, need)) >= need),
+            None,
+        )
+        if failing is None:
             return n
-        size = len(ball(adj, x, 3 * n))
-        if len(ball(adj, x, 3 * n + 1)) > size:
+        members, reach = failing
+        if reach > 3 * n:
             n, bound = n + 1, bound * base
             continue
-        # B(x, 3n) is its whole component, so it fails for every larger n
-        # while base^n <= its size.  Jump past those: estimate the last one
-        # in floats (an eps that underflows gives no estimate), settle it
-        # with one exact power.  Jumping only once the ball is saturated
-        # keeps these powers to one per component size.
+        # B(least vertex, 3n) is the whole failing component, so it fails
+        # for every larger n while base^n <= the component's size.  Jump
+        # past those: estimate the last one in floats, settle it with one
+        # exact power.  Jumping only once such a ball is saturated keeps
+        # these powers to one per component size.
+        size = len(members)
         rate = math.log1p(eps)
-        m = max(n, math.floor(math.log(size) / rate) if rate else 0)
+        if not rate or math.log(size) / rate >= MAX_WINDOW_N:
+            raise ValueError(f"window parameter n would exceed {MAX_WINDOW_N}")
+        m = max(n, math.floor(math.log(size) / rate))
         power = base ** m
         while power > size:
             m -= 1

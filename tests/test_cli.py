@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from lllkit import bundled_instances, counting, engine, graphs, instance_to_json, landscapes
+from lllkit.instances import from_cnf, random_bounded_overlap_sat
 from lllkit.cli import build_system, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -331,6 +332,19 @@ class TestInputValidation:
         assert json.loads(capsys.readouterr().out)["status"] == "satisfied"
 
 
+class TestNorthStarTorus:
+    def test_torus_64_auto_solves(self):
+        # 4,096 vertices in one component; every auto ball covers the torus
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lllkit.cli", "solve", "--torus", "2,64,10,2"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert result["certified"] is True and len(result["assignment"]) == 4096
+
+
 class TestWideRules:
     def test_torus_with_24_translates_solves(self):
         # 2^24 words per rule: only a forbidden-set representation fits
@@ -361,6 +375,27 @@ class TestBuildSystem:
         eps = Fraction(1, 2)
         _, window_n = build_system(graph, rule, "auto", eps)
         assert window_n == landscapes.default_window_params(graph.sym_adj, eps)
+
+    def test_auto_takes_a_ball_per_component_not_per_vertex(self, monkeypatch):
+        """On about 6,800 vertices in about 800 components, the window search
+        and the partition take at most one ball per component and a few per
+        tried n, not one per vertex."""
+        graph, rule, _ = from_cnf(random_bounded_overlap_sat(2000, 3, 0))  # solve --generate 2000,3
+        adj = graph.sym_adj
+        components = len({min(graphs.ball(adj, x, len(adj))) for x in range(len(adj))})
+        calls = 0
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return ball(*args, **kwargs)
+
+        ball = graphs.ball
+        monkeypatch.setattr(graphs, "ball", counted)
+        monkeypatch.setattr(landscapes, "ball", counted)
+        _, window_n = build_system(graph, rule, "auto", Fraction(1, 2))
+        assert 0 < calls <= components + 2 * window_n + 2, (calls, components, window_n)
+        assert components * 5 < graph.vertex_count
 
 
 def mutated_instances(rng: random.Random, count: int) -> list[str]:
@@ -453,6 +488,8 @@ class TestMalformedInput:
         ["--config", "null_seed.json", "solve", "--bundled", "chain"],
         ["solve", "--torus", "3,8,1000,2"],  # translates collide; 1000^3 vectors are never built
         ["solve", "--torus", "2,64,24,3"],  # 3 * 2^24 - 3 forbidden words per point
+        ["solve", "--bundled", "chain", "--eps", "1/1000000"],  # window n past MAX_WINDOW_N
+        ["solve", "--bundled", "chain", "--eps", "1e-400"],  # log1p(eps) underflows to 0
     ])
     def test_config_error_on_one_line(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

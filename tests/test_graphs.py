@@ -199,6 +199,16 @@ class TestMetrics:
         adj = [(1,), (0, 2), (1,)]
         assert ball(adj, 1, 0) == {1}
 
+    def test_ball_limit(self, rng):
+        # a limited ball is part of the whole ball, and reaches the limit
+        # exactly when the whole ball does
+        for _ in range(50):
+            adj = random_symmetric_adjacency(rng, 12, 0.2)
+            x, r, limit = rng.randrange(12), rng.randint(0, 4), rng.randint(1, 13)
+            whole, limited = ball(adj, x, r), ball(adj, x, r, limit)
+            assert limited <= whole
+            assert (len(limited) >= limit) == (len(whole) >= limit)
+
     def test_path_distance(self):
         adj = [(1,), (0, 2), (1,)]
         assert graph_distance(adj, 0, 2) == 2

@@ -1,12 +1,15 @@
 """Differential tests: the setup routines against the slower constructions
 they replaced, kept here as reference oracles.
 
-``sparse_partition`` (one first-fit pass over radius-2r balls) must equal
-the iterated greedy maximal independent sets of the materialised power
-graph; ``default_window_params`` (bounded balls, jumping n once the failing
-ball is its whole component) must equal the scan over full per-vertex BFS
-distance lists and the plain n = 1, 2, ... loop; ``build_rel`` (a walk
-keeping first appearances) must equal the sort by edge label.
+``sparse_partition`` (per component: ranks where its least vertex is
+within r of all of it, else first fit over radius-2r balls) must equal the
+iterated greedy maximal independent sets of the materialised power graph;
+``default_window_params`` (balls grown only up to the bound, components
+below the bound skipped, n jumping once a failing component lies within 3n
+of its least vertex) must equal the scan over full per-vertex BFS distance
+lists and the plain n = 1, 2, ... loop; ``build_rel`` (a walk keeping first
+appearances) must equal the sort by edge label; ``check_lll_condition``
+(one computation per distinct case) must equal the per-vertex loop.
 """
 
 import bisect
@@ -18,6 +21,7 @@ from fractions import Fraction
 import pytest
 
 from lllkit import (
+    ConditionReport,
     Partition,
     RelGraph,
     TorusSpec,
@@ -25,15 +29,23 @@ from lllkit import (
     ball,
     build_rel,
     bundled_instances,
+    check_lll_condition,
     default_window_params,
     from_cnf,
     greedy_mis,
+    params,
     random_bounded_overlap_sat,
     sparse_partition,
     torus_instance,
 )
 from lllkit.graphs import _bfs_distances
-from lllkit.instances import default_translates, random_instance
+from lllkit.instances import (
+    ConditionEntry,
+    default_translates,
+    e_bounds,
+    random_instance,
+    tight_threshold,
+)
 from conftest import random_symmetric_adjacency
 
 RADII = (0, 1, 2, 3)
@@ -88,12 +100,54 @@ def random_graphs(count=300, seed=20261018):
         yield random_symmetric_adjacency(rng, n, rng.choice((0.05, 0.1, 0.2, 0.4)))
 
 
+def disjoint_union(adjs, rng):
+    """The disjoint union of symmetric graphs, relabelled by a random
+    permutation so that components interleave in index order."""
+    total = sum(map(len, adjs))
+    label = list(range(total))
+    rng.shuffle(label)
+    union = [()] * total
+    offset = 0
+    for adj in adjs:
+        for x, row in enumerate(adj):
+            union[label[offset + x]] = tuple(sorted(label[offset + y] for y in row))
+        offset += len(adj)
+    return union
+
+
+def random_unions(count=60, seed=20261022):
+    rng = random.Random(seed)
+    for _ in range(count):
+        draws = list(random_graphs(count=rng.randint(1, 5), seed=rng.randrange(2**32)))
+        yield disjoint_union(draws, rng)
+
+
+def path(n):
+    return [tuple(y for y in (x - 1, x + 1) if 0 <= y < n) for x in range(n)]
+
+
 @functools.cache
 def named_graphs():
     graphs = {name: graph.sym_adj for name, (graph, _) in bundled_instances().items()}
-    torus, _ = torus_instance(TorusSpec(2, 24, default_translates(2, 10), 2))
-    graphs["torus-2,24,10,2"] = torus.sym_adj
+    for side in (24, 32):
+        torus, _ = torus_instance(TorusSpec(2, side, default_translates(2, 10), 2))
+        graphs[f"torus-2,{side},10,2"] = torus.sym_adj  # one component
+    cnf, _, _ = from_cnf(random_bounded_overlap_sat(2000, 3, 0))  # solve --generate 2000,3
+    graphs["cnf-2000,3"] = cnf.sym_adj  # about 800 components of at most 13 vertices
+    # Small components beside a 100-vertex path, whose reach from any
+    # vertex (at least 50) exceeds 3n = 33 at eps = 1/2: first fit runs there.
+    small = [graphs["disjoint"], path(1), path(2), [(1, 2), (0, 2), (0, 1)]]
+    graphs["small-and-long-path"] = disjoint_union(small + [path(100)], random.Random(5))
     return graphs
+
+
+NAMED = ["disjoint", "chain", "torus", "torus-2,24,10,2", "torus-2,32,10,2",
+         "cnf-2000,3", "small-and-long-path"]
+
+
+def partition_radii(adj):
+    """RADII and the radius ``--partition auto`` uses, 3n at eps = 1/2."""
+    return RADII + (3 * default_window_params(adj, Fraction(1, 2)),)
 
 
 class TestSparsePartitionOracle:
@@ -102,11 +156,16 @@ class TestSparsePartitionOracle:
             for r in RADII:
                 assert sparse_partition(adj, r) == iterated_mis_partition(adj, r), (adj, r)
 
-    @pytest.mark.parametrize("name", ["disjoint", "chain", "torus", "torus-2,24,10,2"])
+    def test_random_unions(self):
+        for adj in random_unions():
+            for r in partition_radii(adj):
+                assert sparse_partition(adj, r) == iterated_mis_partition(adj, r), (adj, r)
+
+    @pytest.mark.parametrize("name", NAMED)
     def test_named_graphs(self, name):
         adj = named_graphs()[name]
-        for r in RADII:
-            assert sparse_partition(adj, r) == iterated_mis_partition(adj, r)
+        for r in partition_radii(adj):
+            assert sparse_partition(adj, r) == iterated_mis_partition(adj, r), r
 
 
 class TestWindowParamsOracle:
@@ -115,11 +174,16 @@ class TestWindowParamsOracle:
             for eps in EPSILONS:
                 assert default_window_params(adj, eps) == full_bfs_window_params(adj, eps), (adj, eps)
 
-    @pytest.mark.parametrize("name", ["disjoint", "chain", "torus", "torus-2,24,10,2"])
+    def test_random_unions(self):
+        for adj in random_unions():
+            for eps in EPSILONS:
+                assert default_window_params(adj, eps) == full_bfs_window_params(adj, eps), (adj, eps)
+
+    @pytest.mark.parametrize("name", NAMED)
     def test_named_graphs(self, name):
         adj = named_graphs()[name]
         for eps in EPSILONS:
-            assert default_window_params(adj, eps) == full_bfs_window_params(adj, eps)
+            assert default_window_params(adj, eps) == full_bfs_window_params(adj, eps), eps
 
 
 def stepping_window_params(adj, eps):
@@ -213,3 +277,51 @@ class TestBuildRelOracle:
     def test_generated_cnf(self):
         graph, _, _ = from_cnf(random_bounded_overlap_sat(10000, 3, 0))
         assert build_rel(graph) == sorted_build_rel(graph)
+
+
+def per_vertex_condition(graph, rule, variant):
+    """The loop ``check_lll_condition`` replaced: a probability, a
+    comparison and a margin computed for every vertex."""
+    delta = params(graph, rule).delta
+    if delta == 0:
+        one = Fraction(1)
+        return ConditionReport(variant, 0, one, one, (), True, graph.vertex_count)
+    if variant == "tight":
+        lo = hi = tight_threshold(delta)
+    else:
+        e_lo, e_hi = e_bounds()
+        lo, hi = 1 / (e_hi * delta), 1 / (e_lo * delta)
+    probs = ((x, rule.failure_prob(x)) for x in range(graph.vertex_count))
+    entries = tuple(ConditionEntry(x, p, p < lo, lo - p) for x, p in probs if p)
+    all_pass = all(e.passes for e in entries)
+    return ConditionReport(variant, delta, lo, hi, entries, all_pass, graph.vertex_count - len(entries))
+
+
+class TestConditionOracle:
+    VARIANTS = ("tight", "symmetric")
+
+    def assert_same(self, graph, rule):
+        for variant in self.VARIANTS:
+            report = check_lll_condition(graph, rule, variant)
+            reference = per_vertex_condition(graph, rule, variant)
+            assert report == reference, variant
+            # the worst margin, picked as cmd_solve picks it
+            worst = lambda r: min(r.entries, key=lambda e: e.margin, default=None)
+            assert worst(report) == worst(reference)
+
+    @pytest.mark.parametrize("name", ["disjoint", "chain", "torus"])
+    def test_bundled(self, name):
+        self.assert_same(*bundled_instances()[name])
+
+    def test_random_instances(self):
+        rng = random.Random(20261023)
+        outcomes = set()
+        for i in range(300):
+            graph, rule = random_instance(rng, mixed_width=i % 2 == 1)
+            self.assert_same(graph, rule)
+            outcomes.add(check_lll_condition(graph, rule, "tight").all_pass)
+        assert outcomes == {True, False}
+
+    def test_generated_cnf(self):
+        graph, rule, _ = from_cnf(random_bounded_overlap_sat(2000, 3, 0))
+        self.assert_same(graph, rule)

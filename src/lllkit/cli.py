@@ -91,12 +91,12 @@ def load_instance_from_config(cfg: dict):
             raise CliError(f"torus spec error: {exc}")
     if kind == "generator":
         try:
-            cnf = instances.random_bounded_overlap_sat(
+            # The generator's own condition check built the graph and rule.
+            _, graph, rule = instances._bounded_overlap_sat(
                 cfg["clauses"], cfg["delta"], cfg.get("seed", 0)
             )
         except ValueError as exc:
             raise CliError(f"generator error: {exc}")
-        graph, rule, _ = instances.from_cnf(cnf)
         return graph, rule
     if kind == "bundled":
         bundle = instances.bundled_instances()

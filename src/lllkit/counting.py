@@ -490,7 +490,9 @@ def tail_estimate(
     seeds = list(seeds)
     if not seeds:
         raise ValueError("at least one seed is required")
-    trial = functools.partial(_tail_worker, system, tuple(f), step_cap, collect_witness_sizes,
+    f = tuple(f)
+    system.start(f)  # every seed shares round 1; pool workers receive it with the system
+    trial = functools.partial(_tail_worker, system, f, step_cap, collect_witness_sizes,
                               eps, window_n)
     results = list(run_map(trial, seeds))
     capped = sum(1 for r in results if r[1])

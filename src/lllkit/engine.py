@@ -4,6 +4,8 @@ Every vertex in the same partition class reads the same base-b digit
 stream; a vertex's personal resample counter indexes into that stream.
 The independence function is greedy over a fixed vertex order, so a whole
 run is a deterministic function of (instance, partition, order, f, tape).
+Round 1 reads only f, so a system plans it once for the last f it started
+from, and runs from that f with any tape share the plan.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .graphs import (
     LocalRule,
@@ -162,6 +164,17 @@ class RandomTape:
         return f"RandomTape(stream seed={self.seed}, b={self.b})"
 
 
+class RoundPlan(NamedTuple):
+    """What one round does: the constraints it resamples, the sorted
+    variables it redraws, their (part, position) tape cells, and the
+    constraints to re-check afterwards."""
+
+    chosen: frozenset[int]
+    targets: tuple[int, ...]
+    cells: tuple[tuple[int, int], ...]
+    dirty: frozenset[int]
+
+
 class MtaSystem:
     """Everything a run depends on besides the initial assignment and tape."""
 
@@ -181,6 +194,7 @@ class MtaSystem:
         self.partition = partition
         self.order = tuple(order)
         self._tables: tuple[dict[int, Reader], list[int] | None] | None = None
+        self._start: tuple[tuple[int, ...], frozenset[int], RoundPlan | None] | None = None
 
     @classmethod
     def build(cls, graph: VariableGraph, rule: LocalRule, partition: Partition,
@@ -217,6 +231,27 @@ class MtaSystem:
                     rank[x] = i
             self._tables = readers, rank
         return self._tables
+
+    def start(self, f: Sequence[int]) -> tuple[frozenset[int], RoundPlan | None]:
+        """The violated set at f and, if it is nonempty, the plan of round 1.
+
+        Round 1 reads only f and all-zero counters, so every run from f
+        shares it whatever the tape.  The start for the last f asked for is
+        kept (compared by value); it is immutable, as traces share it.
+        Raises ValueError if f is not an assignment of this system.
+        """
+        f = tuple(f)
+        if self._start is None or self._start[0] != f:
+            if len(f) != self.graph.vertex_count:
+                raise ValueError("initial assignment has wrong length")
+            if f and (min(f) < 0 or max(f) >= self.b):
+                raise ValueError("initial assignment has digits outside the alphabet")
+            readers, _ = self.loop_tables()
+            forbidden = self.rule.forbidden
+            violated = frozenset([x for x, read in readers.items() if read(f) in forbidden[x]])
+            plan = _plan_round(self, violated, (0,) * len(f)) if violated else None
+            self._start = f, violated, plan
+        return self._start[1], self._start[2]
 
 
 class _OneOrNoVariable:
@@ -316,35 +351,45 @@ def step(system: MtaSystem, state: RunState, tape: RandomTape) -> tuple[RunState
     return RunState(state.step + 1, tuple(assignment), tuple(counters)), frozenset(chosen)
 
 
+def _plan_round(system: MtaSystem, violated: Collection[int], counters: Sequence[int]) -> RoundPlan:
+    """The round that resamples the greedy independent subset of the
+    nonempty ``violated`` at these counters.
+
+    Walking only the violated vertices, in vertex-order rank, picks the set
+    a walk over the whole vertex order picks.
+    """
+    readers, rank = system.loop_tables()
+    ranked = sorted(violated) if rank is None else sorted(violated, key=rank.__getitem__)
+    chosen = frozenset(greedy_mis(system.rel.adj_noself, violated, ranked))
+    var, part_of, nbrs = system.graph.out_adj, system.partition.part_of, system.rel.nbrs
+    # Chosen vertices share no variable, so the targets are distinct.
+    targets = tuple(sorted([v for x in chosen for v in var[x]]))
+    cells = tuple([(part_of[v], counters[v]) for v in targets])
+    # Only constraints reading a redrawn variable can change status.
+    dirty = frozenset([y for x in chosen for y in nbrs[x] if y in readers])
+    return RoundPlan(chosen, targets, cells, dirty)
+
+
 def _run(system: MtaSystem, f: Sequence[int], tape: RandomTape | None, *,
          max_steps: int, stop_when_satisfied: bool,
-         draw: Callable[[list[tuple[int, int]]], Sequence[int]] | None = None) -> RunTrace:
+         draw: Callable[[Sequence[tuple[int, int]]], Sequence[int]] | None = None) -> RunTrace:
     """The incremental form of repeated ``step``: same states, same digits.
 
-    The violated set is computed once and then re-checked only at the
-    support vertices sharing a variable with a resampled one; the greedy
-    independent set walks the violated vertices in vertex-order rank.
+    Round 1 comes from ``system.start``.  After it the violated set is
+    re-checked only at the support vertices sharing a variable with a
+    resampled one, and each later round is planned by ``_plan_round``.
     ``draw`` maps a round's (part, position) cells to digits (default ``tape.draw``).
     """
-    graph = system.graph
-    n = graph.vertex_count
-    b = system.b
-    assignment = list(f)
-    if len(assignment) != n:
-        raise ValueError("initial assignment has wrong length")
-    if assignment and (min(assignment) < 0 or max(assignment) >= b):
-        raise ValueError("initial assignment has digits outside the alphabet")
+    initial = tuple(f)
+    violated, plan = system.start(initial)
+    violated = set(violated)
     if draw is None:
         draw = tape.draw
-    counters = [0] * n
-    trace = RunTrace(system, tape, tuple(assignment))
-    part_of = system.partition.part_of
-    var = graph.out_adj
-    readers, rank = system.loop_tables()
+    assignment = list(initial)
+    counters = [0] * len(initial)
+    trace = RunTrace(system, tape, initial)
+    readers, _ = system.loop_tables()
     forbidden = system.rule.forbidden
-    nbrs, adj_noself = system.rel.nbrs, system.rel.adj_noself
-
-    violated = {x for x, read in readers.items() if read(assignment) in forbidden[x]}
     for _ in range(max_steps):
         if not violated:
             if stop_when_satisfied:
@@ -352,24 +397,18 @@ def _run(system: MtaSystem, f: Sequence[int], tape: RandomTape | None, *,
             trace.resampled.append(frozenset())
             trace.drawn.append(())
             continue
-        # Walking only the violated vertices, in rank order, picks the set a
-        # walk over the whole vertex order picks.
-        ranked = sorted(violated) if rank is None else sorted(violated, key=rank.__getitem__)
-        chosen = greedy_mis(adj_noself, violated, ranked)
-        # Chosen vertices share no variable, so the targets are distinct.
-        targets = sorted([v for x in chosen for v in var[x]])
+        chosen, targets, cells, dirty = plan or _plan_round(system, violated, counters)
+        plan = None
         try:
-            fresh = draw([(part_of[v], counters[v]) for v in targets])
+            fresh = draw(cells)
         except TapeExhausted:
             trace.status = "tape_exhausted"
             break
         for v, d in zip(targets, fresh):
             assignment[v] = d
             counters[v] += 1
-        trace.resampled.append(frozenset(chosen))
+        trace.resampled.append(chosen)
         trace.drawn.append(tuple(fresh))
-        # Only constraints reading a redrawn variable can change status.
-        dirty = {y for x in chosen for y in nbrs[x] if y in readers}
         violated -= dirty
         for y in dirty:
             if readers[y](assignment) in forbidden[y]:

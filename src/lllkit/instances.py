@@ -162,6 +162,12 @@ def random_bounded_overlap_sat(n_clauses: int, delta_target: int, seed: int) -> 
     at most delta_target.  Deterministic given the seed.  The emitted
     instance is re-checked against the tight condition.
     """
+    return _bounded_overlap_sat(n_clauses, delta_target, seed)[0]
+
+
+def _bounded_overlap_sat(n_clauses: int, delta_target: int,
+                         seed: int) -> tuple[CnfInstance, VariableGraph, LocalRule]:
+    """``random_bounded_overlap_sat`` with the graph and rule its check built."""
     if delta_target not in (1, 2, 3):
         raise ValueError("delta_target must be 1, 2 or 3")
     if n_clauses < 1:
@@ -199,7 +205,7 @@ def random_bounded_overlap_sat(n_clauses: int, delta_target: int, seed: int) -> 
     report = check_lll_condition(graph, rule, variant="tight")
     if not report.all_pass:
         raise AssertionError("generated instance fails its own condition")
-    return instance
+    return instance, graph, rule
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +520,7 @@ def disjoint_clause_instance(n_clauses: int = 6) -> tuple[VariableGraph, LocalRu
 
 def chain_sat_instance(n_clauses: int = 8, seed: int = 11) -> tuple[VariableGraph, LocalRule]:
     """A chain-shaped 3-CNF with dependency degree 3."""
-    cnf = random_bounded_overlap_sat(n_clauses, 3, seed)
-    graph, rule, _ = from_cnf(cnf)
+    _, graph, rule = _bounded_overlap_sat(n_clauses, 3, seed)
     return graph, rule
 
 

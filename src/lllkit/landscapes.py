@@ -570,24 +570,65 @@ class WindowError(ValueError):
 MAX_WINDOW_N = 10**6  # larger window parameters are refused, not computed
 
 
+def _float_log1p(eps: Fraction) -> float | None:
+    """ln(1 + eps) in floats, or None unless eps converts to a normal float,
+    where the result carries a relative error of a few units in the last place."""
+    if abs(eps.numerator.bit_length() - eps.denominator.bit_length()) < 1000:
+        return math.log1p(eps)
+    return None
+
+
+def _power_exceeds(base: Fraction, rate: float | None, m: int, k: int) -> bool:
+    """Whether base^m > k, for base > 1, ``rate = _float_log1p(base - 1)``
+    and integers m, k >= 0.
+
+    Decided by comparing m ln(base) with ln(k) in floats when they differ by
+    far more than their rounding error.  Only a near tie takes the exact
+    power, whose size is about m times the bits of base.
+    """
+    if k < 1:
+        return True
+    if rate is not None:
+        lhs, rhs = m * rate, math.log(k)
+        if abs(lhs - rhs) > 1e-12 * (lhs + rhs):
+            return lhs > rhs
+    return base ** m > k
+
+
+def _ceil_power(base: Fraction, rate: float | None, n: int, cap: int) -> int:
+    """ceil(base^n) for base > 1 and n >= 0, or cap + 1 if base^n > cap >= 0."""
+    if _power_exceeds(base, rate, n, cap):
+        return cap + 1
+    # Start from the float estimate of base^n <= cap, then settle it.
+    k = 1 if rate is None else min(max(math.ceil(math.exp(n * rate)), 1), cap)
+    while _power_exceeds(base, rate, n, k):
+        k += 1
+    while k > 1 and not _power_exceeds(base, rate, n, k - 1):
+        k -= 1
+    return k
+
+
 def default_window_params(adj: Sequence[Sequence[int]], eps: Fraction = Fraction(1, 2)) -> int:
     """Smallest n >= 1 with max_x |B(x, 3n)| < (1 + eps)^n for this graph.
 
     Requires eps > 0.  Then it exists on every finite graph: once
     (1 + eps)^n exceeds the vertex count every ball is small enough.
     ``adj`` must be symmetric.  Raises ``ValueError`` when n would exceed
-    ``MAX_WINDOW_N`` (estimated in floats before any exact power), since
-    the exact power (1 + eps)^n alone then takes seconds to minutes.
+    ``MAX_WINDOW_N`` (estimated in floats).  Powers of 1 + eps are compared
+    with vertex counts through ``_power_exceeds``, so a long denominator
+    costs an exact power only on a near tie.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    base = 1 + eps
+    base, rate = 1 + eps, _float_log1p(eps)
     components = _components(adj)
-    n, bound = 1, base
+    n = 1
     while True:
         if n > MAX_WINDOW_N:
             raise ValueError(f"window parameter n would exceed {MAX_WINDOW_N}")
-        need = math.ceil(bound)  # a ball fails exactly when it has need vertices
+        # A ball fails exactly when it has need vertices; need = len(adj) + 1
+        # when none can.
+        need = _ceil_power(base, rate, n, len(adj))
         # A component smaller than the bound holds no failing ball; it stays
         # out of every later search, as the bound only grows.
         components = [(members, reach) for members, reach in components if len(members) >= need]
@@ -600,25 +641,20 @@ def default_window_params(adj: Sequence[Sequence[int]], eps: Fraction = Fraction
             return n
         members, reach = failing
         if reach > 3 * n:
-            n, bound = n + 1, bound * base
+            n += 1
             continue
         # B(least vertex, 3n) is the whole failing component, so it fails
         # for every larger n while base^n <= the component's size.  Jump
-        # past those: estimate the last one in floats, settle it with one
-        # exact power.  Jumping only once such a ball is saturated keeps
-        # these powers to one per component size.
+        # past those: estimate the last one in floats, then settle it.
         size = len(members)
-        rate = math.log1p(eps)
         if not rate or math.log(size) / rate >= MAX_WINDOW_N:
             raise ValueError(f"window parameter n would exceed {MAX_WINDOW_N}")
         m = max(n, math.floor(math.log(size) / rate))
-        power = base ** m
-        while power > size:
+        while _power_exceeds(base, rate, m, size):
             m -= 1
-            power = base ** m
-        n, bound = m + 1, power * base
-        while bound <= size:
-            n, bound = n + 1, bound * base
+        n = m + 1
+        while not _power_exceeds(base, rate, n, size):
+            n += 1
 
 
 def find_window(adj: Sequence[Sequence[int]], weights: Sequence[int], eps: Fraction, n: int) -> Window:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from lllkit import bundled_instances, counting, engine, graphs, instance_to_json, landscapes
+from lllkit import bundled_instances, counting, engine, graphs, instance_to_json, instances, landscapes
 from lllkit.instances import from_cnf, random_bounded_overlap_sat
 from lllkit.cli import build_system, main
 
@@ -169,6 +169,18 @@ class TestDependencyGraphOnce:
         assert main(["solve", "--dimacs", dimacs_file, "--seed", "1"]) == 0
         assert len(calls) == 1
 
+    def test_generate_builds_its_instance_once(self, monkeypatch, capsys):
+        # the generator's self-check builds the graph the solve then uses
+        calls = {"from_cnf": 0, "build_rel": 0}
+        for module, name in ((instances, "from_cnf"), (graphs, "build_rel")):
+            def counted(*args, _fn=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        assert main(["solve", "--generate", "2000,3", "--seed", "1"]) == 0
+        assert calls == {"from_cnf": 1, "build_rel": 1}
+
     @pytest.mark.parametrize("spec", ["singletons", "auto", "1"])
     def test_system_shares_the_graphs_rel(self, spec):
         graph, rule = bundled_instances()["chain"]
@@ -325,6 +337,17 @@ class TestInputValidation:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert "words" in captured.err and captured.out == ""
+
+    def test_long_denominator_eps_ends(self):
+        # n is about 986,520; the exact power (1 + eps)^n alone once ran for minutes
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        eps = "0.0000026" + "0" * 300 + "1"
+        proc = subprocess.run(
+            [sys.executable, "-m", "lllkit.cli", "solve", "--bundled", "chain", "--eps", eps],
+            capture_output=True, text=True, timeout=10, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["certified"] is True
 
     def test_f0_accepted(self, capsys):
         f0 = json.dumps([1] * 24)

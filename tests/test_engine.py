@@ -24,7 +24,7 @@ from lllkit import (
 )
 from lllkit.engine import RunState, step
 from lllkit.instances import TorusSpec, default_translates, random_instance, torus_instance
-from lllkit import properties
+from lllkit import counting, properties
 from lllkit.properties import random_system
 
 
@@ -559,6 +559,81 @@ class TestLoopOracle:
             assert again.status == first.status
             assert again.assignments == first.assignments
             assert again.to_jsonl() == first.to_jsonl()
+
+
+def fresh_copy(system: MtaSystem) -> MtaSystem:
+    """The same system with nothing built or remembered."""
+    return MtaSystem.build(system.graph, system.rule, system.partition, system.order)
+
+
+def run_fields(trace: RunTrace) -> tuple:
+    return trace.initial, trace.resampled, trace.drawn, trace.final, trace.h_final, trace.status
+
+
+def start_systems(rng: random.Random, count: int):
+    """Awkward systems, sparse-partition systems and singleton-part systems in turn."""
+    for i in range(count):
+        if i % 3 == 0:
+            yield awkward_system(rng)
+        elif i % 3 == 1:
+            yield random_system(rng, mixed_width=bool(i % 2))
+        else:
+            graph, rule = random_instance(rng, mixed_width=bool(i % 2))
+            yield MtaSystem.build(graph, rule, Partition.singletons(graph.vertex_count))
+
+
+class TestSharedStart:
+    """Runs on one system share the start it keeps for the last f.  Every
+    run on a system that has started from other f values before must equal
+    the run of a fresh system, which ``step`` checks round by round."""
+
+    def test_repeated_and_alternating_starts(self, rng):
+        seen = {"ordered": 0, "satisfied_start": 0, "exhausted_in_round_1": 0}
+        for system in start_systems(rng, 210):
+            n, b = system.graph.vertex_count, system.b
+            zeros = [0] * n
+            drawn = [rng.randrange(b) for _ in range(n)]
+            satisfied = run_until_satisfied(fresh_copy(system), drawn, RandomTape.stream(b, 1), 50).final
+            seen["ordered"] += system.loop_tables()[1] is not None
+            for f in (zeros, drawn, tuple(drawn), zeros, satisfied, drawn, zeros):
+                seed = rng.randrange(2**30)
+                for tape in (RandomTape.stream(b, seed),
+                             RandomTape.finite_random(b, system.p, rng.randint(0, 3), seed)):
+                    k = rng.choice((0, 1, 4))
+                    trace = run_k(system, f, k, tape)
+                    assert run_fields(trace) == run_fields(
+                        assert_run_matches_step(fresh_copy(system), f, k, tape))
+                    seen["exhausted_in_round_1"] += trace.status == "tape_exhausted" and trace.k == 0
+                    until = run_until_satisfied(system, f, tape, 20)
+                    assert run_fields(until) == run_fields(run_until_satisfied(fresh_copy(system), f, tape, 20))
+                seen["satisfied_start"] += not system.start(tuple(f))[0]
+                classic = classic_parallel_mta(system, f, seed, 20)
+                assert run_fields(classic) == run_fields(classic_parallel_mta(fresh_copy(system), f, seed, 20))
+        assert all(count > 20 for count in seen.values()), seen
+
+    def test_start_is_kept_for_the_last_f_by_value(self, rng):
+        system = awkward_system(rng)
+        while not system.start(tuple([0] * system.graph.vertex_count))[0]:
+            system = awkward_system(rng)
+        n = system.graph.vertex_count
+        start = system.start(tuple([0] * n))
+        assert system.start(tuple([0] * n))[1] is start[1]
+        violated, plan = start
+        assert plan is not None and violated == violating_set(system.graph, system.rule, [0] * n)
+        assert run_k(system, [0] * n, 1, RandomTape.stream(system.b, 3)).resampled[0] is plan.chosen
+        other = tuple([system.b - 1] * n)
+        assert system.start(other)[0] == violating_set(system.graph, system.rule, other)
+        assert system.start(tuple([0] * n))[1] is not start[1]
+
+    def test_tail_pool_matches_map(self):
+        graph, rule = torus_instance(TorusSpec(2, 8, default_translates(2, 10), 2))
+        f, grid = [0] * graph.vertex_count, range(6)
+        estimates = []
+        for run_map in (map, counting.process_map(2)):
+            system = MtaSystem.build(graph, rule, Partition.singletons(graph.vertex_count))
+            estimates.append(counting.tail_estimate(system, f, range(40), grid, 200, run_map=run_map))
+        assert estimates[0] == estimates[1]
+        assert 0 < estimates[0].exceed_counts[1] < 40
 
 
 class TestClassicPinned:

@@ -59,7 +59,11 @@ def _check_seed(args) -> None:
         raise CliError(f"--seed must fit in 64 signed bits, got {args.seed}")
 
 
-def load_instance_from_config(cfg: dict):
+def load_instance_from_config(cfg: dict, with_report: bool = False):
+    """(graph, rule) of an instance source.  With ``with_report``, (graph,
+    rule, report): the tight condition report the source already made, or
+    None; only the generator makes one, as it certifies what it emits."""
+    report = None
     kind = cfg.get("kind")
     if kind == "dimacs":
         try:
@@ -72,13 +76,12 @@ def load_instance_from_config(cfg: dict):
         except ValueError as exc:
             raise CliError(f"DIMACS parse error: {exc}")
         graph, rule, _ = instances.from_cnf(cnf)
-        return graph, rule
-    if kind == "json":
+    elif kind == "json":
         try:
-            return instances.load_instance(cfg["path"])
+            graph, rule = instances.load_instance(cfg["path"])
         except (OSError, ValueError) as exc:
             raise CliError(f"instance load error: {exc}")
-    if kind == "torus":
+    elif kind == "torus":
         try:
             translates = cfg.get("translates")
             if translates is None:
@@ -86,25 +89,26 @@ def load_instance_from_config(cfg: dict):
             else:
                 translates = tuple(tuple(t) for t in translates)
             spec = instances.TorusSpec(cfg["dimension"], cfg["side"], translates, cfg["colors"])
-            return instances.torus_instance(spec)
+            graph, rule = instances.torus_instance(spec)
         except (KeyError, ValueError) as exc:
             raise CliError(f"torus spec error: {exc}")
-    if kind == "generator":
+    elif kind == "generator":
         try:
             # The generator's own condition check built the graph and rule.
-            _, graph, rule = instances._bounded_overlap_sat(
+            _, graph, rule, report = instances._bounded_overlap_sat(
                 cfg["clauses"], cfg["delta"], cfg.get("seed", 0)
             )
         except ValueError as exc:
             raise CliError(f"generator error: {exc}")
-        return graph, rule
-    if kind == "bundled":
+    elif kind == "bundled":
         bundle = instances.bundled_instances()
         name = cfg.get("name")
         if name not in bundle:
             raise CliError(f"unknown bundled instance {name!r}; have {sorted(bundle)}")
-        return bundle[name]
-    raise CliError(f"unknown instance kind {cfg.get('kind')!r}")
+        graph, rule = bundle[name]
+    else:
+        raise CliError(f"unknown instance kind {cfg.get('kind')!r}")
+    return (graph, rule, report) if with_report else (graph, rule)
 
 
 def _parse_order(order_cfg, n: int):
@@ -181,11 +185,12 @@ def _parse_f0(text: str | None, n: int, b: int) -> list[int]:
 def cmd_solve(args) -> int:
     _check_non_negative(args, "cap")
     _check_seed(args)
-    graph, rule = load_instance_from_config(_instance_config_from_args(args))
+    graph, rule, report = load_instance_from_config(_instance_config_from_args(args), with_report=True)
     for x in rule.support:
         if rule.complement_size(x) == rule.full_size(x):
             raise CliError(f"vertex {x} allows no assignment; the instance is unsatisfiable")
-    report = instances.check_lll_condition(graph, rule, variant="tight")
+    if report is None:
+        report = instances.check_lll_condition(graph, rule, variant="tight")
     worst = min(report.entries, key=lambda e: e.margin, default=None)
     if not report.all_pass:
         msg = (

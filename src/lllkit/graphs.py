@@ -77,10 +77,7 @@ class VariableGraph:
     def sym_adj(self) -> tuple[Word, ...]:
         """Symmetrized adjacency (var and cl merged), for graph metrics."""
         if self._sym is None:
-            self._sym = tuple(
-                tuple(sorted(set(self.out_adj[x]) | set(self.in_adj[x])))
-                for x in range(self.vertex_count)
-            )
+            self._sym = tuple([tuple(sorted({*var, *cl})) for var, cl in zip(self.out_adj, self.in_adj)])
         return self._sym
 
     @property
@@ -223,7 +220,7 @@ class RelGraph:
     """
 
     def __init__(self, nbrs: Iterable[Iterable[int]]):
-        self.nbrs: tuple[Word, ...] = tuple(tuple(row) for row in nbrs)
+        self.nbrs: tuple[Word, ...] = tuple(map(tuple, nbrs))
         self._noself: tuple[Word, ...] | None = None
         self._index: list[dict[int, int] | None] = [None] * len(self.nbrs)
 
@@ -266,9 +263,7 @@ def build_rel(graph: VariableGraph) -> RelGraph:
     exactly this order.
     """
     cl = graph.in_adj
-    return RelGraph(
-        dict.fromkeys(y for v in graph.var(x) for y in cl[v]) for x in range(graph.vertex_count)
-    )
+    return RelGraph([dict.fromkeys([y for v in row for y in cl[v]]) for row in graph.out_adj])
 
 
 @dataclass(frozen=True)
@@ -341,11 +336,33 @@ def ball(adj: Adjacency, x: int, r: int, limit: int | None = None) -> set[int]:
     return found
 
 
-def _components(adj: Adjacency) -> list[tuple[list[int], int]]:
-    """Connected components of a symmetric graph in one O(V + E) pass,
-    ordered by least vertex.  Each is (its vertices in increasing order,
-    its reach): the largest distance from its least vertex, found by one
-    breadth-first search from there."""
+# The last tuple adjacency given to ``_components`` and its components.
+_last_components: tuple[Adjacency, tuple[tuple[Word, int], ...]] | None = None
+
+
+def _components(adj: Adjacency) -> tuple[tuple[Word, int], ...]:
+    """Connected components of a symmetric graph, ordered by least vertex.
+    Each is (its vertices in increasing order, its reach): the largest
+    distance from its least vertex.
+
+    The result for the last adjacency that is a tuple of tuples is kept,
+    held by reference and matched by identity, so the window search and
+    the partition of one graph share one pass; a list is never kept, as
+    it may change between calls.
+    """
+    global _last_components
+    last = _last_components
+    if last is not None and last[0] is adj:
+        return last[1]
+    components = _component_pass(adj)
+    if type(adj) is tuple and set(map(type, adj)) <= {tuple}:
+        _last_components = adj, components
+    return components
+
+
+def _component_pass(adj: Adjacency) -> tuple[tuple[Word, int], ...]:
+    """``_components`` in one O(V + E) pass: each reach is found by one
+    breadth-first search from the component's least vertex."""
     label = [-1] * len(adj)
     reach: list[int] = []
     for s in range(len(adj)):
@@ -367,7 +384,7 @@ def _components(adj: Adjacency) -> list[tuple[list[int], int]]:
     members: list[list[int]] = [[] for _ in reach]
     for x, c in enumerate(label):
         members[c].append(x)
-    return list(zip(members, reach))
+    return tuple(zip(map(tuple, members), reach))
 
 
 def interior(adj: Adjacency, subset: Iterable[int], i: int) -> set[int]:

@@ -50,17 +50,14 @@ class CnfInstance:
         canon = []
         seen = set()
         for idx, clause in enumerate(clauses):
-            lits = tuple(sorted(((v, s) for v, s in clause), key=lambda t: t[0]))
-            if not lits:
-                raise ValueError(f"clause {idx} is empty")
-            vs = [v for v, _ in lits]
-            if len(set(vs)) != len(vs):
-                raise ValueError(f"clause {idx} repeats a variable: {lits}")
-            for v, s in lits:
-                if not 0 <= v < variable_count:
-                    raise ValueError(f"clause {idx} uses variable {v} outside 0..{variable_count - 1}")
-                if s not in (1, -1):
-                    raise ValueError(f"clause {idx} has sign {s}, expected +1/-1")
+            # Distinct variables, all in range and signed +-1: the plain sort
+            # is then the sort by variable.
+            if clause and len(
+                {v for v, s in clause if 0 <= v < variable_count and s in (1, -1)}
+            ) == len(clause):
+                lits = tuple(sorted(map(tuple, clause)))
+            else:
+                lits = _checked_clause(idx, clause, variable_count)
             if lits in seen:
                 raise ValueError(f"clause {idx} duplicates an earlier clause: {lits}")
             seen.add(lits)
@@ -88,6 +85,22 @@ class CnfInstance:
         return f"CnfInstance({self.variable_count} vars, {self.clause_count} clauses)"
 
 
+def _checked_clause(idx: int, clause: Sequence[Literal], variable_count: int) -> tuple[Literal, ...]:
+    """A clause sorted by variable, or the ValueError naming its first fault."""
+    lits = tuple(sorted(((v, s) for v, s in clause), key=lambda t: t[0]))
+    if not lits:
+        raise ValueError(f"clause {idx} is empty")
+    vs = [v for v, _ in lits]
+    if len(set(vs)) != len(vs):
+        raise ValueError(f"clause {idx} repeats a variable: {lits}")
+    for v, s in lits:
+        if not 0 <= v < variable_count:
+            raise ValueError(f"clause {idx} uses variable {v} outside 0..{variable_count - 1}")
+        if s not in (1, -1):
+            raise ValueError(f"clause {idx} has sign {s}, expected +1/-1")
+    return lits
+
+
 def parse_dimacs(text: str, clause_size: int | None = 3) -> CnfInstance:
     """Parse DIMACS CNF text.
 
@@ -95,18 +108,24 @@ def parse_dimacs(text: str, clause_size: int | None = 3) -> CnfInstance:
     ``clause_size=3`` enforces 3-SAT, ``None`` accepts any clause width.
     """
     header: tuple[int, int] | None = None
-    tokens: list[int] = []
+    body: list[str] = []
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("c") or line.startswith("%"):
             continue
         if line.startswith("p"):
             parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ValueError(f"bad problem line: {line!r}")
-            header = (int(parts[2]), int(parts[3]))
+            try:
+                if len(parts) != 4 or parts[1] != "cnf":
+                    raise ValueError(f"bad problem line: {line!r}")
+                header = (int(parts[2]), int(parts[3]))
+            except ValueError:
+                # A bad token on an earlier line is the first fault.
+                list(map(int, " ".join(body).split()))
+                raise
             continue
-        tokens.extend(int(t) for t in line.split())
+        body.append(line)
+    tokens = list(map(int, " ".join(body).split()))
     if header is None:
         raise ValueError("missing 'p cnf' header")
     n_vars, n_clauses = header
@@ -141,13 +160,13 @@ def from_cnf(cnf: CnfInstance) -> tuple[VariableGraph, LocalRule, list[tuple[str
     a role map vertex -> ("clause", i) | ("var", j).
     """
     m, n = cnf.clause_count, cnf.variable_count
-    out_adj: list[tuple[int, ...]] = []
-    forbidden: list[frozenset[Word]] = []
-    for clause in cnf.clauses:
-        out_adj.append(tuple(m + v for v, _ in clause))
-        forbidden.append(frozenset([tuple(0 if s > 0 else 1 for _, s in clause)]))
-    out_adj.extend(() for _ in range(n))
-    forbidden.extend(frozenset() for _ in range(n))
+    out_adj: list[tuple[int, ...]] = [tuple([m + v for v, _ in clause]) for clause in cnf.clauses]
+    words = [tuple([0 if s > 0 else 1 for _, s in clause]) for clause in cnf.clauses]
+    # One set per sign pattern, so the rule validates each pattern once.
+    shared = {word: frozenset([word]) for word in set(words)}
+    forbidden: list[frozenset[Word]] = list(map(shared.__getitem__, words))
+    out_adj += [()] * n
+    forbidden += [frozenset()] * n
     graph = VariableGraph(out_adj)
     rule = LocalRule(2, forbidden, [len(row) for row in out_adj])
     roles = [("clause", i) for i in range(m)] + [("var", j) for j in range(n)]
@@ -165,9 +184,11 @@ def random_bounded_overlap_sat(n_clauses: int, delta_target: int, seed: int) -> 
     return _bounded_overlap_sat(n_clauses, delta_target, seed)[0]
 
 
-def _bounded_overlap_sat(n_clauses: int, delta_target: int,
-                         seed: int) -> tuple[CnfInstance, VariableGraph, LocalRule]:
-    """``random_bounded_overlap_sat`` with the graph and rule its check built."""
+def _bounded_overlap_sat(
+    n_clauses: int, delta_target: int, seed: int
+) -> tuple[CnfInstance, VariableGraph, LocalRule, ConditionReport]:
+    """``random_bounded_overlap_sat`` with the graph, rule and tight condition
+    report its check built."""
     if delta_target not in (1, 2, 3):
         raise ValueError("delta_target must be 1, 2 or 3")
     if n_clauses < 1:
@@ -205,7 +226,7 @@ def _bounded_overlap_sat(n_clauses: int, delta_target: int,
     report = check_lll_condition(graph, rule, variant="tight")
     if not report.all_pass:
         raise AssertionError("generated instance fails its own condition")
-    return instance, graph, rule
+    return instance, graph, rule, report
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +541,7 @@ def disjoint_clause_instance(n_clauses: int = 6) -> tuple[VariableGraph, LocalRu
 
 def chain_sat_instance(n_clauses: int = 8, seed: int = 11) -> tuple[VariableGraph, LocalRule]:
     """A chain-shaped 3-CNF with dependency degree 3."""
-    _, graph, rule = _bounded_overlap_sat(n_clauses, 3, seed)
+    _, graph, rule, _ = _bounded_overlap_sat(n_clauses, 3, seed)
     return graph, rule
 
 

@@ -214,15 +214,6 @@ class DecoratedLandscape:
             and self.part_of == other.part_of
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "vertices": sorted(self.verts),
-            "parents": sorted((list(c), list(p)) for c, p in self.parent.items()),
-            "prev": sorted((list(v), list(w)) for v, w in self.prev.items()),
-            "final": list(self.final),
-            "parts": list(self.part_of),
-        }
-
 
 def canvas_sources(rel: RelGraph, verts: Container[ForestVertex], v: ForestVertex) -> list[ForestVertex]:
     """The members of ``verts`` with a canvas edge into v, in label order

@@ -14,6 +14,7 @@ appearances) must equal the sort by edge label; ``check_lll_condition``
 
 import bisect
 import functools
+import json
 import math
 import random
 from fractions import Fraction
@@ -21,7 +22,9 @@ from fractions import Fraction
 import pytest
 
 from lllkit import (
+    CnfInstance,
     ConditionReport,
+    LocalRule,
     Partition,
     RelGraph,
     TorusSpec,
@@ -33,12 +36,16 @@ from lllkit import (
     default_window_params,
     from_cnf,
     greedy_mis,
+    graphs,
+    instances,
     params,
+    parse_dimacs,
     random_bounded_overlap_sat,
     sparse_partition,
     torus_instance,
 )
-from lllkit.graphs import _bfs_distances
+from lllkit.cli import build_system, main
+from lllkit.graphs import _bfs_distances, _components
 from lllkit.landscapes import _ceil_power, _float_log1p, _power_exceeds
 from lllkit.instances import (
     ConditionEntry,
@@ -357,3 +364,386 @@ class TestConditionOracle:
     def test_generated_cnf(self):
         graph, rule, _ = from_cnf(random_bounded_overlap_sat(2000, 3, 0))
         self.assert_same(graph, rule)
+
+
+# ---------------------------------------------------------------------------
+# One pass per set-up stage: DIMACS tokenising, canonical clauses, sym_adj,
+# shared sign patterns, one component pass, one condition check
+# ---------------------------------------------------------------------------
+
+
+def reference_canonical(variable_count, clauses):
+    """The canonicalisation ``CnfInstance`` did before its plain-sort fast
+    path: a keyed sort by variable, then the checks literal by literal."""
+    canon = []
+    seen = set()
+    for idx, clause in enumerate(clauses):
+        lits = tuple(sorted(((v, s) for v, s in clause), key=lambda t: t[0]))
+        if not lits:
+            raise ValueError(f"clause {idx} is empty")
+        vs = [v for v, _ in lits]
+        if len(set(vs)) != len(vs):
+            raise ValueError(f"clause {idx} repeats a variable: {lits}")
+        for v, s in lits:
+            if not 0 <= v < variable_count:
+                raise ValueError(f"clause {idx} uses variable {v} outside 0..{variable_count - 1}")
+            if s not in (1, -1):
+                raise ValueError(f"clause {idx} has sign {s}, expected +1/-1")
+        if lits in seen:
+            raise ValueError(f"clause {idx} duplicates an earlier clause: {lits}")
+        seen.add(lits)
+        canon.append(lits)
+    return variable_count, tuple(canon)
+
+
+def reference_parse_dimacs(text, clause_size=3):
+    """``parse_dimacs`` before it tokenised in one pass: tokens converted
+    line by line, then ``reference_canonical``."""
+    header = None
+    tokens = []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("c") or line.startswith("%"):
+            continue
+        if line.startswith("p"):
+            parts = line.split()
+            if len(parts) != 4 or parts[1] != "cnf":
+                raise ValueError(f"bad problem line: {line!r}")
+            header = (int(parts[2]), int(parts[3]))
+            continue
+        tokens.extend(int(t) for t in line.split())
+    if header is None:
+        raise ValueError("missing 'p cnf' header")
+    n_vars, n_clauses = header
+    clauses = []
+    current = []
+    for t in tokens:
+        if t == 0:
+            if current:
+                clauses.append(current)
+                current = []
+            continue
+        v = abs(t) - 1
+        if v >= n_vars:
+            raise ValueError(f"literal {t} exceeds declared variable count {n_vars}")
+        current.append((v, 1 if t > 0 else -1))
+    if current:
+        raise ValueError("last clause is not 0-terminated")
+    if len(clauses) != n_clauses:
+        raise ValueError(f"header declares {n_clauses} clauses, found {len(clauses)}")
+    if clause_size is not None:
+        for i, clause in enumerate(clauses):
+            if len(clause) != clause_size:
+                raise ValueError(f"clause {i} has {len(clause)} literals, expected {clause_size}")
+    return reference_canonical(n_vars, clauses)
+
+
+def outcome(build):
+    """("ok", variable count, clauses) of a CNF build, or ("error", message)."""
+    try:
+        result = build()
+    except ValueError as exc:
+        return "error", str(exc)
+    if isinstance(result, CnfInstance):
+        result = result.variable_count, result.clauses
+    return ("ok", *result)
+
+
+# Each fault and a fragment of the first error it causes.
+DIMACS_FAULTS = {
+    "bad p line": "",  # "bad problem line" or the int() message of a bad count
+    "missing header": "missing 'p cnf' header",
+    "literal above count": "exceeds declared variable count",
+    "missing final 0": "not 0-terminated",
+    "wrong clause count": "header declares",
+    "wrong width": "literals, expected 3",
+    "repeated variable": "repeats a variable",
+    "duplicate clause": "duplicates an earlier clause",
+    "non-integer token": "invalid literal for int()",
+}
+
+
+def dimacs_case(rng):
+    """(text, clause_size, fault or None): a random DIMACS text with ``c``,
+    ``%`` and blank lines, LF, CRLF or CR line ends, clauses spread over
+    lines and several on one line, widths 1..5 under ``clause_size=None``,
+    and at most one fault."""
+    fault = rng.choice([None] * 4 + list(DIMACS_FAULTS))
+    clause_size = 3 if fault == "wrong width" else rng.choice((3, None))
+    n_vars = rng.randint(5, 9)
+    clauses = []
+    for _ in range(rng.randint(1, 8)):
+        width = 3 if clause_size else rng.randint(1, 5)
+        clause = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n_vars + 1), width)]
+        if {*clause} not in [{*c} for c in clauses]:
+            clauses.append(clause)
+    count = len(clauses)
+    target = rng.choice(clauses)
+    if fault == "literal above count":
+        target[rng.randrange(len(target))] = rng.choice((1, -1)) * (n_vars + rng.randint(1, 3))
+    elif fault == "wrong width":
+        target[:] = target[:2] if rng.random() < 0.5 else target + [
+            rng.choice([v for v in range(1, n_vars + 1) if v not in map(abs, target)])
+        ]
+    elif fault == "repeated variable":
+        if len(target) == 1:
+            target.append(target[0])
+        target[-1] = rng.choice((1, -1)) * abs(target[0])
+    elif fault == "duplicate clause":
+        clauses.append(rng.sample(target, len(target)))
+        count += 1
+    elif fault == "wrong clause count":
+        count += rng.choice((-1, 1))
+    tokens = [str(lit) for clause in clauses for lit in clause + [0] * rng.choice((1, 1, 1, 2))]
+    if fault == "missing final 0":
+        while tokens[-1] == "0":
+            tokens.pop()
+    elif fault == "non-integer token":
+        tokens.insert(rng.randint(0, len(tokens)), rng.choice(("x", "1.5", "3x", "--2", "1e3", "0x1")))
+    lines = [[]]
+    for token in tokens:
+        lines[-1].append(token)
+        if rng.random() < 0.3:
+            lines.append([])
+    lines = [" " * rng.randint(0, 2) + rng.choice((" ", "  ", "\t")).join(line) for line in lines]
+    for _ in range(rng.randint(0, 4)):
+        lines.insert(rng.randint(0, len(lines)), rng.choice(("c a comment", "c", "%", "% 0", "", "   ")))
+    header = f"p cnf {n_vars} {count}"
+    if fault == "bad p line":
+        header = rng.choice((f"p dnf {n_vars} {count}", f"p cnf {n_vars}", f"p cnf x {count}",
+                             f"p cnf {n_vars} {count} 1", "p", f"p cnf {n_vars} 2.0"))
+    if fault != "missing header":
+        lines.insert(0 if rng.random() < 0.7 else rng.randint(0, len(lines)), header)
+    if rng.random() < 0.2 and fault != "missing final 0":
+        lines += ["%", "0"]  # the SATLIB ending
+    end = rng.choice(("\n", "\n", "\r\n", "\r"))
+    return end.join(lines) + end * rng.randint(0, 1), clause_size, fault
+
+
+class TestDimacsOracle:
+    def test_fuzzed_texts(self):
+        rng = random.Random(20261024)
+        errors = {}
+        parsed = 0
+        for _ in range(600):
+            text, clause_size, fault = dimacs_case(rng)
+            got = outcome(lambda: parse_dimacs(text, clause_size))
+            assert got == outcome(lambda: reference_parse_dimacs(text, clause_size)), (text, clause_size)
+            if fault is None:
+                assert got[0] == "ok", (text, got)
+                parsed += 1
+            else:
+                assert got[0] == "error" and DIMACS_FAULTS[fault] in got[1], (fault, text, got)
+                errors[fault] = errors.get(fault, 0) + 1
+        assert parsed >= 100
+        assert set(errors) == set(DIMACS_FAULTS) and min(errors.values()) >= 20, errors
+
+    @pytest.mark.parametrize("text", [
+        "1 2 x 0\np dnf 3 1\n",  # a bad token before a bad problem line
+        "1 2 x 0\np cnf y 1\n",
+        "p cnf 3 1\n1 2 3 0\np cnf 4 1\n",  # the last problem line counts
+        "p cnf 3 1\np cnf 3 q\n",
+        "c only comments\n%\n",
+        "p cnf 3 2\n1 2 3 0 0 0\n-1 2 3 0\n",
+        "p cnf -1 0\n0 0\n",
+        "p cnf 0 1\n1 0\n",
+    ])
+    def test_fault_order(self, text):
+        for clause_size in (3, None):
+            got = outcome(lambda: parse_dimacs(text, clause_size))
+            assert got == outcome(lambda: reference_parse_dimacs(text, clause_size))
+
+    LITERAL_FAULTS = ("is empty", "repeats a variable", "outside", "has sign", "duplicates")
+
+    def test_literal_lists(self):
+        """``CnfInstance`` on clause lists with every literal fault: empty
+        clauses, repeated variables with either sign, variables out of
+        range and signs other than +-1."""
+        rng = random.Random(20261025)
+        kinds = set()
+        for _ in range(800):
+            n = rng.randint(1, 6)
+            clauses = []
+            for _ in range(rng.randint(0, 5)):
+                width = rng.randint(0, min(n, 4))
+                clause = [(v, rng.choice((1, -1))) for v in rng.sample(range(n), width)]
+                if clause and rng.random() < 0.1:
+                    v, s = rng.choice(clause)
+                    clause.insert(rng.randint(0, len(clause)), (v, rng.choice((s, -s))))
+                if clause and rng.random() < 0.05:
+                    clause[rng.randrange(len(clause))] = (rng.choice((-1, n, n + 2)), 1)
+                if clause and rng.random() < 0.05:
+                    clause[rng.randrange(len(clause))] = (rng.randrange(n), rng.choice((0, 2, -2)))
+                if clauses and rng.random() < 0.05:
+                    clause = rng.sample(clauses[0], len(clauses[0]))
+                clauses.append(clause)
+            got = outcome(lambda: CnfInstance(n, clauses))
+            assert got == outcome(lambda: reference_canonical(n, clauses)), (n, clauses)
+            kinds.add(got[0] if got[0] == "ok" else next(k for k in self.LITERAL_FAULTS if k in got[1]))
+        assert kinds == {"ok", *self.LITERAL_FAULTS}
+
+
+def reference_sym_adj(graph):
+    """The construction ``sym_adj`` replaced: per vertex, the sorted union
+    of two sets built from var(x) and cl(x)."""
+    return tuple(
+        tuple(sorted(set(graph.out_adj[x]) | set(graph.in_adj[x])))
+        for x in range(graph.vertex_count)
+    )
+
+
+def oriented(adj, rng):
+    """A variable graph keeping each edge of a symmetric graph one way or
+    both, with some self-loops and every var(x) shuffled."""
+    out = [[] for _ in adj]
+    for x, row in enumerate(adj):
+        for y in row:
+            if x < y:
+                way = rng.randrange(3)
+                if way != 1:
+                    out[x].append(y)
+                if way != 0:
+                    out[y].append(x)
+        if rng.random() < 0.3:
+            out[x].append(x)
+    for row in out:
+        rng.shuffle(row)
+    return VariableGraph(out)
+
+
+class TestSymAdjOracle:
+    def test_random_graphs(self):
+        rng = random.Random(20261026)
+        for adj in random_graphs():
+            for graph in (VariableGraph(adj), oriented(adj, rng)):
+                assert graph.sym_adj == reference_sym_adj(graph), graph.out_adj
+
+    def test_shuffled_cl_orders(self):
+        for graph in shuffled_variable_graphs(count=100):
+            assert graph.sym_adj == reference_sym_adj(graph), (graph.out_adj, graph.in_adj)
+
+    @pytest.mark.parametrize("name", ["disjoint", "chain", "torus"])
+    def test_bundled(self, name):
+        graph, _ = bundled_instances()[name]
+        assert graph.sym_adj == reference_sym_adj(graph)
+        assert all(type(row) is tuple for row in graph.sym_adj)
+
+
+def reference_components(adj):
+    """Components by a whole-graph BFS from each least unreached vertex."""
+    reached = set()
+    components = []
+    for s in range(len(adj)):
+        if s not in reached:
+            dist = _bfs_distances(adj, [s])
+            members = [x for x in range(len(adj)) if dist[x] != math.inf]
+            reached.update(members)
+            components.append((members, max(dist[x] for x in members)))
+    return components
+
+
+def listed(components):
+    return [(list(members), reach) for members, reach in components]
+
+
+@pytest.fixture
+def component_passes(monkeypatch):
+    """Counts the component passes made from here on, with no kept result."""
+    passes = []
+    real = graphs._component_pass
+
+    def counting(adj):
+        passes.append(adj)
+        return real(adj)
+
+    monkeypatch.setattr(graphs, "_component_pass", counting)
+    monkeypatch.setattr(graphs, "_last_components", None)
+    return passes
+
+
+class TestComponentsKept:
+    def test_random_graphs(self):
+        for adj in random_graphs():
+            for form in (adj, tuple(adj)):
+                assert listed(_components(form)) == reference_components(adj), adj
+
+    @pytest.mark.parametrize("name", NAMED)
+    def test_named_graphs(self, name):
+        adj = named_graphs()[name]
+        assert listed(_components(adj)) == reference_components(adj)
+
+    def test_one_pass_per_auto_build(self, component_passes):
+        graph, rule, _ = from_cnf(random_bounded_overlap_sat(2000, 3, 0))
+        for graph, rule in [(graph, rule), *bundled_instances().values()]:
+            before = len(component_passes)
+            build_system(graph, rule, "auto", Fraction(1, 2))
+            assert component_passes[before:] == [graph.sym_adj]
+
+    def test_identity_not_equality_of_size(self, component_passes):
+        """Two tuple graphs of one size, asked for in turn, each get their own
+        components; asking again for the same object makes no pass."""
+        a = tuple(path(6))
+        b = tuple(disjoint_union([path(2), path(4)], random.Random(1)))
+        for adj in (a, a, b, b, a, b):
+            assert listed(_components(adj)) == reference_components(adj)
+        assert component_passes == [a, b, a, b]
+
+    def test_list_adjacency_is_never_kept(self, component_passes):
+        adj = [(1,), (0,), ()]
+        assert listed(_components(adj)) == [([0, 1], 1), ([2], 0)]
+        adj[1], adj[2] = (0, 2), (1,)  # join vertex 2 to the path
+        assert listed(_components(adj)) == [([0, 1, 2], 2)]
+        rows = ([1], [0], [])  # a tuple, but of lists that may change
+        assert listed(_components(rows)) == [([0, 1], 1), ([2], 0)]
+        rows[1].append(2)
+        rows[2].append(1)
+        assert listed(_components(rows)) == [([0, 1, 2], 2)]
+        assert len(component_passes) == 4
+
+    def test_window_and_partition_of_a_list_each_pass(self, component_passes):
+        adj = path(30)
+        n = default_window_params(adj, Fraction(1, 2))
+        assert sparse_partition(adj, 3 * n) == iterated_mis_partition(adj, 3 * n)
+        assert len(component_passes) == 2
+
+
+class TestSharedSignPatterns:
+    def test_three_cnf_has_at_most_eight_sets(self):
+        cnf = random_bounded_overlap_sat(2000, 3, 0)
+        graph, rule, _ = from_cnf(cnf)
+        m = cnf.clause_count
+        assert len({id(ws) for ws in rule.forbidden[:m]}) <= 8
+        assert len({id(ws) for ws in rule.forbidden[m:]}) == 1 and not rule.forbidden[m]
+        # the same sets as one fresh set per clause
+        words = [tuple(0 if s > 0 else 1 for _, s in clause) for clause in cnf.clauses]
+        assert rule == LocalRule(2, [frozenset([w]) for w in words] + [frozenset()] * cnf.variable_count,
+                                 rule.word_lengths)
+
+    def test_mixed_widths(self):
+        cnf = parse_dimacs("p cnf 5 5\n1 0\n-2 0\n1 -3 0\n-4 5 0\n-1 2 3 4 -5 0\n", clause_size=None)
+        _, rule, _ = from_cnf(cnf)
+        assert rule.forbidden[:5] == (
+            frozenset([(0,)]), frozenset([(1,)]), frozenset([(0, 1)]), frozenset([(1, 0)]),
+            frozenset([(1, 0, 0, 0, 1)]),
+        )
+
+
+def test_generate_checks_the_condition_once(monkeypatch, capsys):
+    """``solve --generate`` reuses the report of the generator's own check,
+    and prints the condition a fresh check gives."""
+    calls = []
+    real = instances.check_lll_condition
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(instances, "check_lll_condition", counting)
+    assert main(["solve", "--generate", "2000,3", "--seed", "0"]) == 0
+    assert len(calls) == 1
+    printed = json.loads(capsys.readouterr().out)["condition"]
+    graph, rule, _ = from_cnf(random_bounded_overlap_sat(2000, 3, 0))
+    report = real(graph, rule, "tight")
+    worst = min(e.margin for e in report.entries)
+    assert printed == {"variant": "tight", "delta": report.delta, "threshold": str(report.threshold_lo),
+                       "worst_margin": str(worst), "all_pass": True}

@@ -59,11 +59,8 @@ def _check_seed(args) -> None:
         raise CliError(f"--seed must fit in 64 signed bits, got {args.seed}")
 
 
-def load_instance_from_config(cfg: dict, with_report: bool = False):
-    """(graph, rule) of an instance source.  With ``with_report``, (graph,
-    rule, report): the tight condition report the source already made, or
-    None; only the generator makes one, as it certifies what it emits."""
-    report = None
+def load_instance_from_config(cfg: dict):
+    """(graph, rule) of an instance source."""
     kind = cfg.get("kind")
     if kind == "dimacs":
         try:
@@ -72,7 +69,7 @@ def load_instance_from_config(cfg: dict, with_report: bool = False):
         except OSError as exc:
             raise CliError(f"cannot read {cfg['path']}: {exc}")
         try:
-            cnf = instances.parse_dimacs(text, clause_size=3 if cfg.get("strict3", True) else None)
+            cnf = instances.parse_dimacs(text)
         except ValueError as exc:
             raise CliError(f"DIMACS parse error: {exc}")
         graph, rule, _ = instances.from_cnf(cnf)
@@ -94,12 +91,10 @@ def load_instance_from_config(cfg: dict, with_report: bool = False):
             raise CliError(f"torus spec error: {exc}")
     elif kind == "generator":
         try:
-            # The generator's own condition check built the graph and rule.
-            _, graph, rule, report = instances._bounded_overlap_sat(
-                cfg["clauses"], cfg["delta"], cfg.get("seed", 0)
-            )
+            cnf = instances.random_bounded_overlap_sat(cfg["clauses"], cfg["delta"], cfg.get("seed", 0))
         except ValueError as exc:
             raise CliError(f"generator error: {exc}")
+        graph, rule, _ = instances.from_cnf(cnf)
     elif kind == "bundled":
         bundle = instances.bundled_instances()
         name = cfg.get("name")
@@ -108,7 +103,7 @@ def load_instance_from_config(cfg: dict, with_report: bool = False):
         graph, rule = bundle[name]
     else:
         raise CliError(f"unknown instance kind {cfg.get('kind')!r}")
-    return (graph, rule, report) if with_report else (graph, rule)
+    return graph, rule
 
 
 def _parse_order(order_cfg, n: int):
@@ -185,18 +180,14 @@ def _parse_f0(text: str | None, n: int, b: int) -> list[int]:
 def cmd_solve(args) -> int:
     _check_non_negative(args, "cap")
     _check_seed(args)
-    graph, rule, report = load_instance_from_config(_instance_config_from_args(args), with_report=True)
+    graph, rule = load_instance_from_config(_instance_config_from_args(args))
     for x in rule.support:
         if rule.complement_size(x) == rule.full_size(x):
             raise CliError(f"vertex {x} allows no assignment; the instance is unsatisfiable")
-    if report is None:
-        report = instances.check_lll_condition(graph, rule, variant="tight")
-    worst = min(report.entries, key=lambda e: e.margin, default=None)
+    report = instances.check_lll_condition(graph, rule, variant="tight")
+    worst = report.worst_margin
     if not report.all_pass:
-        msg = (
-            f"condition check failed (delta={report.delta}); "
-            f"worst margin {worst.margin if worst else '?'}"
-        )
+        msg = f"condition check failed (delta={report.delta}); worst margin {worst}"
         if not args.force:
             raise CliError(msg + "; pass --force to run anyway")
         print(f"warning: {msg}; proceeding under --force", file=sys.stderr)
@@ -214,7 +205,7 @@ def cmd_solve(args) -> int:
             "variant": report.variant,
             "delta": report.delta,
             "threshold": _fraction_str(report.threshold_lo),
-            "worst_margin": _fraction_str(worst.margin) if worst else None,
+            "worst_margin": None if worst is None else _fraction_str(worst),
             "all_pass": report.all_pass,
         },
         "certified": trace.status == "satisfied" and not leftover,

@@ -222,7 +222,6 @@ class RelGraph:
     def __init__(self, nbrs: Iterable[Iterable[int]]):
         self.nbrs: tuple[Word, ...] = tuple(map(tuple, nbrs))
         self._noself: tuple[Word, ...] | None = None
-        self._index: list[dict[int, int] | None] = [None] * len(self.nbrs)
 
     @property
     def vertex_count(self) -> int:
@@ -232,11 +231,7 @@ class RelGraph:
         return len(self.nbrs[x])
 
     def label(self, x: int, y: int) -> int:
-        idx = self._index[x]
-        if idx is None:
-            idx = {y: j for j, y in enumerate(self.nbrs[x])}
-            self._index[x] = idx
-        return idx[y]
+        return self.nbrs[x].index(y)
 
     def adjacent(self, x: int, y: int) -> bool:
         return y in self.nbrs[x]

@@ -178,17 +178,10 @@ def random_bounded_overlap_sat(n_clauses: int, delta_target: int, seed: int) -> 
 
     Clauses are laid out in chains; consecutive clauses of a chain share
     exactly one variable, so the dependency degree (self-loop included) is
-    at most delta_target.  Deterministic given the seed.  The emitted
-    instance is re-checked against the tight condition.
+    at most delta_target.  Deterministic given the seed.  Every clause fails
+    with probability 1/8, below the tight thresholds 1, 1/4 and 4/27 of
+    degrees 1, 2 and 3, so the instance passes the tight condition.
     """
-    return _bounded_overlap_sat(n_clauses, delta_target, seed)[0]
-
-
-def _bounded_overlap_sat(
-    n_clauses: int, delta_target: int, seed: int
-) -> tuple[CnfInstance, VariableGraph, LocalRule, ConditionReport]:
-    """``random_bounded_overlap_sat`` with the graph, rule and tight condition
-    report its check built."""
     if delta_target not in (1, 2, 3):
         raise ValueError("delta_target must be 1, 2 or 3")
     if n_clauses < 1:
@@ -221,12 +214,7 @@ def _bounded_overlap_sat(
             clauses.append([(v, rng.choice((1, -1))) for v in vs])
             prev_fresh = new_fresh
         remaining -= chain_len
-    instance = CnfInstance(next_var, clauses)
-    graph, rule, _ = from_cnf(instance)
-    report = check_lll_condition(graph, rule, variant="tight")
-    if not report.all_pass:
-        raise AssertionError("generated instance fails its own condition")
-    return instance, graph, rule, report
+    return CnfInstance(next_var, clauses)
 
 
 # ---------------------------------------------------------------------------
@@ -366,22 +354,13 @@ def e_bounds() -> tuple[Fraction, Fraction]:
 
 
 @dataclass(frozen=True)
-class ConditionEntry:
-    vertex: int
-    prob: Fraction
-    passes: bool
-    margin: Fraction  # certified threshold minus prob; positive iff passes
-
-
-@dataclass(frozen=True)
 class ConditionReport:
     variant: str
     delta: int
     threshold_lo: Fraction  # certified threshold (pass iff prob < this)
     threshold_hi: Fraction  # upper enclosure (equals lo for the tight variant)
-    entries: tuple[ConditionEntry, ...]
+    worst_margin: Fraction | None  # threshold_lo minus the largest prob; None if every prob is 0
     all_pass: bool
-    trivial_count: int  # vertices with failure probability 0, omitted from entries
 
 
 def tight_threshold(delta: int) -> Fraction:
@@ -399,7 +378,8 @@ def check_lll_condition(
     rule: LocalRule,
     variant: str = "tight",
 ) -> ConditionReport:
-    """Per-vertex comparison of failure probability against a threshold.
+    """Whether every vertex's failure probability is below a threshold, with
+    the threshold minus the largest probability as ``worst_margin``.
 
     variant "tight": p(x) < (delta-1)^(delta-1)/delta^delta (exact rationals).
     variant "symmetric": p(x) < 1/(e delta); e enters through a rational
@@ -408,37 +388,24 @@ def check_lll_condition(
     if variant not in ("tight", "symmetric"):
         raise ValueError(f"unknown variant {variant!r}")
     delta = params(graph, rule).delta
-    support = rule.support
     if delta == 0:
-        if support:
+        if rule.support:
             raise ValueError(
                 "inconsistent instance: nontrivial rule on a vertex with empty var set"
             )
         one = Fraction(1)
-        return ConditionReport(variant, 0, one, one, (), True, graph.vertex_count)
+        return ConditionReport(variant, 0, one, one, None, True)
     if variant == "tight":
         thr_lo = thr_hi = tight_threshold(delta)
     else:
         e_lo, e_hi = e_bounds()
         thr_lo = 1 / (e_hi * delta)
         thr_hi = 1 / (e_lo * delta)
-    # p(x) depends only on (|forbidden(x)|, word length), and instances
-    # have few such pairs: each case, (p, passes, margin) or () where p = 0,
-    # is computed once and its objects shared.
-    cases: dict[tuple[int, int], tuple] = {}
-    entries = []
-    trivial = 0
-    for x, key in enumerate(zip(map(len, rule.forbidden), rule.word_lengths)):
-        case = cases.get(key)
-        if case is None:
-            p = rule.failure_prob(x)
-            case = cases[key] = (p, p < thr_lo, thr_lo - p) if p else ()
-        if case:
-            entries.append(ConditionEntry(x, *case))
-        else:
-            trivial += 1
-    all_pass = all(case[1] for case in cases.values() if case)
-    return ConditionReport(variant, delta, thr_lo, thr_hi, tuple(entries), all_pass, trivial)
+    # p(x) = |forbidden(x)| / b^|var(x)|, so each distinct pair is one case.
+    cases = set(zip(map(len, rule.forbidden), rule.word_lengths))
+    p_max = max((Fraction(beta, rule.b**n) for beta, n in cases if beta), default=None)
+    worst = None if p_max is None else thr_lo - p_max
+    return ConditionReport(variant, delta, thr_lo, thr_hi, worst, worst is None or worst > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +508,7 @@ def disjoint_clause_instance(n_clauses: int = 6) -> tuple[VariableGraph, LocalRu
 
 def chain_sat_instance(n_clauses: int = 8, seed: int = 11) -> tuple[VariableGraph, LocalRule]:
     """A chain-shaped 3-CNF with dependency degree 3."""
-    _, graph, rule, _ = _bounded_overlap_sat(n_clauses, 3, seed)
+    graph, rule, _ = from_cnf(random_bounded_overlap_sat(n_clauses, 3, seed))
     return graph, rule
 
 

@@ -662,7 +662,7 @@ def find_window(adj: Sequence[Sequence[int]], weights: Sequence[int], eps: Fract
     dist = _bfs_distances(adj, [best])
     radius_max = 3 * n
     ball_size = sum(1 for d in dist if d <= radius_max)
-    if ball_size >= (1 + eps) ** n:
+    if not _power_exceeds(1 + eps, _float_log1p(eps), n, ball_size):
         raise WindowError(
             f"growth precondition fails: |B({best}, {radius_max})| = {ball_size} "
             f">= (1 + {eps})^{n}"

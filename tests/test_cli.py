@@ -170,7 +170,7 @@ class TestDependencyGraphOnce:
         assert len(calls) == 1
 
     def test_generate_builds_its_instance_once(self, monkeypatch, capsys):
-        # the generator's self-check builds the graph the solve then uses
+        # one graph for the generated instance, one rel for the check and the solve
         calls = {"from_cnf": 0, "build_rel": 0}
         for module, name in ((instances, "from_cnf"), (graphs, "build_rel")):
             def counted(*args, _fn=getattr(module, name), _name=name):

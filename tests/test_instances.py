@@ -250,10 +250,11 @@ class TestConditionCheck:
             check_lll_condition(g, rule, "tight")
 
     def test_margin_sign_matches_pass(self):
-        graph, rule = chain_sat_instance(6, seed=3)
-        report = check_lll_condition(graph, rule, "tight")
-        for entry in report.entries:
-            assert (entry.margin > 0) == entry.passes
+        star = self._instance([[0, 1, 2], [0, 3, 4], [1, 5, 6], [2, 7, 8]], 9, [(0, 0, 0)] * 4)
+        reports = [check_lll_condition(*instance, "tight") for instance in (chain_sat_instance(6, seed=3), star)]
+        assert [report.all_pass for report in reports] == [True, False]
+        for report in reports:
+            assert report.all_pass == (report.worst_margin is None or report.worst_margin > 0)
 
 
 class TestEBounds:
@@ -289,6 +290,15 @@ class TestGenerator:
             graph, rule, _ = from_cnf(cnf)
             rel = build_rel(graph)
             assert max(rel.degree(x) for x in range(graph.vertex_count)) <= delta_target
+
+    @pytest.mark.parametrize("delta_target", [1, 2, 3])
+    def test_every_instance_passes_the_tight_condition(self, delta_target):
+        # holds by construction: p = 1/8 per clause, below 1, 1/4 and 4/27
+        for n_clauses in (1, 6, 25, 120):
+            for seed in range(50):
+                graph, rule, _ = from_cnf(random_bounded_overlap_sat(n_clauses, delta_target, seed))
+                report = check_lll_condition(graph, rule, "tight")
+                assert report.all_pass and report.delta <= delta_target, (n_clauses, seed)
 
     def test_large_instance_passes_condition(self):
         cnf = random_bounded_overlap_sat(100, 3, seed=7)

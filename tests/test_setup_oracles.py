@@ -9,7 +9,7 @@ below the bound skipped, n jumping once a failing component lies within 3n
 of its least vertex) must equal the scan over full per-vertex BFS distance
 lists and the plain n = 1, 2, ... loop; ``build_rel`` (a walk keeping first
 appearances) must equal the sort by edge label; ``check_lll_condition``
-(one computation per distinct case) must equal the per-vertex loop.
+(one comparison per distinct case) must equal the per-vertex loop.
 """
 
 import bisect
@@ -48,7 +48,6 @@ from lllkit.cli import build_system, main
 from lllkit.graphs import _bfs_distances, _components
 from lllkit.landscapes import _ceil_power, _float_log1p, _power_exceeds
 from lllkit.instances import (
-    ConditionEntry,
     default_translates,
     e_bounds,
     random_instance,
@@ -324,16 +323,16 @@ def per_vertex_condition(graph, rule, variant):
     delta = params(graph, rule).delta
     if delta == 0:
         one = Fraction(1)
-        return ConditionReport(variant, 0, one, one, (), True, graph.vertex_count)
+        return ConditionReport(variant, 0, one, one, None, True)
     if variant == "tight":
         lo = hi = tight_threshold(delta)
     else:
         e_lo, e_hi = e_bounds()
         lo, hi = 1 / (e_hi * delta), 1 / (e_lo * delta)
-    probs = ((x, rule.failure_prob(x)) for x in range(graph.vertex_count))
-    entries = tuple(ConditionEntry(x, p, p < lo, lo - p) for x, p in probs if p)
-    all_pass = all(e.passes for e in entries)
-    return ConditionReport(variant, delta, lo, hi, entries, all_pass, graph.vertex_count - len(entries))
+    probs = [rule.failure_prob(x) for x in range(graph.vertex_count)]
+    margins = [lo - p for p in probs if p]
+    all_pass = all(p < lo for p in probs if p)
+    return ConditionReport(variant, delta, lo, hi, min(margins, default=None), all_pass)
 
 
 class TestConditionOracle:
@@ -342,11 +341,7 @@ class TestConditionOracle:
     def assert_same(self, graph, rule):
         for variant in self.VARIANTS:
             report = check_lll_condition(graph, rule, variant)
-            reference = per_vertex_condition(graph, rule, variant)
-            assert report == reference, variant
-            # the worst margin, picked as cmd_solve picks it
-            worst = lambda r: min(r.entries, key=lambda e: e.margin, default=None)
-            assert worst(report) == worst(reference)
+            assert report == per_vertex_condition(graph, rule, variant), variant
 
     @pytest.mark.parametrize("name", ["disjoint", "chain", "torus"])
     def test_bundled(self, name):
@@ -729,8 +724,8 @@ class TestSharedSignPatterns:
 
 
 def test_generate_checks_the_condition_once(monkeypatch, capsys):
-    """``solve --generate`` reuses the report of the generator's own check,
-    and prints the condition a fresh check gives."""
+    """``solve --generate`` checks its instance once, and prints the
+    condition a fresh check gives."""
     calls = []
     real = instances.check_lll_condition
 
@@ -744,6 +739,5 @@ def test_generate_checks_the_condition_once(monkeypatch, capsys):
     printed = json.loads(capsys.readouterr().out)["condition"]
     graph, rule, _ = from_cnf(random_bounded_overlap_sat(2000, 3, 0))
     report = real(graph, rule, "tight")
-    worst = min(e.margin for e in report.entries)
     assert printed == {"variant": "tight", "delta": report.delta, "threshold": str(report.threshold_lo),
-                       "worst_margin": str(worst), "all_pass": True}
+                       "worst_margin": str(report.worst_margin), "all_pass": True}

@@ -148,8 +148,9 @@ class RandomTape:
         return tuple(self.draw([(part, pos) for pos in range(width)]))
 
     def prefix(self, parts: int, width: int) -> "RandomTape":
-        """Materialize a finite p-by-k tape from this source."""
-        return RandomTape.finite(self.b, [self.row(i, width) for i in range(parts)])
+        """Materialize a finite p-by-k tape from this source, in one ``draw``."""
+        cells = self.draw([(i, pos) for i in range(parts) for pos in range(width)])
+        return RandomTape.finite(self.b, [cells[i * width:(i + 1) * width] for i in range(parts)])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RandomTape):

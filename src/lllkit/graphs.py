@@ -23,6 +23,14 @@ INF = math.inf
 
 
 def _check_adjacency_lists(adj: Sequence[Sequence[int]], n: int, kind: str) -> None:
+    """Raise ValueError at the first entry, in row order, that lies outside
+    0..n-1 or repeats in its row.  The lists are decided by min/max over
+    all entries and len(set(row)) over the rows that can repeat an entry;
+    the Python loop runs only to name the offender."""
+    flat = list(itertools.chain.from_iterable(adj))
+    long = [row for row in adj if len(row) > 1]
+    if (not flat or min(flat) >= 0 and max(flat) < n) and sum(map(len, long)) == sum(map(len, map(set, long))):
+        return
     for x, row in enumerate(adj):
         seen = set()
         for y in row:
@@ -45,20 +53,19 @@ class VariableGraph:
         n = len(out_adj)
         self.out_adj: tuple[Word, ...] = tuple(tuple(row) for row in out_adj)
         _check_adjacency_lists(self.out_adj, n, "out_adj")
+        derived: list[list[int]] = [[] for _ in range(n)]  # the transpose, rows sorted
+        for x, row in enumerate(self.out_adj):
+            for y in row:
+                derived[y].append(x)
         if in_adj is None:
-            derived: list[list[int]] = [[] for _ in range(n)]
-            for x in range(n):
-                for y in self.out_adj[x]:
-                    derived[y].append(x)
-            self.in_adj = tuple(tuple(row) for row in derived)
+            self.in_adj = tuple(map(tuple, derived))
         else:
             if len(in_adj) != n:
                 raise ValueError("out_adj and in_adj disagree on vertex count")
-            self.in_adj = tuple(tuple(row) for row in in_adj)
+            self.in_adj = tuple(map(tuple, in_adj))
             _check_adjacency_lists(self.in_adj, n, "in_adj")
-            edges_out = {(x, y) for x in range(n) for y in self.out_adj[x]}
-            edges_in = {(x, y) for y in range(n) for x in self.in_adj[y]}
-            if edges_out != edges_in:
+            # Rows free of repeats hold the same edges exactly when they sort alike.
+            if list(map(sorted, self.in_adj)) != derived:
                 raise ValueError("in_adj is not the transpose of out_adj")
         self._sym: tuple[Word, ...] | None = None
         self._rel: RelGraph | None = None

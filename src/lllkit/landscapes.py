@@ -7,11 +7,21 @@ level i to level i+1 between dependency-adjacent base vertices, in-degrees
 are at most 1, and distinct same-level vertices have dependency distance at
 least 2.  A decoration attaches the final assignment, one forbidden word
 per forest vertex, and the partition map.
+
+The tape code keeps two memos, so that encoding many tapes of one system
+does its window geometry once per centre.  ``_last_balls`` holds B(y, 3n)
+as (vertex, distance) pairs by (y, n) for the last tuple-of-tuples
+adjacency, matched by identity (a list is never kept); a ball is kept only
+once the growth precondition holds, so each has fewer than (1 + eps)^n
+vertices and the memo is O(V) at a fixed n.  ``_last_canvases`` holds the
+graph side of ``restrict`` by sorted kept-vertex tuple for the last (graph,
+rule) pair, matched by identity; an entry is O(kept vertices plus the var
+lists they read).  Each memo lives until another adjacency, or pair, comes.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,11 +29,11 @@ from typing import Container, Iterable, Iterator, Sequence
 
 from .engine import RandomTape, RunTrace, used_unused
 from .graphs import (
+    Adjacency,
     LocalRule,
     RelGraph,
     VariableGraph,
     Word,
-    _bfs_distances,
     _components,
     ball,
     interior,
@@ -105,10 +115,10 @@ class DecoratedLandscape:
     # -- structural invariants -------------------------------------------
 
     def validate(self) -> None:
-        n = self.graph.vertex_count
+        n, b = self.graph.vertex_count, self.rule.b
         if len(self.final) != n or len(self.part_of) != n:
             raise InternalConsistencyError("decoration length disagrees with graph")
-        if any(not 0 <= d < self.rule.b for d in self.final):
+        if self.final and (min(self.final) < 0 or max(self.final) >= b):
             raise InternalConsistencyError("final assignment outside alphabet")
         for v in self.verts:
             base, level = v
@@ -124,17 +134,21 @@ class DecoratedLandscape:
         by_level: dict[int, list[int]] = {}
         for base, level in self.verts:
             by_level.setdefault(level, []).append(base)
+        nbrs = self.rel.nbrs
         for level, bases in by_level.items():
-            for a, b in itertools.combinations(bases, 2):
-                if self.rel.adjacent(a, b):
+            # The first adjacent pair (bases[i], bases[j]), i < j, in (i, j) order.
+            rank = {x: i for i, x in enumerate(bases)}
+            for i, x in enumerate(bases):
+                later = [rank[y] for y in nbrs[x] if rank.get(y, -1) > i]
+                if later:
                     raise InternalConsistencyError(
-                        f"level {level} holds dependency-adjacent bases {a}, {b}"
+                        f"level {level} holds dependency-adjacent bases {x}, {bases[min(later)]}"
                     )
         for v, word in self.prev.items():
             base = v[0]
             if len(word) != len(self.graph.var(base)):
                 raise InternalConsistencyError(f"prev word at {v} has wrong length")
-            if any(not 0 <= d < self.rule.b for d in word):
+            if word and (min(word) < 0 or max(word) >= b):
                 raise InternalConsistencyError(f"prev word at {v} outside alphabet")
             if not self.rule.is_full(base) and word not in self.rule.forbidden[base]:
                 raise InternalConsistencyError(f"prev word at {v} is not forbidden")
@@ -307,6 +321,55 @@ def asgn_seq(ls: DecoratedLandscape) -> list[Word]:
 # ---------------------------------------------------------------------------
 
 
+class _Canvas:
+    """The graph side of the restriction of (graph, rule) to ``keep``, the
+    sorted kept vertices: the new id of each kept vertex, the positions of
+    var(x) that stay, and the restricted graph and rule.  ``core`` is the
+    kept set's interior(., 2) in the whole graph, found on first use."""
+
+    def __init__(self, graph: VariableGraph, rule: LocalRule, keep: tuple[int, ...]):
+        self.whole, self.keep = graph, keep
+        new_id = self.new_id = {x: i for i, x in enumerate(keep)}
+        out_adj = []
+        kept_positions: list[list[int]] = []
+        for x in keep:
+            row, positions = [], []
+            for pos, y in enumerate(graph.var(x)):
+                if y in new_id:
+                    row.append(new_id[y])
+                    positions.append(pos)
+            out_adj.append(tuple(row))
+            kept_positions.append(positions)
+        self.kept_positions = kept_positions
+        in_adj = [tuple(new_id[y] for y in graph.cl(x) if y in new_id) for x in keep]
+        self.graph = VariableGraph(out_adj, in_adj)
+        forbidden = [
+            rule.forbidden[x] if len(out_adj[i]) == len(graph.var(x)) else frozenset()
+            for i, x in enumerate(keep)
+        ]
+        self.rule = LocalRule(rule.b, forbidden, [len(row) for row in out_adj])
+
+    @functools.cached_property
+    def core(self) -> set[int]:
+        return interior(self.whole.sym_adj, self.keep, 2)
+
+
+# The last (graph, rule) pair given to ``_canvas`` and its canvases by kept tuple.
+_last_canvases: tuple[VariableGraph, LocalRule, dict[tuple[int, ...], _Canvas]] | None = None
+
+
+def _canvas(graph: VariableGraph, rule: LocalRule, keep: tuple[int, ...]) -> _Canvas:
+    """The canvas of ``keep``, kept for the last (graph, rule) pair."""
+    global _last_canvases
+    last = _last_canvases
+    if last is None or last[0] is not graph or last[1] is not rule:
+        last = _last_canvases = graph, rule, {}
+    canvas = last[2].get(keep)
+    if canvas is None:
+        canvas = last[2][keep] = _Canvas(graph, rule, keep)
+    return canvas
+
+
 def restrict(ls: DecoratedLandscape, vertices: Iterable[int]) -> tuple[DecoratedLandscape, tuple[int, ...]]:
     """Restriction to the induced subgraph on ``vertices``.
 
@@ -314,58 +377,36 @@ def restrict(ls: DecoratedLandscape, vertices: Iterable[int]) -> tuple[Decorated
     vertices whose restricted var list is empty constrain nothing and are
     dropped; surviving forest edges must still be canvas edges of the
     restricted graph.  Returns the landscape and the original vertex id of
-    each new vertex.
+    each new vertex.  The restricted graph and rule come from ``_canvas``.
     """
-    keep = sorted(set(vertices))
-    if any(not 0 <= x < ls.graph.vertex_count for x in keep):
+    keep = tuple(sorted(set(vertices)))
+    if keep and (keep[0] < 0 or keep[-1] >= ls.graph.vertex_count):
         raise ValueError("restriction set mentions unknown vertices")
     if len(keep) == ls.graph.vertex_count:
-        return ls, tuple(keep)
-    new_id = {x: i for i, x in enumerate(keep)}
-    out_adj = []
-    kept_positions: list[list[int]] = []
-    for x in keep:
-        row, positions = [], []
-        for pos, y in enumerate(ls.graph.var(x)):
-            if y in new_id:
-                row.append(new_id[y])
-                positions.append(pos)
-        out_adj.append(tuple(row))
-        kept_positions.append(positions)
-    in_adj = []
-    for x in keep:
-        in_adj.append(tuple(new_id[y] for y in ls.graph.cl(x) if y in new_id))
-    graph = VariableGraph(out_adj, in_adj)
-    forbidden = [
-        ls.rule.forbidden[x] if len(out_adj[i]) == len(ls.graph.var(x)) else frozenset()
-        for i, x in enumerate(keep)
-    ]
-    rule = LocalRule(ls.rule.b, forbidden, [len(row) for row in out_adj])
-
+        return ls, keep
+    canvas = _canvas(ls.graph, ls.rule, keep)
+    new_id, kept_positions, graph = canvas.new_id, canvas.kept_positions, canvas.graph
     verts = []
     prev = {}
     for base, level in ls.verts:
-        if base not in new_id:
-            continue
-        i = new_id[base]
-        if not out_adj[i]:
-            continue  # reads nothing here: carries no decoding information
+        i = new_id.get(base)
+        if i is None or not kept_positions[i]:
+            continue  # outside, or reads nothing here: carries no decoding information
         v = (i, level)
         verts.append(v)
         word = ls.prev[(base, level)]
         prev[v] = tuple(word[pos] for pos in kept_positions[i])
-    vert_set = set(verts)
     parent = {}
+    adjacent = graph.rel.adjacent
     for child, par in ls.parent.items():
         if child[0] in new_id and par[0] in new_id:
             c = (new_id[child[0]], child[1])
             q = (new_id[par[0]], par[1])
-            if c in vert_set and q in vert_set and graph.rel.adjacent(q[0], c[0]):
+            if c in prev and q in prev and adjacent(q[0], c[0]):
                 parent[c] = q
     final = tuple(ls.final[x] for x in keep)
     part_of = tuple(ls.part_of[x] for x in keep)
-    restricted = DecoratedLandscape(graph, rule, verts, parent, prev, final, part_of)
-    return restricted, tuple(keep)
+    return DecoratedLandscape(graph, canvas.rule, verts, parent, prev, final, part_of), keep
 
 
 def is_faithful_at(ls: DecoratedLandscape, vertices: Iterable[int], x: int) -> bool:
@@ -648,36 +689,80 @@ def default_window_params(adj: Sequence[Sequence[int]], eps: Fraction = Fraction
             n += 1
 
 
+Ball = tuple[tuple[int, int], ...]  # (vertex, distance) pairs in breadth-first order
+
+# The last tuple-of-tuples adjacency given to ``_balls`` and its balls by (centre, n).
+_last_balls: tuple[Adjacency, dict[tuple[int, int], Ball]] | None = None
+
+
+def _balls(adj: Adjacency) -> dict[tuple[int, int], Ball]:
+    """The kept balls B(y, 3n) of ``adj`` by (y, n).  Those of the last
+    tuple-of-tuples adjacency are kept, held by reference and matched by
+    identity; any other adjacency gets a fresh dict that nothing keeps."""
+    global _last_balls
+    last = _last_balls
+    if last is not None and last[0] is adj:
+        return last[1]
+    balls: dict[tuple[int, int], Ball] = {}
+    if type(adj) is tuple and set(map(type, adj)) <= {tuple}:
+        _last_balls = adj, balls
+    return balls
+
+
+def _ball_pairs(adj: Adjacency, y: int, r: int) -> Ball:
+    """B(y, r) with each vertex's distance from y, by a breadth-first search
+    that stops at radius r (or sooner, when the component runs out)."""
+    seen = {y}
+    pairs = [(y, 0)]
+    frontier = [y]
+    for d in range(1, r + 1):
+        nxt = []
+        for z in frontier:
+            for w in adj[z]:
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        if not nxt:
+            break
+        pairs.extend([(w, d) for w in nxt])
+        frontier = nxt
+    return tuple(pairs)
+
+
 def find_window(adj: Sequence[Sequence[int]], weights: Sequence[int], eps: Fraction, n: int) -> Window:
     """Ball around the argmax whose weight stalls: the least r in 3..3n with
     sum over B(y, r) < (1 + eps) * sum over B(y, r - 3).
 
     Requires |B(y, 3n)| < (1 + eps)^n at the argmax y; if no radius works
     the weight sum would have grown past that bound, so the scan cannot
-    fail under the precondition.
+    fail under the precondition.  The work is O(|B(y, 3n)|): the ball comes
+    from ``_balls`` or a search that stops at radius 3n, and the scan stops
+    3 past the ball's eccentricity e, as every radius from e + 3 on compares
+    the same two sums.
     """
-    if all(w == 0 for w in weights):
+    if not any(weights):
         raise ValueError("weight function is identically zero")
-    best = max(range(len(weights)), key=lambda x: (weights[x], -x))
-    dist = _bfs_distances(adj, [best])
+    best = weights.index(max(weights))  # the least vertex of largest weight
     radius_max = 3 * n
-    ball_size = sum(1 for d in dist if d <= radius_max)
-    if not _power_exceeds(1 + eps, _float_log1p(eps), n, ball_size):
+    balls = _balls(adj)
+    members = balls.get((best, n)) or _ball_pairs(adj, best, radius_max)
+    base = 1 + eps
+    if not _power_exceeds(base, _float_log1p(eps), n, len(members)):
         raise WindowError(
-            f"growth precondition fails: |B({best}, {radius_max})| = {ball_size} "
+            f"growth precondition fails: |B({best}, {radius_max})| = {len(members)} "
             f">= (1 + {eps})^{n}"
         )
-    sums = [0] * (radius_max + 1)
-    for x, w in enumerate(weights):
-        d = dist[x]
-        if d <= radius_max:
-            sums[int(d)] += w
-    for r in range(1, radius_max + 1):
+    balls[best, n] = members
+    top = min(radius_max, members[-1][1] + 3)
+    sums = [0] * (top + 1)
+    for x, d in members:
+        sums[d] += weights[x]
+    for r in range(1, top + 1):
         sums[r] += sums[r - 1]
-    for r in range(3, radius_max + 1):
-        if sums[r] < (1 + eps) * sums[r - 3]:
-            vertices = frozenset(x for x in range(len(weights)) if dist[x] <= r)
-            return Window(best, r, vertices)
+    num, den = base.numerator, base.denominator
+    for r in range(3, top + 1):
+        if sums[r] * den < num * sums[r - 3]:
+            return Window(best, r, frozenset([x for x, d in members if d <= r]))
     raise WindowError(
         f"no radius in 3..{radius_max} works at {best}; "
         f"the graph violates the assumed growth"
@@ -723,17 +808,16 @@ def encode_tape(trace: RunTrace, eps: Fraction = Fraction(1, 2), n: int | None =
     if n is None:
         n = default_window_params(adj, eps)
     window = find_window(adj, ls.column_occupancy(), eps, n)
-    ball_3n = ball(adj, window.center, 3 * n)
-    parts_seen = [system.partition.part_of[x] for x in sorted(ball_3n)]
-    if len(set(parts_seen)) != len(parts_seen):
+    ball_3n = _balls(adj).get((window.center, n)) or _ball_pairs(adj, window.center, 3 * n)
+    part_of = system.partition.part_of
+    if len({part_of[x] for x, _ in ball_3n}) != len(ball_3n):
         raise ValueError(
             "partition is not injective on the window ball; "
             f"a {3 * n}-sparse partition is required"
         )
-    restricted, _ = restrict(ls, window.vertices)
+    restricted, keep = restrict(ls, window.vertices)
     witness = ground(restricted)
-    core = interior(adj, window.vertices, 2)
-    part_of = system.partition.part_of
+    core = _canvas(ls.graph, ls.rule, keep).core
     part_ids = frozenset(part_of[x] for x in core)
     core_by_part = {part_of[x]: x for x in core}
     payload: list[int] = []

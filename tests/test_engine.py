@@ -438,6 +438,10 @@ class TestDigitOracle:
             tape.row(0, 3)
         with pytest.raises(TapeExhausted):
             tape.row(2, 1)
+        assert tape.prefix(2, 1).digits == ((0,), (1,))
+        for parts, width in ((2, 3), (3, 1)):
+            with pytest.raises(TapeExhausted):
+                tape.prefix(parts, width)
 
     def test_run_stops_before_mutating_on_exhaustion(self, rng):
         seen = 0

@@ -47,6 +47,28 @@ class TestVariableGraph:
         with pytest.raises(ValueError):
             VariableGraph([(1, 1), ()])
 
+    @pytest.mark.parametrize("out_adj, in_adj, message", [
+        ([(1,), (5,), ()], None, "out_adj[1] refers to vertex 5 outside 0..2"),
+        ([(), (2, -1), ()], None, "out_adj[1] refers to vertex -1 outside 0..2"),
+        ([(1, 0, 1), ()], None, "out_adj[0] lists vertex 1 twice"),
+        ([(1,), (1, 1, 7)], None, "out_adj[1] lists vertex 1 twice"),
+        ([(1,), (7, 1, 1)], None, "out_adj[1] refers to vertex 7 outside 0..1"),
+        ([(1, 1), (9,)], None, "out_adj[0] lists vertex 1 twice"),
+        ([(1,), ()], [()], "out_adj and in_adj disagree on vertex count"),
+        ([(1,), (), ()], [(), (0,), (3,)], "in_adj[2] refers to vertex 3 outside 0..2"),
+        ([(1,), ()], [(), (0, 0)], "in_adj[1] lists vertex 0 twice"),
+        ([(1,), ()], [(1,), ()], "in_adj is not the transpose of out_adj"),
+        ([(1, 2), (), ()], [(), (0,), ()], "in_adj is not the transpose of out_adj"),
+    ])
+    def test_validation_messages(self, out_adj, in_adj, message):
+        with pytest.raises(ValueError) as exc:
+            VariableGraph(out_adj, in_adj)
+        assert str(exc.value) == message
+
+    def test_in_adj_in_any_row_order(self):
+        g = VariableGraph([(2,), (2,), ()], [(), (), (1, 0)])
+        assert g.cl(2) == (1, 0)
+
     def test_self_loop_allowed(self):
         g = VariableGraph([(0,)])
         assert g.var(0) == (0,)

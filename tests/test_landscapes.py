@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -43,6 +44,7 @@ from lllkit.landscapes import (
 )
 from lllkit import properties
 from lllkit.cli import build_system
+from lllkit.instances import random_instance
 from lllkit.properties import Run, random_system
 from conftest import restricted_runs
 
@@ -95,6 +97,19 @@ def four_cycle_landscape():
     return DecoratedLandscape(graph, rule, verts, parent, prev, (0,) * 8, tuple(range(8)))
 
 
+def pairwise_separation_failure(rel, verts):
+    """The message of the first dependency-adjacent pair of same-level bases,
+    testing every pair per level in the order the levels' bases appear."""
+    by_level = {}
+    for base, level in verts:
+        by_level.setdefault(level, []).append(base)
+    for level, bases in by_level.items():
+        for a, b in itertools.combinations(bases, 2):
+            if rel.adjacent(a, b):
+                return f"level {level} holds dependency-adjacent bases {a}, {b}"
+    return None
+
+
 class TestLandscapeInvariants:
     def test_separation_violation_rejected(self):
         graph = VariableGraph([(2,), (2,), ()])
@@ -104,6 +119,36 @@ class TestLandscapeInvariants:
                 graph, rule, [(0, 0), (1, 0)], {}, {(0, 0): (0,), (1, 0): (0,)},
                 (0, 0, 0), (0, 1, 2),
             )
+
+    def test_separation_names_the_first_pair_in_level_order(self):
+        # clause 0 shares a variable with clauses 1 and 2, which share none;
+        # the level lists its bases in the vertex set's order, here 1, 2, 0
+        graph = VariableGraph([(3, 4), (3,), (4,), (), ()])
+        rule = LocalRule.for_graph(graph, 2, [{(1, 1)}, {(1,)}, {(1,)}, {()}, {()}])
+        verts = [(0, 0), (1, 0), (2, 0)]
+        prev = {(0, 0): (0, 0), (1, 0): (0,), (2, 0): (0,)}
+        with pytest.raises(InternalConsistencyError) as exc:
+            DecoratedLandscape(graph, rule, verts, {}, prev, (0,) * 5, tuple(range(5)))
+        assert str(exc.value) == pairwise_separation_failure(graph.rel, frozenset(verts))
+        assert str(exc.value) == "level 0 holds dependency-adjacent bases 1, 0"
+
+    def test_separation_matches_the_pairwise_check(self, rng):
+        failures = 0
+        for _ in range(300):
+            graph, rule = random_instance(rng)
+            support = list(rule.support)
+            verts = frozenset((x, rng.randrange(2)) for x in rng.sample(support, rng.randint(0, len(support))))
+            prev = {v: min(rule.forbidden[v[0]]) for v in verts}
+            want = pairwise_separation_failure(graph.rel, verts)
+            try:
+                DecoratedLandscape(graph, rule, verts, {}, prev, (0,) * graph.vertex_count,
+                                   tuple(range(graph.vertex_count)))
+            except InternalConsistencyError as exc:
+                assert str(exc) == want
+                failures += 1
+            else:
+                assert want is None
+        assert failures > 50
 
     def test_prev_must_be_forbidden(self):
         graph = VariableGraph([(1,), ()])

@@ -1,0 +1,235 @@
+"""The tape code's window geometry: ``find_window`` against its full-radius
+reference, its memory at a window parameter near 10^6, and the two memos
+(one ball per centre, one restricted canvas per window) against cold runs."""
+
+import random
+import tracemalloc
+from fractions import Fraction
+
+import pytest
+
+from lllkit import (
+    DecoratedLandscape,
+    LocalRule,
+    RandomTape,
+    bundled_instances,
+    encode_tape,
+    find_window,
+    landscapes,
+    properties,
+    restrict,
+    run_k,
+)
+from lllkit.cli import build_system
+from lllkit.graphs import _bfs_distances
+from lllkit.landscapes import Window, WindowError, _float_log1p, _power_exceeds
+from lllkit.properties import Run, fuzz_runs
+from conftest import random_symmetric_adjacency
+
+
+def reference_find_window(adj, weights, eps, n):
+    """The full-radius scan: a whole-graph BFS and one prefix sum per radius
+    in 0..3n, compared with an exact (1 + eps) * sum."""
+    if all(w == 0 for w in weights):
+        raise ValueError("weight function is identically zero")
+    best = max(range(len(weights)), key=lambda x: (weights[x], -x))
+    dist = _bfs_distances(adj, [best])
+    radius_max = 3 * n
+    ball_size = sum(1 for d in dist if d <= radius_max)
+    if not _power_exceeds(1 + eps, _float_log1p(eps), n, ball_size):
+        raise WindowError(
+            f"growth precondition fails: |B({best}, {radius_max})| = {ball_size} "
+            f">= (1 + {eps})^{n}"
+        )
+    sums = [0] * (radius_max + 1)
+    for x, w in enumerate(weights):
+        d = dist[x]
+        if d <= radius_max:
+            sums[int(d)] += w
+    for r in range(1, radius_max + 1):
+        sums[r] += sums[r - 1]
+    for r in range(3, radius_max + 1):
+        if sums[r] < (1 + eps) * sums[r - 3]:
+            return Window(best, r, frozenset(x for x in range(len(weights)) if dist[x] <= r))
+    raise WindowError(
+        f"no radius in 3..{radius_max} works at {best}; "
+        f"the graph violates the assumed growth"
+    )
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture
+def cold(monkeypatch):
+    """Start with no kept ball and no kept canvas."""
+    monkeypatch.setattr(landscapes, "_last_balls", None)
+    monkeypatch.setattr(landscapes, "_last_canvases", None)
+
+
+def forget():
+    landscapes._last_balls = None
+    landscapes._last_canvases = None
+
+
+def fuzzed_adjacencies(count=400, seed=20261018):
+    """Random graphs, paths and sparse unions, as lists and as tuples."""
+    rng = random.Random(seed)
+    for i in range(count):
+        size = rng.randint(1, 30)
+        if i % 3 == 0:
+            adj = [tuple(v for v in (x - 1, x + 1) if 0 <= v < size) for x in range(size)]
+        else:
+            adj = random_symmetric_adjacency(rng, size, rng.choice((0.05, 0.1, 0.3)))
+        yield rng, adj if i % 2 else tuple(adj)
+
+
+class TestFindWindowReference:
+    def test_matches_full_radius_scan(self, cold):
+        """Weights are mostly occupancies (>= 0); a few cases allow negative
+        weights, the one way past the growth precondition to a failing scan."""
+        kinds = []
+        for rng, adj in fuzzed_adjacencies():
+            eps = rng.choice((Fraction(1, 2), Fraction(1, 10), Fraction(3), Fraction(1, 389800)))
+            for n in range(7):
+                low = rng.choice((0, 0, 0, -3))
+                weights = [rng.choice((0, 0, 1, 2, 5)) if low == 0 else rng.randint(low, 1) for _ in adj]
+                if rng.random() < 0.3:
+                    weights = [0] * len(adj)
+                    weights[rng.randrange(len(adj))] = rng.randint(1, 4)
+                got = outcome(find_window, adj, weights, eps, n)
+                assert got == outcome(reference_find_window, adj, weights, eps, n), (adj, weights, eps, n)
+                kinds.append("window" if isinstance(got, Window) else got[1].split()[0])
+        assert len(kinds) == 7 * 400
+        assert {"window", "growth", "no", "weight"} <= set(kinds)
+
+    def test_small_eps_peaks_below_a_mebibyte(self, cold):
+        # n = 999,819 at eps = 1/389800; a scan over all 3n + 1 radii
+        # allocates a list of 3 million sums
+        graph, _ = bundled_instances()["chain"]
+        adj = graph.sym_adj
+        weights = [1] * graph.vertex_count
+        tracemalloc.start()
+        try:
+            window = find_window(adj, weights, Fraction(1, 389800), 999_819)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+        assert window == reference_find_window(adj, weights, Fraction(1, 389800), 999_819)
+
+
+def bundled_traces(seeds):
+    """(system, n, trace) per bundled instance and tape seed, k = 5."""
+    for name, (graph, rule) in bundled_instances().items():
+        system, n = build_system(graph, rule, "auto", Fraction(1, 2))
+        for seed in seeds:
+            yield system, n, Run(system, 5, seed, [0] * graph.vertex_count).trace()
+
+
+def code_fields(code):
+    return code if isinstance(code, tuple) else (code.part_ids, code.payload, code.witness)
+
+
+class TestMemosMatchColdRuns:
+    def test_bundled(self, cold):
+        warm = [code_fields(encode_tape(trace, n=n)) for _, n, trace in bundled_traces(range(200))]
+        fresh = []
+        for _, n, trace in bundled_traces(range(200)):
+            forget()
+            fresh.append(code_fields(encode_tape(trace, n=n)))
+        assert len(warm) == 600 and warm == fresh
+        assert sum(fields[2] is not None for fields in warm) > 300
+
+    def test_fuzzed_with_stream_tapes(self, cold):
+        """Each fuzzed system encodes a finite and a stream tape at n and at
+        n + 1 (whose partition may not be sparse enough: the same error)."""
+        encoded = 0
+        for run in fuzz_runs(20261019, 300, random_f0=True):
+            system, n = build_system(run.system.graph, run.system.rule, "auto", Fraction(1, 2))
+            run = run._replace(system=system)
+            traces = [run.trace(), run_k(system, run.f0, run.k, RandomTape.stream(system.b, run.tape_seed))]
+            cases = [(trace, m) for trace in traces for m in (n, n + 1)]
+            warm = [code_fields(outcome(encode_tape, trace, n=m)) for trace, m in cases]
+            fresh = []
+            for trace, m in cases:
+                forget()
+                fresh.append(code_fields(outcome(encode_tape, trace, n=m)))
+            assert warm == fresh
+            encoded += sum(not isinstance(fields[0], type) for fields in warm)
+        assert encoded >= 600
+
+
+class TestWhatIsKept:
+    def test_list_adjacency_is_never_kept(self, cold):
+        adj = [(1,), (0, 2), (1,), ()]
+        eps = Fraction(4)  # |B(y, 3)| < 5
+        assert find_window(adj, [0, 1, 0, 0], eps, 1).vertices == {0, 1, 2}
+        assert landscapes._last_balls is None
+        adj[2], adj[3] = (1, 3), (2,)  # extend the path
+        assert find_window(adj, [0, 1, 0, 0], eps, 1).vertices == {0, 1, 2, 3}
+        rows = ([1], [0])  # a tuple, but of lists that may change
+        find_window(rows, [1, 1], eps, 1)
+        assert landscapes._last_balls is None
+
+    def test_entry_is_the_ball_of_radius_3n(self, cold):
+        size, centre, n = 60, 30, 2
+        adj = tuple(tuple(v for v in (x - 1, x + 1) if 0 <= v < size) for x in range(size))
+        weights = [0] * size
+        weights[centre] = 1
+        find_window(adj, weights, Fraction(3), n)  # |B(30, 6)| = 13 < 4^2
+        kept, balls = landscapes._last_balls
+        assert kept is adj and list(balls) == [(centre, n)]
+        dist = _bfs_distances(adj, [centre])
+        assert sorted(balls[centre, n]) == sorted((x, d) for x, d in enumerate(dist) if d <= 3 * n)
+
+    def test_failing_precondition_keeps_nothing(self, cold):
+        adj = (tuple(range(1, 8)),) + ((0,),) * 7  # a star: |B(0, 3)| = 8
+        with pytest.raises(WindowError, match="growth precondition"):
+            find_window(adj, [1] * 8, Fraction(1, 2), 1)
+        assert landscapes._last_balls[1] == {}
+
+    def test_canvas_follows_the_rule_as_well_as_the_graph(self, cold):
+        graph, rule = bundled_instances()["chain"]
+        free = LocalRule(rule.b, [frozenset()] * graph.vertex_count, rule.word_lengths)
+        n = graph.vertex_count
+        landscapes_ = [DecoratedLandscape(graph, r, [], {}, {}, (0,) * n, tuple(range(n))) for r in (rule, free, rule)]
+        keep = range(n - 1)
+        warm = [restrict(ls, keep) for ls in landscapes_]
+        fresh = []
+        for ls in landscapes_:
+            forget()
+            fresh.append(restrict(ls, keep))
+        assert warm == fresh and warm[0][0].rule != warm[1][0].rule
+
+    def test_one_search_per_centre_one_graph_per_window(self, cold, monkeypatch):
+        searches, graphs_built, centres, windows = [], [], set(), set()
+        real_pairs, real_graph, real_find = (
+            landscapes._ball_pairs, landscapes.VariableGraph, landscapes.find_window)
+
+        def counting_pairs(adj, y, r):
+            searches.append(y)
+            return real_pairs(adj, y, r)
+
+        def counting_graph(*args):
+            graphs_built.append(args)
+            return real_graph(*args)
+
+        def recording_find(*args):
+            window = real_find(*args)
+            centres.add(window.center)
+            windows.add(window.vertices)
+            return window
+
+        monkeypatch.setattr(landscapes, "_ball_pairs", counting_pairs)
+        monkeypatch.setattr(landscapes, "VariableGraph", counting_graph)
+        monkeypatch.setattr(landscapes, "find_window", recording_find)
+        system, n = build_system(*bundled_instances()["chain"], "auto", Fraction(1, 2))
+        cases = (("chain", n, Run(system, 5, seed, [0] * system.graph.vertex_count)) for seed in range(600))
+        assert properties.roundtrip(cases) == (600, None)
+        assert centres and len(searches) == len(set(searches)) <= len(centres)
+        assert 0 < len(graphs_built) <= len(windows)

@@ -111,6 +111,8 @@ def _parse_order(order_cfg, n: int):
         return None
     try:
         order = json.loads(order_cfg)
+        if not isinstance(order, list) or any(type(v) is not int for v in order):
+            raise ValueError("not a JSON list of integers")
         if sorted(order) != list(range(n)):
             raise ValueError("not a permutation")
         return order

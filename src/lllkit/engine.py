@@ -187,7 +187,7 @@ class MtaSystem:
             raise ValueError("rule word lengths disagree with the graph's out-degrees")
         if partition.vertex_count != graph.vertex_count:
             raise ValueError("partition does not cover the graph")
-        if sorted(order) != list(range(graph.vertex_count)):
+        if any(type(x) is not int for x in order) or sorted(order) != list(range(graph.vertex_count)):
             raise ValueError("order must be a permutation of the vertices")
         self.graph = graph
         self.rule = rule

@@ -9,6 +9,7 @@ reading x.  Adjacency-list order realizes the well-orders on both sides.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import deque
@@ -67,8 +68,7 @@ class VariableGraph:
             # Rows free of repeats hold the same edges exactly when they sort alike.
             if list(map(sorted, self.in_adj)) != derived:
                 raise ValueError("in_adj is not the transpose of out_adj")
-        self._sym: tuple[Word, ...] | None = None
-        self._rel: RelGraph | None = None
+        self._sym: SymAdj | None = None
 
     @property
     def vertex_count(self) -> int:
@@ -81,18 +81,26 @@ class VariableGraph:
         return self.in_adj[x]
 
     @property
-    def sym_adj(self) -> tuple[Word, ...]:
-        """Symmetrized adjacency (var and cl merged), for graph metrics."""
+    def sym_adj(self) -> SymAdj:
+        """Symmetrized adjacency (var and cl merged), for graph metrics,
+        built on first use."""
         if self._sym is None:
-            self._sym = tuple([tuple(sorted({*var, *cl})) for var, cl in zip(self.out_adj, self.in_adj)])
+            self._sym = SymAdj([tuple(sorted({*var, *cl})) for var, cl in zip(self.out_adj, self.in_adj)])
         return self._sym
 
-    @property
+    @functools.cached_property
     def rel(self) -> RelGraph:
         """The dependency graph with its edge labeling, built on first use."""
-        if self._rel is None:
-            self._rel = build_rel(self)
-        return self._rel
+        return build_rel(self)
+
+    @functools.cached_property
+    def canvases(self) -> dict:
+        """The restrictions of this graph that ``landscapes.restrict`` keeps,
+        by sorted kept-vertex tuple.  Not pickled."""
+        return {}
+
+    def __getstate__(self) -> dict:
+        return {key: value for key, value in self.__dict__.items() if key != "canvases"}
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -228,7 +236,6 @@ class RelGraph:
 
     def __init__(self, nbrs: Iterable[Iterable[int]]):
         self.nbrs: tuple[Word, ...] = tuple(map(tuple, nbrs))
-        self._noself: tuple[Word, ...] | None = None
 
     @property
     def vertex_count(self) -> int:
@@ -243,14 +250,10 @@ class RelGraph:
     def adjacent(self, x: int, y: int) -> bool:
         return y in self.nbrs[x]
 
-    @property
+    @functools.cached_property
     def adj_noself(self) -> tuple[Word, ...]:
         """Neighbourhoods with self-loops removed (for independence tests)."""
-        if self._noself is None:
-            self._noself = tuple(
-                tuple(y for y in row if y != x) for x, row in enumerate(self.nbrs)
-            )
-        return self._noself
+        return tuple(tuple(y for y in row if y != x) for x, row in enumerate(self.nbrs))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RelGraph) and self.nbrs == other.nbrs
@@ -338,8 +341,24 @@ def ball(adj: Adjacency, x: int, r: int, limit: int | None = None) -> set[int]:
     return found
 
 
-# The last tuple adjacency given to ``_components`` and its components.
-_last_components: tuple[Adjacency, tuple[tuple[Word, int], ...]] | None = None
+class SymAdj(tuple):
+    """A symmetrized adjacency as ``VariableGraph.sym_adj`` builds it: a
+    tuple of sorted tuple rows that keeps what is derived from it, found on
+    first use and alive as long as it is.  ``components`` are its
+    ``_components``; ``balls`` holds the balls B(y, 3n) that
+    ``landscapes.find_window`` keeps, by (y, n).  It pickles as its rows
+    only."""
+
+    @functools.cached_property
+    def components(self) -> tuple[tuple[Word, int], ...]:
+        return _component_pass(self)
+
+    @functools.cached_property
+    def balls(self) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
+        return {}
+
+    def __reduce__(self):
+        return SymAdj, (tuple(self),)
 
 
 def _components(adj: Adjacency) -> tuple[tuple[Word, int], ...]:
@@ -347,19 +366,11 @@ def _components(adj: Adjacency) -> tuple[tuple[Word, int], ...]:
     Each is (its vertices in increasing order, its reach): the largest
     distance from its least vertex.
 
-    The result for the last adjacency that is a tuple of tuples is kept,
-    held by reference and matched by identity, so the window search and
-    the partition of one graph share one pass; a list is never kept, as
-    it may change between calls.
+    A ``SymAdj`` keeps its components, so the window search and the
+    partition of one graph share one pass; any other adjacency, which may
+    change between calls, gets a fresh pass.
     """
-    global _last_components
-    last = _last_components
-    if last is not None and last[0] is adj:
-        return last[1]
-    components = _component_pass(adj)
-    if type(adj) is tuple and set(map(type, adj)) <= {tuple}:
-        _last_components = adj, components
-    return components
+    return adj.components if isinstance(adj, SymAdj) else _component_pass(adj)
 
 
 def _component_pass(adj: Adjacency) -> tuple[tuple[Word, int], ...]:

@@ -9,6 +9,7 @@ docs/instance-format.md).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -335,22 +336,16 @@ def torus_condition_holds(spec: TorusSpec) -> bool:
 # Local-lemma condition checks
 # ---------------------------------------------------------------------------
 
-_E_BOUNDS: tuple[Fraction, Fraction] | None = None
-
-
+@functools.cache
 def e_bounds() -> tuple[Fraction, Fraction]:
     """Rational enclosure of e, accurate beyond 50 decimal digits.
 
     Taylor series with a rigorous remainder: sum_{i<=N} 1/i! < e <
     sum + 2/(N+1)!.  N = 45 gives an interval width below 1e-55.
     """
-    global _E_BOUNDS
-    if _E_BOUNDS is None:
-        n_terms = 45
-        lo = sum(Fraction(1, math.factorial(i)) for i in range(n_terms + 1))
-        hi = lo + Fraction(2, math.factorial(n_terms + 1))
-        _E_BOUNDS = (lo, hi)
-    return _E_BOUNDS
+    n_terms = 45
+    lo = sum(Fraction(1, math.factorial(i)) for i in range(n_terms + 1))
+    return lo, lo + Fraction(2, math.factorial(n_terms + 1))
 
 
 @dataclass(frozen=True)

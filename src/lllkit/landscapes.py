@@ -7,16 +7,6 @@ level i to level i+1 between dependency-adjacent base vertices, in-degrees
 are at most 1, and distinct same-level vertices have dependency distance at
 least 2.  A decoration attaches the final assignment, one forbidden word
 per forest vertex, and the partition map.
-
-The tape code keeps two memos, so that encoding many tapes of one system
-does its window geometry once per centre.  ``_last_balls`` holds B(y, 3n)
-as (vertex, distance) pairs by (y, n) for the last tuple-of-tuples
-adjacency, matched by identity (a list is never kept); a ball is kept only
-once the growth precondition holds, so each has fewer than (1 + eps)^n
-vertices and the memo is O(V) at a fixed n.  ``_last_canvases`` holds the
-graph side of ``restrict`` by sorted kept-vertex tuple for the last (graph,
-rule) pair, matched by identity; an entry is O(kept vertices plus the var
-lists they read).  Each memo lives until another adjacency, or pair, comes.
 """
 
 from __future__ import annotations
@@ -32,6 +22,7 @@ from .graphs import (
     Adjacency,
     LocalRule,
     RelGraph,
+    SymAdj,
     VariableGraph,
     Word,
     _components,
@@ -328,7 +319,7 @@ class _Canvas:
     kept set's interior(., 2) in the whole graph, found on first use."""
 
     def __init__(self, graph: VariableGraph, rule: LocalRule, keep: tuple[int, ...]):
-        self.whole, self.keep = graph, keep
+        self.whole, self.whole_rule, self.keep = graph, rule, keep
         new_id = self.new_id = {x: i for i, x in enumerate(keep)}
         out_adj = []
         kept_positions: list[list[int]] = []
@@ -354,19 +345,11 @@ class _Canvas:
         return interior(self.whole.sym_adj, self.keep, 2)
 
 
-# The last (graph, rule) pair given to ``_canvas`` and its canvases by kept tuple.
-_last_canvases: tuple[VariableGraph, LocalRule, dict[tuple[int, ...], _Canvas]] | None = None
-
-
 def _canvas(graph: VariableGraph, rule: LocalRule, keep: tuple[int, ...]) -> _Canvas:
-    """The canvas of ``keep``, kept for the last (graph, rule) pair."""
-    global _last_canvases
-    last = _last_canvases
-    if last is None or last[0] is not graph or last[1] is not rule:
-        last = _last_canvases = graph, rule, {}
-    canvas = last[2].get(keep)
-    if canvas is None:
-        canvas = last[2][keep] = _Canvas(graph, rule, keep)
+    """The canvas of ``keep``, kept by the graph; rebuilt when another rule comes."""
+    canvas = graph.canvases.get(keep)
+    if canvas is None or canvas.whole_rule is not rule:
+        canvas = graph.canvases[keep] = _Canvas(graph, rule, keep)
     return canvas
 
 
@@ -691,22 +674,11 @@ def default_window_params(adj: Sequence[Sequence[int]], eps: Fraction = Fraction
 
 Ball = tuple[tuple[int, int], ...]  # (vertex, distance) pairs in breadth-first order
 
-# The last tuple-of-tuples adjacency given to ``_balls`` and its balls by (centre, n).
-_last_balls: tuple[Adjacency, dict[tuple[int, int], Ball]] | None = None
-
 
 def _balls(adj: Adjacency) -> dict[tuple[int, int], Ball]:
-    """The kept balls B(y, 3n) of ``adj`` by (y, n).  Those of the last
-    tuple-of-tuples adjacency are kept, held by reference and matched by
-    identity; any other adjacency gets a fresh dict that nothing keeps."""
-    global _last_balls
-    last = _last_balls
-    if last is not None and last[0] is adj:
-        return last[1]
-    balls: dict[tuple[int, int], Ball] = {}
-    if type(adj) is tuple and set(map(type, adj)) <= {tuple}:
-        _last_balls = adj, balls
-    return balls
+    """The kept balls B(y, 3n) of ``adj`` by (y, n): a ``SymAdj`` keeps its
+    own; any other adjacency gets a fresh dict that nothing keeps."""
+    return adj.balls if isinstance(adj, SymAdj) else {}
 
 
 def _ball_pairs(adj: Adjacency, y: int, r: int) -> Ball:

@@ -520,3 +520,14 @@ class TestMalformedInput:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("command", ["solve", "tail"])
+    def test_order_wants_integers(self, command, capsys):
+        n = bundled_instances()["disjoint"][0].vertex_count
+        floats = json.dumps([float(x) for x in reversed(range(n))])  # sorts equal to range(n)
+        bools = json.dumps([True, False] + list(range(2, n)))
+        for order in (floats, bools, '"0123"'):
+            assert main([command, "--bundled", "disjoint", "--order", order]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: bad vertex order") and err.count("\n") == 1, err
+        assert main([command, "--bundled", "disjoint", "--order", json.dumps(list(range(n)))]) == 0

@@ -45,6 +45,14 @@ class TestMtaSystemChecks:
         with pytest.raises(ValueError, match="word lengths"):
             MtaSystem.build(graph, rule, Partition.singletons(2))
 
+    def test_order_entries_must_be_integers(self):
+        graph = VariableGraph([(1,), ()])
+        rule = LocalRule(2, [{(0,)}, set()], [1, 0])
+        for order in ([1.0, 0.0], [True, False], [0, 1.0]):
+            with pytest.raises(ValueError, match="permutation"):
+                MtaSystem.build(graph, rule, Partition.singletons(2), order)
+        assert MtaSystem.build(graph, rule, Partition.singletons(2), [1, 0]).order == (1, 0)
+
 
 class TestRandomTape:
     def test_finite_lookup_and_exhaustion(self):

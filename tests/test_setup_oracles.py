@@ -643,7 +643,8 @@ def listed(components):
 
 @pytest.fixture
 def component_passes(monkeypatch):
-    """Counts the component passes made from here on, with no kept result."""
+    """Counts the component passes made from here on; graphs built from here
+    on start with no kept result."""
     passes = []
     real = graphs._component_pass
 
@@ -652,7 +653,6 @@ def component_passes(monkeypatch):
         return real(adj)
 
     monkeypatch.setattr(graphs, "_component_pass", counting)
-    monkeypatch.setattr(graphs, "_last_components", None)
     return passes
 
 
@@ -675,13 +675,14 @@ class TestComponentsKept:
             assert component_passes[before:] == [graph.sym_adj]
 
     def test_identity_not_equality_of_size(self, component_passes):
-        """Two tuple graphs of one size, asked for in turn, each get their own
-        components; asking again for the same object makes no pass."""
-        a = tuple(path(6))
-        b = tuple(disjoint_union([path(2), path(4)], random.Random(1)))
+        """Two graphs of one size, asked for in turn, each keep their own
+        components; asking again for either makes no pass."""
+        a = VariableGraph(path(6)).sym_adj
+        b = VariableGraph(disjoint_union([path(2), path(4)], random.Random(1))).sym_adj
         for adj in (a, a, b, b, a, b):
             assert listed(_components(adj)) == reference_components(adj)
-        assert component_passes == [a, b, a, b]
+        assert component_passes == [a, b]
+        assert component_passes[0] is a and component_passes[1] is b
 
     def test_list_adjacency_is_never_kept(self, component_passes):
         adj = [(1,), (0,), ()]
@@ -693,7 +694,10 @@ class TestComponentsKept:
         rows[1].append(2)
         rows[2].append(1)
         assert listed(_components(rows)) == [([0, 1, 2], 2)]
-        assert len(component_passes) == 4
+        plain = ((1,), (0,), ())  # a tuple of tuples, but no graph's sym_adj
+        assert listed(_components(plain)) == [([0, 1], 1), ([2], 0)]
+        assert listed(_components(plain)) == [([0, 1], 1), ([2], 0)]
+        assert len(component_passes) == 6
 
     def test_window_and_partition_of_a_list_each_pass(self, component_passes):
         adj = path(30)

@@ -1,7 +1,10 @@
 """The tape code's window geometry: ``find_window`` against its full-radius
-reference, its memory at a window parameter near 10^6, and the two memos
-(one ball per centre, one restricted canvas per window) against cold runs."""
+reference, its memory at a window parameter near 10^6, and what a graph
+keeps (one ball per centre, one restricted canvas per window) against runs
+on a fresh graph."""
 
+import dataclasses
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -11,7 +14,9 @@ import pytest
 from lllkit import (
     DecoratedLandscape,
     LocalRule,
+    MtaSystem,
     RandomTape,
+    VariableGraph,
     bundled_instances,
     encode_tape,
     find_window,
@@ -19,9 +24,11 @@ from lllkit import (
     properties,
     restrict,
     run_k,
+    tail_estimate,
 )
 from lllkit.cli import build_system
-from lllkit.graphs import _bfs_distances
+from lllkit.counting import process_map
+from lllkit.graphs import SymAdj, _bfs_distances
 from lllkit.landscapes import Window, WindowError, _float_log1p, _power_exceeds
 from lllkit.properties import Run, fuzz_runs
 from conftest import random_symmetric_adjacency
@@ -64,16 +71,16 @@ def outcome(fn, *args, **kwargs):
         return type(exc), str(exc)
 
 
-@pytest.fixture
-def cold(monkeypatch):
-    """Start with no kept ball and no kept canvas."""
-    monkeypatch.setattr(landscapes, "_last_balls", None)
-    monkeypatch.setattr(landscapes, "_last_canvases", None)
+def fresh_graph(graph):
+    """An equal graph that keeps nothing yet: no components, balls or canvases."""
+    return VariableGraph(graph.out_adj, graph.in_adj)
 
 
-def forget():
-    landscapes._last_balls = None
-    landscapes._last_canvases = None
+def on_fresh_graph(trace):
+    """The same trace over an equal system on a fresh graph."""
+    system = trace.system
+    fresh = MtaSystem.build(fresh_graph(system.graph), system.rule, system.partition, system.order)
+    return dataclasses.replace(trace, system=fresh)
 
 
 def fuzzed_adjacencies(count=400, seed=20261018):
@@ -89,7 +96,7 @@ def fuzzed_adjacencies(count=400, seed=20261018):
 
 
 class TestFindWindowReference:
-    def test_matches_full_radius_scan(self, cold):
+    def test_matches_full_radius_scan(self):
         """Weights are mostly occupancies (>= 0); a few cases allow negative
         weights, the one way past the growth precondition to a failing scan."""
         kinds = []
@@ -107,7 +114,7 @@ class TestFindWindowReference:
         assert len(kinds) == 7 * 400
         assert {"window", "growth", "no", "weight"} <= set(kinds)
 
-    def test_small_eps_peaks_below_a_mebibyte(self, cold):
+    def test_small_eps_peaks_below_a_mebibyte(self):
         # n = 999,819 at eps = 1/389800; a scan over all 3n + 1 radii
         # allocates a list of 3 million sums
         graph, _ = bundled_instances()["chain"]
@@ -136,16 +143,13 @@ def code_fields(code):
 
 
 class TestMemosMatchColdRuns:
-    def test_bundled(self, cold):
+    def test_bundled(self):
         warm = [code_fields(encode_tape(trace, n=n)) for _, n, trace in bundled_traces(range(200))]
-        fresh = []
-        for _, n, trace in bundled_traces(range(200)):
-            forget()
-            fresh.append(code_fields(encode_tape(trace, n=n)))
+        fresh = [code_fields(encode_tape(on_fresh_graph(trace), n=n)) for _, n, trace in bundled_traces(range(200))]
         assert len(warm) == 600 and warm == fresh
         assert sum(fields[2] is not None for fields in warm) > 300
 
-    def test_fuzzed_with_stream_tapes(self, cold):
+    def test_fuzzed_with_stream_tapes(self):
         """Each fuzzed system encodes a finite and a stream tape at n and at
         n + 1 (whose partition may not be sparse enough: the same error)."""
         encoded = 0
@@ -155,58 +159,84 @@ class TestMemosMatchColdRuns:
             traces = [run.trace(), run_k(system, run.f0, run.k, RandomTape.stream(system.b, run.tape_seed))]
             cases = [(trace, m) for trace in traces for m in (n, n + 1)]
             warm = [code_fields(outcome(encode_tape, trace, n=m)) for trace, m in cases]
-            fresh = []
-            for trace, m in cases:
-                forget()
-                fresh.append(code_fields(outcome(encode_tape, trace, n=m)))
+            fresh = [code_fields(outcome(encode_tape, on_fresh_graph(trace), n=m)) for trace, m in cases]
             assert warm == fresh
             encoded += sum(not isinstance(fields[0], type) for fields in warm)
         assert encoded >= 600
 
 
 class TestWhatIsKept:
-    def test_list_adjacency_is_never_kept(self, cold):
+    def test_list_adjacency_is_never_kept(self, monkeypatch):
+        searches = []
+        real_pairs = landscapes._ball_pairs
+        monkeypatch.setattr(landscapes, "_ball_pairs", lambda *args: searches.append(args[1]) or real_pairs(*args))
         adj = [(1,), (0, 2), (1,), ()]
         eps = Fraction(4)  # |B(y, 3)| < 5
         assert find_window(adj, [0, 1, 0, 0], eps, 1).vertices == {0, 1, 2}
-        assert landscapes._last_balls is None
+        assert landscapes._balls(adj) == {}
         adj[2], adj[3] = (1, 3), (2,)  # extend the path
         assert find_window(adj, [0, 1, 0, 0], eps, 1).vertices == {0, 1, 2, 3}
         rows = ([1], [0])  # a tuple, but of lists that may change
         find_window(rows, [1, 1], eps, 1)
-        assert landscapes._last_balls is None
+        assert landscapes._balls(rows) == {}
+        plain = ((1,), (0,))  # a tuple of tuples, but no graph's sym_adj
+        find_window(plain, [1, 1], eps, 1)
+        find_window(plain, [1, 1], eps, 1)
+        assert landscapes._balls(plain) == {}
+        assert searches == [1, 1, 0, 0, 0]
 
-    def test_entry_is_the_ball_of_radius_3n(self, cold):
+    def test_entry_is_the_ball_of_radius_3n(self):
         size, centre, n = 60, 30, 2
-        adj = tuple(tuple(v for v in (x - 1, x + 1) if 0 <= v < size) for x in range(size))
+        adj = SymAdj(tuple(v for v in (x - 1, x + 1) if 0 <= v < size) for x in range(size))
         weights = [0] * size
         weights[centre] = 1
         find_window(adj, weights, Fraction(3), n)  # |B(30, 6)| = 13 < 4^2
-        kept, balls = landscapes._last_balls
-        assert kept is adj and list(balls) == [(centre, n)]
+        balls = adj.balls
+        assert landscapes._balls(adj) is balls and list(balls) == [(centre, n)]
         dist = _bfs_distances(adj, [centre])
         assert sorted(balls[centre, n]) == sorted((x, d) for x, d in enumerate(dist) if d <= 3 * n)
 
-    def test_failing_precondition_keeps_nothing(self, cold):
-        adj = (tuple(range(1, 8)),) + ((0,),) * 7  # a star: |B(0, 3)| = 8
+    def test_failing_precondition_keeps_nothing(self):
+        adj = SymAdj((tuple(range(1, 8)),) + ((0,),) * 7)  # a star: |B(0, 3)| = 8
         with pytest.raises(WindowError, match="growth precondition"):
             find_window(adj, [1] * 8, Fraction(1, 2), 1)
-        assert landscapes._last_balls[1] == {}
+        assert adj.balls == {}
 
-    def test_canvas_follows_the_rule_as_well_as_the_graph(self, cold):
+    def test_canvas_follows_the_rule_as_well_as_the_graph(self):
         graph, rule = bundled_instances()["chain"]
         free = LocalRule(rule.b, [frozenset()] * graph.vertex_count, rule.word_lengths)
         n = graph.vertex_count
         landscapes_ = [DecoratedLandscape(graph, r, [], {}, {}, (0,) * n, tuple(range(n))) for r in (rule, free, rule)]
         keep = range(n - 1)
         warm = [restrict(ls, keep) for ls in landscapes_]
-        fresh = []
-        for ls in landscapes_:
-            forget()
-            fresh.append(restrict(ls, keep))
+        fresh = [restrict(DecoratedLandscape(fresh_graph(graph), ls.rule, [], {}, {}, ls.final, ls.part_of), keep)
+                 for ls in landscapes_]
         assert warm == fresh and warm[0][0].rule != warm[1][0].rule
 
-    def test_one_search_per_centre_one_graph_per_window(self, cold, monkeypatch):
+    def test_pickles_keep_nothing(self):
+        graph, rule = bundled_instances()["torus"]
+        system, n = build_system(graph, rule, "auto", Fraction(1, 2))
+        for seed in range(50):
+            encode_tape(Run(system, 5, seed, [0] * graph.vertex_count).trace(), n=n)
+        assert graph.sym_adj.components and graph.sym_adj.balls and graph.canvases
+        copy = pickle.loads(pickle.dumps(system))
+        assert type(copy.graph.sym_adj) is SymAdj and copy.graph.sym_adj == graph.sym_adj
+        assert copy.graph == graph and copy.graph.rel == graph.rel
+        assert vars(copy.graph.sym_adj) == {} and "canvases" not in vars(copy.graph)  # no components, balls or canvases
+        assert encode_tape(Run(copy, 5, 0, [0] * graph.vertex_count).trace(), n=n) \
+            == encode_tape(Run(system, 5, 0, [0] * graph.vertex_count).trace(), n=n)
+
+    def test_witness_sizes_in_a_pool(self):
+        graph, rule = bundled_instances()["torus"]
+        system, n = build_system(graph, rule, "auto", Fraction(1, 2))
+        f0 = [0] * graph.vertex_count
+        here = tail_estimate(system, f0, range(40), [0, 1, 2], 100, collect_witness_sizes=True, window_n=n)
+        assert graph.sym_adj.components and graph.sym_adj.balls  # the workers get a system that keeps them
+        pooled = tail_estimate(system, f0, range(40), [0, 1, 2], 100, collect_witness_sizes=True, window_n=n,
+                               run_map=process_map(2))
+        assert pooled == here and any(here.witness_sizes)
+
+    def test_one_search_per_centre_one_graph_per_window(self, monkeypatch):
         searches, graphs_built, centres, windows = [], [], set(), set()
         real_pairs, real_graph, real_find = (
             landscapes._ball_pairs, landscapes.VariableGraph, landscapes.find_window)

@@ -64,7 +64,9 @@ def load_instance_from_config(cfg: dict):
     kind = cfg.get("kind")
     if kind == "dimacs":
         try:
-            with open(cfg["path"], encoding="utf-8") as fh:
+            # A byte that is not UTF-8 becomes a lone surrogate: skipped in a
+            # comment, a parse error anywhere else.
+            with open(cfg["path"], encoding="utf-8", errors="surrogateescape") as fh:
                 text = fh.read()
         except OSError as exc:
             raise CliError(f"cannot read {cfg['path']}: {exc}")
@@ -72,7 +74,10 @@ def load_instance_from_config(cfg: dict):
             cnf = instances.parse_dimacs(text)
         except ValueError as exc:
             raise CliError(f"DIMACS parse error: {exc}")
-        graph, rule, _ = instances.from_cnf(cnf)
+        try:
+            graph, rule, _ = instances.from_cnf(cnf)
+        except (MemoryError, OverflowError):
+            raise CliError(f"DIMACS header declares {cnf.variable_count} variables, too many to build")
     elif kind == "json":
         try:
             graph, rule = instances.load_instance(cfg["path"])

@@ -117,9 +117,11 @@ def parse_dimacs(text: str, clause_size: int | None = 3) -> CnfInstance:
         if line.startswith("p"):
             parts = line.split()
             try:
-                if len(parts) != 4 or parts[1] != "cnf":
+                if len(parts) != 4 or parts[:2] != ["p", "cnf"]:
                     raise ValueError(f"bad problem line: {line!r}")
                 header = (int(parts[2]), int(parts[3]))
+                if min(header) < 0:
+                    raise ValueError(f"bad problem line: {line!r}")
             except ValueError:
                 # A bad token on an earlier line is the first fault.
                 list(map(int, " ".join(body).split()))
@@ -413,10 +415,10 @@ def word_to_str(word: Word) -> str:
 
 
 def str_to_word(s: str, b: int) -> Word:
-    word = tuple(WORD_DIGITS.index(ch) for ch in s)
-    if any(d >= b for d in word):
+    digits = WORD_DIGITS[:b]
+    if any(ch not in digits for ch in s):
         raise ValueError(f"word {s!r} has digits outside base {b}")
-    return word
+    return tuple(map(digits.index, s))
 
 
 def instance_to_json(graph: VariableGraph, rule: LocalRule) -> str:

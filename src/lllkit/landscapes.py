@@ -150,13 +150,6 @@ class DecoratedLandscape:
     def is_empty(self) -> bool:
         return not self.verts
 
-    @property
-    def height(self) -> int:
-        return 1 + max((lvl for _, lvl in self.verts), default=-1)
-
-    def level_verts(self, level: int) -> list[ForestVertex]:
-        return sorted(v for v in self.verts if v[1] == level)
-
     def column_occupancy(self) -> list[int]:
         g = [0] * self.graph.vertex_count
         for base, _ in self.verts:
@@ -264,46 +257,24 @@ def extract_landscape(trace: RunTrace) -> DecoratedLandscape:
 # ---------------------------------------------------------------------------
 
 
-def _cover_maps(ls: DecoratedLandscape) -> list[dict[int, ForestVertex]]:
-    """cover[i][y] = the unique level-i forest vertex reading y."""
-    k = ls.height
-    cover: list[dict[int, ForestVertex]] = [dict() for _ in range(k)]
-    for v in ls.verts:
-        base, level = v
-        for y in ls.graph.var(base):
-            if y in cover[level]:
-                raise InternalConsistencyError(
-                    f"level {level} has two vertices reading {y}; separation is broken"
-                )
-            cover[level][y] = v
-    return cover
-
-
 def asgn_seq(ls: DecoratedLandscape) -> list[Word]:
-    """Per-vertex digit sequences reconstructed from the decoration.
+    """Per-vertex digit sequences read off the decoration.
 
-    Backward pass: start from the final assignment and, walking levels
-    downward, reset every variable read at a level to its recorded violated
-    value.  Forward pass: whenever a level reads x, the level-above
-    assignment value of x is the digit the run consumed there.
+    A level that reads x consumed the value x holds until the next level
+    that reads x, and that level's prev word records it; after the last
+    such level x keeps its final value.  So Seq(x) is x's prev digits at
+    its reading levels except the lowest, then ``final[x]`` (empty when no
+    level reads x).  Separation, which ``validate`` enforces, puts at most
+    one reader of x on each level.
     """
-    n = ls.graph.vertex_count
-    k = ls.height
-    if k == 0:
-        return [() for _ in range(n)]
-    cover = _cover_maps(ls)
-    asgn: list[list[int]] = [None] * (k + 1)  # type: ignore[list-item]
-    asgn[k] = list(ls.final)
-    for i in range(k - 1, -1, -1):
-        asgn[i] = list(asgn[i + 1])
-        for v in ls.level_verts(i):
-            base = v[0]
-            word = ls.prev[v]
-            for pos, y in enumerate(ls.graph.var(base)):
-                asgn[i][y] = word[pos]
-    seqs: list[Word] = []
-    for x in range(n):
-        seqs.append(tuple(asgn[i + 1][x] for i in range(k) if x in cover[i]))
+    reads: dict[int, list[tuple[int, int]]] = {}  # x -> (level, prev digit) per reader
+    for (base, level), word in ls.prev.items():
+        for x, digit in zip(ls.graph.var(base), word):
+            reads.setdefault(x, []).append((level, digit))
+    seqs: list[Word] = [()] * ls.graph.vertex_count
+    for x, pairs in reads.items():
+        pairs.sort()
+        seqs[x] = tuple([digit for _, digit in pairs[1:]]) + (ls.final[x],)
     return seqs
 
 
@@ -759,102 +730,77 @@ class TapeCode:
 def encode_tape(trace: RunTrace, eps: Fraction = Fraction(1, 2), n: int | None = None) -> TapeCode:
     """Compress a finite run's tape into (parts, leftover digits, witness).
 
-    With an empty landscape the payload is the concatenation of all
-    streams.  Otherwise a window F around the column of maximal occupancy
-    is found, the landscape is restricted to F and grounded, the parts of
-    the window interior F_-2 are recorded, and the payload concatenates the
-    per-part leftovers: the unused suffix for interior parts, the whole
-    stream for the rest.  The partition must separate the window's ball, so
-    each interior vertex is recoverable from its part alone.
+    With an empty landscape no part is recorded and the payload is the
+    concatenation of all streams.  Otherwise a window F around the column
+    of maximal occupancy is found, the landscape is restricted to F and
+    grounded, the parts of the window interior F_-2 are recorded, and the
+    payload concatenates the per-part leftovers: the unused suffix for
+    interior parts, the whole stream for the rest.  The partition must
+    separate the window's ball, so each interior vertex is recoverable
+    from its part alone.
     """
     system = trace.system
     if trace.tape is None:
         raise ValueError("trace has no tape")
-    p = system.partition.part_count
-    k = trace.k
-    ls = extract_landscape(trace)
-    if ls.is_empty:
-        payload = tuple(d for i in range(p) for d in trace.tape.row(i, k))
-        return TapeCode(frozenset(), payload, None, system.b)
-    adj = system.graph.sym_adj
-    if n is None:
-        n = default_window_params(adj, eps)
-    window = find_window(adj, ls.column_occupancy(), eps, n)
-    ball_3n = _balls(adj).get((window.center, n)) or _ball_pairs(adj, window.center, 3 * n)
     part_of = system.partition.part_of
-    if len({part_of[x] for x, _ in ball_3n}) != len(ball_3n):
-        raise ValueError(
-            "partition is not injective on the window ball; "
-            f"a {3 * n}-sparse partition is required"
-        )
-    restricted, keep = restrict(ls, window.vertices)
-    witness = ground(restricted)
-    core = _canvas(ls.graph, ls.rule, keep).core
-    part_ids = frozenset(part_of[x] for x in core)
-    core_by_part = {part_of[x]: x for x in core}
+    ls = extract_landscape(trace)
+    witness = None
+    core_by_part: dict[int, int] = {}
+    if not ls.is_empty:
+        adj = system.graph.sym_adj
+        if n is None:
+            n = default_window_params(adj, eps)
+        window = find_window(adj, ls.column_occupancy(), eps, n)
+        ball_3n = adj.balls[window.center, n]  # kept there by find_window
+        if len({part_of[x] for x, _ in ball_3n}) != len(ball_3n):
+            raise ValueError(
+                "partition is not injective on the window ball; "
+                f"a {3 * n}-sparse partition is required"
+            )
+        restricted, keep = restrict(ls, window.vertices)
+        witness = ground(restricted)
+        core_by_part = {part_of[x]: x for x in _canvas(ls.graph, ls.rule, keep).core}
     payload: list[int] = []
-    for i in range(p):
-        if i in part_ids:
-            x = core_by_part[i]
-            _, unused = used_unused(trace, x)
-            payload.extend(unused)
+    for i in range(system.partition.part_count):
+        if i in core_by_part:
+            payload.extend(used_unused(trace, core_by_part[i])[1])
         else:
-            payload.extend(trace.tape.row(i, k))
-    return TapeCode(part_ids, tuple(payload), witness, system.b)
+            payload.extend(trace.tape.row(i, trace.k))
+    return TapeCode(frozenset(core_by_part), tuple(payload), witness, system.b)
 
 
 def decode_tape(code: TapeCode, p: int, k: int) -> RandomTape:
     """Rebuild the tape a code came from.
 
-    The witness alone determines the split: an interior part's leftover has
-    length k minus the decoded sequence length of its (unique) vertex, any
-    other part's leftover is a full stream, and the consumed prefix of an
-    interior part is exactly the decoded sequence.
+    The witness alone determines the split: each recorded part has a
+    (unique) witness vertex, whose decoded sequence is the part's used
+    prefix; every other part, and every part of an empty witness, used
+    nothing.  Each part's stream is its used prefix followed by the next
+    k minus that many payload digits.
     """
     if code.payload and (min(code.payload) < 0 or max(code.payload) >= code.b):
         raise CodeCorruptionError("payload digit outside the alphabet")
     if any(not 0 <= i < p for i in code.part_ids):
         raise CodeCorruptionError("part id outside 0..p-1")
-    if code.witness is None:
-        if code.part_ids:
-            raise CodeCorruptionError("empty witness with nonempty part set")
-        if len(code.payload) != p * k:
-            raise CodeCorruptionError(
-                f"payload length {len(code.payload)} != p*k = {p * k}"
-            )
-        digits = [code.payload[i * k : (i + 1) * k] for i in range(p)]
-        return RandomTape.finite(code.b, digits)
-    witness = code.witness
-    seqs = asgn_seq(witness)
-    vertex_of_part: dict[int, int] = {}
-    for x in range(witness.graph.vertex_count):
-        i = witness.part_of[x]
-        if i in code.part_ids:
-            if i in vertex_of_part:
-                raise CodeCorruptionError(f"witness repeats part {i}")
-            vertex_of_part[i] = x
-    if set(vertex_of_part) != set(code.part_ids):
+    used_by_part: dict[int, Word] = {}
+    if code.witness is not None:
+        for x, seq in enumerate(asgn_seq(code.witness)):
+            i = code.witness.part_of[x]
+            if i in code.part_ids:
+                if i in used_by_part:
+                    raise CodeCorruptionError(f"witness repeats part {i}")
+                used_by_part[i] = seq
+    if used_by_part.keys() != code.part_ids:
         raise CodeCorruptionError("witness does not cover every recorded part")
-    lengths = []
-    for i in range(p):
-        if i in code.part_ids:
-            used_len = len(seqs[vertex_of_part[i]])
-            if used_len > k:
-                raise CodeCorruptionError(f"part {i} decodes more than k digits")
-            lengths.append(k - used_len)
-        else:
-            lengths.append(k)
-    if sum(lengths) != len(code.payload):
-        raise CodeCorruptionError(
-            f"payload length {len(code.payload)} != expected {sum(lengths)}"
-        )
     streams = []
     pos = 0
     for i in range(p):
-        leftover = code.payload[pos : pos + lengths[i]]
-        pos += lengths[i]
-        if i in code.part_ids:
-            streams.append(tuple(seqs[vertex_of_part[i]]) + tuple(leftover))
-        else:
-            streams.append(tuple(leftover))
+        used = used_by_part.get(i, ())
+        if len(used) > k:
+            raise CodeCorruptionError(f"part {i} decodes more than k digits")
+        end = pos + k - len(used)
+        streams.append(used + tuple(code.payload[pos:end]))
+        pos = end
+    if pos != len(code.payload):
+        raise CodeCorruptionError(f"payload length {len(code.payload)} != expected {pos}")
     return RandomTape.finite(code.b, streams)

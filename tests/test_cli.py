@@ -522,6 +522,49 @@ class TestMalformedInput:
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("command", ["solve", "tail"])
+    def test_dimacs_bytes_that_are_not_utf8(self, command, tmp_path, capsys):
+        """Comment lines may hold any bytes; anywhere else a byte that is not
+        UTF-8 is a parse error on one line."""
+        args = [command] + (["--seeds", "20", "--n-max", "3"] if command == "tail" else ["--seed", "1"])
+        files = {
+            "plain.cnf": SAT_TEXT.encode(),
+            "latin1.cnf": b"c caf\xe9\n" + SAT_TEXT.encode() + b"c \xff\xfe\x80\n",
+            "body.cnf": b"p cnf 9 3\n1 2 3 0\n4 5 \xe9 0\n7 8 9 0\n",
+            "header.cnf": b"p\xe9 cnf 9 3\n1 2 3 0\n4 5 6 0\n7 8 9 0\n",
+        }
+        outputs = {}
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
+            code = main(args + ["--dimacs", str(tmp_path / name)])
+            outputs[name] = code, capsys.readouterr()
+        assert outputs["latin1.cnf"] == outputs["plain.cnf"] and outputs["plain.cnf"][0] == 0
+        for name in ("body.cnf", "header.cnf"):
+            code, captured = outputs[name]
+            assert code == 2 and captured.out == ""
+            assert captured.err.startswith("error: DIMACS parse error") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("header, message", [
+        ("p cnf -3 0", "bad problem line"),
+        ("p cnf -3 1", "bad problem line"),
+        ("p cnf 3 -1", "bad problem line"),
+        ("p cnf 9223372036854775807 1", "too many to build"),  # MemoryError in from_cnf
+        ("p cnf 99999999999999999999 1", "too many to build"),  # OverflowError in from_cnf
+    ])
+    @pytest.mark.parametrize("command", ["solve", "tail"])
+    def test_dimacs_header_counts(self, command, header, message, tmp_path, capsys):
+        path = tmp_path / "counts.cnf"
+        path.write_text(header + "\n1 2 3 0\n")
+        assert main([command, "--dimacs", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1, err
+
+    def test_word_digit_outside_the_digit_set(self, tmp_path, capsys):
+        path = tmp_path / "bang.json"
+        path.write_text('{"b":2,"vertices":2,"out_adj":[[1],[]],"allowed":[["!"],[""]]}')
+        assert main(["solve", "--instance", str(path)]) == 2
+        assert capsys.readouterr().err == "error: instance load error: word '!' has digits outside base 2\n"
+
+    @pytest.mark.parametrize("command", ["solve", "tail"])
     def test_order_wants_integers(self, command, capsys):
         n = bundled_instances()["disjoint"][0].vertex_count
         floats = json.dumps([float(x) for x in reversed(range(n))])  # sorts equal to range(n)

@@ -33,6 +33,7 @@ from lllkit.instances import (
     non_surjective_count,
     non_surjective_words,
     random_instance,
+    str_to_word,
     torus_condition_holds,
 )
 
@@ -351,3 +352,9 @@ class TestInstanceJson:
     def test_bad_digit_rejected(self):
         with pytest.raises(ValueError):
             instance_from_json('{"b":2,"vertices":1,"out_adj":[[0]],"allowed":[["2"]]}')
+
+    @pytest.mark.parametrize("word", ["2", "!", "0!", "A"])
+    def test_digit_outside_the_base_named(self, word):
+        with pytest.raises(ValueError, match=f"word '{word}' has digits outside base 2"):
+            str_to_word(word, 2)
+        assert str_to_word("0110", 2) == (0, 1, 1, 0) and str_to_word("z", 36) == (35,)

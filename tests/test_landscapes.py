@@ -15,8 +15,10 @@ from lllkit import (
     MtaSystem,
     Partition,
     RandomTape,
+    TapeCode,
     VariableGraph,
     asgn_seq,
+    bundled_instances,
     decode_tape,
     default_window_params,
     encode_tape,
@@ -108,6 +110,26 @@ def pairwise_separation_failure(rel, verts):
             if rel.adjacent(a, b):
                 return f"level {level} holds dependency-adjacent bases {a}, {b}"
     return None
+
+
+def replay_asgn_seq(ls):
+    """``asgn_seq`` before it read Seq(x) off the prev words: rebuild the
+    assignment before every level, walking down from the final one, and
+    read the digit each level consumed from the assignment after it."""
+    k = 1 + max((level for _, level in ls.verts), default=-1)
+    cover = [dict() for _ in range(k)]  # cover[i][y] = the level-i vertex reading y
+    for v in ls.verts:
+        for y in ls.graph.var(v[0]):
+            assert y not in cover[v[1]], "separation is broken"
+            cover[v[1]][y] = v
+    asgn = [None] * (k + 1)
+    asgn[k] = list(ls.final)
+    for i in range(k - 1, -1, -1):
+        asgn[i] = list(asgn[i + 1])
+        for v in sorted(v for v in ls.verts if v[1] == i):
+            for pos, y in enumerate(ls.graph.var(v[0])):
+                asgn[i][y] = ls.prev[v][pos]
+    return [tuple(asgn[i + 1][x] for i in range(k) if x in cover[i]) for x in range(ls.graph.vertex_count)]
 
 
 class TestLandscapeInvariants:
@@ -222,6 +244,32 @@ class TestAsgnSeq:
 
     def test_seq_equals_used_fuzz(self, rng):
         assert properties.seq_used(properties.fuzz_runs(rng, 60, random_f0=True)) == (60, None)
+
+    def test_equals_the_replay(self, rng):
+        """Abstract landscapes and their groundings, and landscapes of fuzzed
+        runs, whole, restricted to balls and grounded."""
+        from conftest import random_abstract_landscape
+
+        def cases():
+            for _ in range(1000):
+                ls = random_abstract_landscape(rng)
+                yield ls
+                if not ls.is_empty:
+                    yield ground(ls)
+            for run, ball_ in restricted_runs(rng, 1500, 300):
+                ls = extract_landscape(run.trace())
+                yield ls
+                if ball_ is not None:
+                    ls = restrict(ls, ball_)[0]
+                    yield ls
+                yield ground(ls)
+
+        checked = nonempty = 0
+        for ls in cases():
+            assert asgn_seq(ls) == replay_asgn_seq(ls)
+            checked += 1
+            nonempty += not ls.is_empty
+        assert checked >= 3000 and nonempty >= 2500
 
 
 class TestRestrict:
@@ -521,6 +569,76 @@ class TestTapeCode:
             pytest.skip("no violations with this seed")
         with pytest.raises(ValueError, match="injective"):
             encode_tape(trace, n=default_window_params(graph.sym_adj))
+
+
+class TestDecodeCorruption:
+    """Each check ``decode_tape`` makes, on an empty witness and on a
+    nonempty one wherever it applies."""
+
+    K = 4
+
+    @pytest.fixture(scope="class")
+    def codes(self):
+        """(p, the code of a tape whose landscape is empty, the code of one
+        whose landscape is not)."""
+        system, n = build_system(*bundled_instances()["chain"], "auto", Fraction(1, 2))
+        tape = RandomTape.finite_random(system.b, system.p, self.K, seed=11)
+        empty = TapeCode(frozenset(), sum(tape.digits, ()), None, system.b)
+        code = encode_tape(run_k(system, [0] * system.graph.vertex_count, self.K, tape), n=n)
+        assert code.witness is not None and decode_tape(empty, system.p, self.K) == tape
+        return system.p, empty, code
+
+    @staticmethod
+    def rejects(code, p, k, match):
+        with pytest.raises(CodeCorruptionError, match=match):
+            decode_tape(code, p, k)
+
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_digit_outside_the_alphabet(self, codes, which):
+        p, code = codes[0], codes[which]
+        for bad in (-1, code.b):
+            payload = (bad,) + code.payload[1:]
+            self.rejects(TapeCode(code.part_ids, payload, code.witness, code.b), p, self.K, "alphabet")
+
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_part_id_out_of_range(self, codes, which):
+        p, code = codes[0], codes[which]
+        for bad in (-1, p):
+            self.rejects(TapeCode(code.part_ids | {bad}, code.payload, code.witness, code.b), p, self.K, "part id")
+
+    def test_empty_witness_with_part_ids(self, codes):
+        p, empty, _ = codes
+        self.rejects(TapeCode(frozenset({0}), empty.payload, None, empty.b), p, self.K, "cover")
+
+    def test_witness_repeats_a_part(self, codes):
+        p, _, code = codes
+        witness = code.witness
+        part = min(code.part_ids)
+        other = next(x for x, i in enumerate(witness.part_of) if i != part)
+        part_of = list(witness.part_of)
+        part_of[other] = part
+        twice = DecoratedLandscape(witness.graph, witness.rule, witness.verts, witness.parent,
+                                   witness.prev, witness.final, part_of)
+        self.rejects(TapeCode(code.part_ids, code.payload, twice, code.b), p, self.K, f"repeats part {part}")
+
+    def test_witness_misses_a_recorded_part(self, codes):
+        p, _, code = codes
+        missing = min(set(range(p)) - set(code.witness.part_of))
+        self.rejects(TapeCode(code.part_ids | {missing}, code.payload, code.witness, code.b), p, self.K, "cover")
+
+    def test_part_decodes_more_than_k_digits(self, codes):
+        # the witness of a run of K steps, read as one of fewer
+        p, _, code = codes
+        seqs = asgn_seq(code.witness)
+        longest = max(len(seq) for x, seq in enumerate(seqs) if code.witness.part_of[x] in code.part_ids)
+        assert longest >= 1
+        self.rejects(code, p, longest - 1, "more than k digits")
+
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_payload_one_digit_short_or_long(self, codes, which):
+        p, code = codes[0], codes[which]
+        for payload in (code.payload[:-1], code.payload + (0,)):
+            self.rejects(TapeCode(code.part_ids, payload, code.witness, code.b), p, self.K, "payload length")
 
 
 class TestDigitCountInequality:

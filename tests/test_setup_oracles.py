@@ -402,9 +402,11 @@ def reference_parse_dimacs(text, clause_size=3):
             continue
         if line.startswith("p"):
             parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
+            if len(parts) != 4 or parts[:2] != ["p", "cnf"]:
                 raise ValueError(f"bad problem line: {line!r}")
             header = (int(parts[2]), int(parts[3]))
+            if min(header) < 0:
+                raise ValueError(f"bad problem line: {line!r}")
             continue
         tokens.extend(int(t) for t in line.split())
     if header is None:

@@ -30,6 +30,15 @@ class CliError(Exception):
         self.code = code
 
 
+def _write_file(path: str, text: str) -> None:
+    """Write an --out or --svg file; a path that cannot be written is a config error."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}")
+
+
 # ---------------------------------------------------------------------------
 # Instance loading
 # ---------------------------------------------------------------------------
@@ -220,8 +229,7 @@ def cmd_solve(args) -> int:
     }
     text = json.dumps(result, separators=(",", ":")) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        _write_file(args.out, text)
     sys.stdout.write(text)
     if trace.status != "satisfied":
         return EXIT_CAP
@@ -267,8 +275,7 @@ def cmd_verify(args) -> int:
     report = "\n".join(lines) + "\n"
     sys.stdout.write(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(report)
+        _write_file(args.out, report)
     if failed is not None:
         sys.stderr.write(json.dumps(failed, separators=(",", ":")) + "\n")
         return EXIT_SUITE
@@ -314,8 +321,7 @@ def cmd_count(args) -> int:
     csv = "\n".join(rows) + "\n"
     sys.stdout.write(csv)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(csv)
+        _write_file(args.out, csv)
     return EXIT_OK
 
 
@@ -394,16 +400,14 @@ def cmd_tail(args) -> int:
     if est.slope is not None:
         sys.stdout.write(f"# fitted slope {est.slope!r} (se {est.slope_se!r})\n")
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(csv)
+        _write_file(args.out, csv)
     if args.svg:
         points = [
             (float(n), math.log(p, system.b))
             for n, p in zip(est.n_grid, est.phat)
             if p > 0
         ]
-        with open(args.svg, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_svg_line_chart(points, "exceedance decay"))
+        _write_file(args.svg, _svg_line_chart(points, "exceedance decay"))
     return EXIT_OK
 
 

@@ -12,10 +12,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import statistics
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .engine import MtaSystem, RandomTape, run_until_satisfied
 from .graphs import LocalRule, VariableGraph, Word
@@ -218,8 +216,7 @@ def landscape_class_bound(
     return prefactor * max(n2, 1) ** n1 * (ratio * beta) ** n2
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(NamedTuple):
     kind: str
     params: dict
     count: int
@@ -266,8 +263,7 @@ def landscape_count_reports(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EnumResult:
+class EnumResult(NamedTuple):
     count: int
     complete: bool
     examined: int
@@ -421,8 +417,7 @@ def enumerate_small_landscapes(
 MIN_POSITIVE = 30  # exceedances a grid point needs to enter the slope fit
 
 
-@dataclass
-class TailEstimate:
+class TailEstimate(NamedTuple):
     """Empirical exceedance of max resample counts over a seed ensemble."""
 
     n_grid: tuple[int, ...]
@@ -456,6 +451,8 @@ class TailEstimate:
 def _fit_slope(xs: Sequence[float], ys: Sequence[float]) -> tuple[float | None, float | None]:
     if len(xs) < 2 or len(set(xs)) < 2:
         return None, None
+    import statistics  # only a tail estimate needs it; kept off the import path
+
     fit = statistics.linear_regression(xs, ys)
     slope, intercept = fit.slope, fit.intercept
     if len(xs) == 2:

@@ -14,7 +14,6 @@ import hashlib
 import itertools
 import json
 import random
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
@@ -266,26 +265,23 @@ class _OneOrNoVariable:
         return tuple(f[v] for v in self.var)
 
 
-@dataclass(frozen=True)
-class RunState:
+class RunState(NamedTuple):
     step: int
     assignment: tuple[int, ...]
     counters: tuple[int, ...]
 
 
-@dataclass
 class RunTrace:
     """What a run did: the initial assignment, each round's resample set and
     drawn digits (over its sorted targets), and the ending; ``states()`` replays the rest."""
 
-    system: MtaSystem
-    tape: RandomTape | None
-    initial: tuple[int, ...]
-    resampled: list[frozenset[int]] = field(default_factory=list)
-    drawn: list[tuple[int, ...]] = field(default_factory=list)
-    final: tuple[int, ...] = ()
-    h_final: tuple[int, ...] = ()
-    status: str = "ok"  # ok | satisfied | cap_exceeded | tape_exhausted
+    def __init__(self, system: MtaSystem, tape: RandomTape | None, initial: tuple[int, ...]):
+        self.system, self.tape, self.initial = system, tape, initial
+        self.resampled: list[frozenset[int]] = []
+        self.drawn: list[tuple[int, ...]] = []
+        self.final: tuple[int, ...] = ()
+        self.h_final: tuple[int, ...] = ()
+        self.status = "ok"  # ok | satisfied | cap_exceeded | tape_exhausted
 
     @property
     def k(self) -> int:

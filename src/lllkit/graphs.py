@@ -13,9 +13,8 @@ import functools
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Word = tuple[int, ...]
 Adjacency = Sequence[Sequence[int]]
@@ -271,8 +270,7 @@ def build_rel(graph: VariableGraph) -> RelGraph:
     return RelGraph([dict.fromkeys([y for v in row for y in cl[v]]) for row in graph.out_adj])
 
 
-@dataclass(frozen=True)
-class InstanceParams:
+class InstanceParams(NamedTuple):
     """The degree/complement bounds (D, delta, beta) of an instance."""
 
     d: int

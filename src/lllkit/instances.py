@@ -14,10 +14,8 @@ import itertools
 import json
 import math
 import random
-import string
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .graphs import (
     LocalRule,
@@ -28,7 +26,7 @@ from .graphs import (
 
 Literal = tuple[int, int]  # (0-based variable index, sign in {+1, -1})
 
-WORD_DIGITS = string.digits + string.ascii_lowercase
+WORD_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 # Loading complements each allowed list within all b^len(var(x)) words, so
 # a vertex with more words than this is refused before any enumeration.
 MAX_LOAD_WORDS = 1 << 20
@@ -124,11 +122,11 @@ def parse_dimacs(text: str, clause_size: int | None = 3) -> CnfInstance:
                     raise ValueError(f"bad problem line: {line!r}")
             except ValueError:
                 # A bad token on an earlier line is the first fault.
-                list(map(int, " ".join(body).split()))
+                _body_ints(body, text)
                 raise
             continue
         body.append(line)
-    tokens = list(map(int, " ".join(body).split()))
+    tokens = _body_ints(body, text)
     if header is None:
         raise ValueError("missing 'p cnf' header")
     n_vars, n_clauses = header
@@ -153,6 +151,26 @@ def parse_dimacs(text: str, clause_size: int | None = 3) -> CnfInstance:
             if len(clause) != clause_size:
                 raise ValueError(f"clause {i} has {len(clause)} literals, expected {clause_size}")
     return CnfInstance(n_vars, clauses)
+
+
+def _body_ints(body: list[str], text: str) -> list[int]:
+    """The integer tokens of ``body``, the clause lines of ``text`` so far.  A first
+    bad token holding a byte that is not UTF-8 (a lone surrogate after decoding
+    with ``surrogateescape``) is reported by its line in ``text`` and the byte."""
+    try:
+        return list(map(int, " ".join(body).split()))
+    except ValueError as error:
+        for number, line in enumerate(text.splitlines(), 1):
+            line = line.strip()
+            for token in () if line[:1] in ("", "c", "%", "p") else line.split():  # clause lines only
+                try:
+                    int(token)
+                except ValueError:
+                    escaped = [ord(ch) - 0xDC00 for ch in token if "\udc80" <= ch <= "\udcff"]
+                    if escaped:
+                        raise ValueError(f"line {number}: byte {escaped[0]:#04x} is not UTF-8") from None
+                    raise error from None
+        raise
 
 
 def from_cnf(cnf: CnfInstance) -> tuple[VariableGraph, LocalRule, list[tuple[str, int]]]:
@@ -225,34 +243,33 @@ def random_bounded_overlap_sat(n_clauses: int, delta_target: int, seed: int) -> 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TorusSpec:
-    """d-dimensional torus of side m, translate set T, color count b."""
+class TorusSpec(NamedTuple("TorusSpec", [("dimension", int), ("side", int),
+                                         ("translates", tuple[tuple[int, ...], ...]), ("colors", int)])):
+    """d-dimensional torus of side m, translate set T, color count b, checked at construction."""
 
-    dimension: int
-    side: int
-    translates: tuple[tuple[int, ...], ...]
-    colors: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        if self.dimension < 1 or self.side < 1:
+    def __new__(cls, dimension, side, translates, colors):
+        if dimension < 1 or side < 1:
             raise ValueError("dimension and side must be positive")
-        if not self.translates:
+        if not translates:
             raise ValueError("translate set must be nonempty")
         reduced = set()
-        for t in self.translates:
-            if len(t) != self.dimension:
+        for t in translates:
+            if len(t) != dimension:
                 raise ValueError(f"translate {t} has wrong dimension")
-            r = tuple(c % self.side for c in t)
+            r = tuple(c % side for c in t)
             if r in reduced:
-                raise ValueError(f"translates collide modulo {self.side}: {t}")
+                raise ValueError(f"translates collide modulo {side}: {t}")
             reduced.add(r)
-        if self.colors < 1:
+        if colors < 1:
             raise ValueError("color count must be at least 1")
-        if self.colors > len(self.translates):
+        if colors > len(translates):
             raise ValueError(
-                f"no surjection onto {self.colors} colors from {len(self.translates)} translates"
+                f"no surjection onto {colors} colors from {len(translates)} translates"
             )
+        return super().__new__(cls, dimension, side, translates, colors)
 
 
 def non_surjective_words(length: int, b: int) -> frozenset[Word]:
@@ -350,8 +367,7 @@ def e_bounds() -> tuple[Fraction, Fraction]:
     return lo, lo + Fraction(2, math.factorial(n_terms + 1))
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     variant: str
     delta: int
     threshold_lo: Fraction  # certified threshold (pass iff prob < this)

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Container, Iterable, Iterator, Sequence
+from typing import Container, Iterable, Iterator, NamedTuple, Sequence
 
 from .engine import RandomTape, RunTrace, used_unused
 from .graphs import (
@@ -54,8 +53,7 @@ class CodeCorruptionError(ValueError):
     """A tape code failed its structural checks during decoding."""
 
 
-@dataclass(frozen=True)
-class LandscapeType:
+class LandscapeType(NamedTuple):
     """Bounds (D, delta, beta, N1, N2, p) a decorated landscape fits in.
 
     All components bound their quantity from above except n2, which is the
@@ -70,14 +68,7 @@ class LandscapeType:
     p: int
 
     def fits_within(self, other: "LandscapeType") -> bool:
-        return (
-            self.d <= other.d
-            and self.delta <= other.delta
-            and self.beta <= other.beta
-            and self.n1 <= other.n1
-            and self.n2 == other.n2
-            and self.p <= other.p
-        )
+        return self.n2 == other.n2 and all(a <= b for a, b in zip(self, other))
 
 
 class DecoratedLandscape:
@@ -542,8 +533,7 @@ def ground(ls: DecoratedLandscape, return_ops: bool = False):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(NamedTuple):
     center: int
     radius: int
     vertices: frozenset[int]
@@ -717,8 +707,7 @@ def find_window(adj: Sequence[Sequence[int]], weights: Sequence[int], eps: Fract
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TapeCode:
+class TapeCode(NamedTuple):
     """Image of one tape: touched parts, leftover digits, grounded witness."""
 
     part_ids: frozenset[int]

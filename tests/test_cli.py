@@ -355,6 +355,18 @@ class TestInputValidation:
         assert json.loads(capsys.readouterr().out)["status"] == "satisfied"
 
 
+class TestImportPath:
+    def test_cli_imports_no_unused_modules(self):
+        """Start-up leaves out modules no command needs before it runs."""
+        unused = ("dataclasses", "inspect", "statistics", "string")
+        script = f"import sys; sys.path.insert(0, sys.argv[1]); import lllkit.cli; " \
+                 f"print([m for m in {unused} if m in sys.modules])"
+        proc = subprocess.run([sys.executable, "-S", "-c", script, str(SRC)],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+
 class TestNorthStarTorus:
     def test_torus_64_auto_solves(self):
         # 4,096 vertices in one component; every auto ball covers the torus
@@ -557,6 +569,25 @@ class TestMalformedInput:
         assert main([command, "--dimacs", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and err.count("\n") == 1, err
+
+    def test_dimacs_byte_named_with_its_line(self, tmp_path, capsys):
+        path = tmp_path / "e9.cnf"
+        path.write_bytes(b"p cnf 3 1\n1 2 \xe9 0\n")
+        assert main(["solve", "--dimacs", str(path)]) == 2
+        assert capsys.readouterr().err == "error: DIMACS parse error: line 2: byte 0xe9 is not UTF-8\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--bundled", "disjoint", "--out"],
+        ["verify", "--tapes", "1", "--runs", "1", "--out"],
+        ["count", "--n-max", "2", "--out"],
+        ["tail", "--bundled", "disjoint", "--seeds", "5", "--out"],
+        ["tail", "--bundled", "disjoint", "--seeds", "5", "--svg"],
+    ], ids=["solve", "verify", "count", "tail-out", "tail-svg"])
+    def test_unwritable_output_path(self, argv, tmp_path, capsys):
+        target = tmp_path / "missing" / "x"
+        assert main(argv + [str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1, err
 
     def test_word_digit_outside_the_digit_set(self, tmp_path, capsys):
         path = tmp_path / "bang.json"

@@ -117,6 +117,17 @@ class TestDimacs:
             parse_dimacs(text)
         assert parse_dimacs(text, clause_size=None).clauses[0] == ((0, 1), (1, 1))
 
+    def test_byte_that_is_not_utf8_named_with_its_line(self):
+        def parse(data: bytes):
+            return parse_dimacs(data.decode("utf-8", "surrogateescape"))
+
+        with pytest.raises(ValueError, match=r"^line 5: byte 0xff is not UTF-8$"):
+            parse(b"c caf\xe9\np cnf 3 2\n1 2 3 0\n\n-1 \xff\xe9 2 0\n")
+        with pytest.raises(ValueError, match=r"^line 1: byte 0xe9 is not UTF-8$"):
+            parse(b"1 2\xe9 0\np dnf 3 1\n")  # the token comes before the bad problem line
+        with pytest.raises(ValueError, match=r"^invalid literal for int\(\) with base 10: 'x'$"):
+            parse(b"p cnf 3 1\nx 2 \xe9 0\n")  # the first bad token is plain text
+
 
 class TestTorus:
     def test_alternating_instance(self):

@@ -3,7 +3,6 @@ reference, its memory at a window parameter near 10^6, and what a graph
 keeps (one ball per centre, one restricted canvas per window) against runs
 on a fresh graph."""
 
-import dataclasses
 import pickle
 import random
 import tracemalloc
@@ -16,6 +15,7 @@ from lllkit import (
     LocalRule,
     MtaSystem,
     RandomTape,
+    RunTrace,
     VariableGraph,
     bundled_instances,
     encode_tape,
@@ -80,7 +80,10 @@ def on_fresh_graph(trace):
     """The same trace over an equal system on a fresh graph."""
     system = trace.system
     fresh = MtaSystem.build(fresh_graph(system.graph), system.rule, system.partition, system.order)
-    return dataclasses.replace(trace, system=fresh)
+    copy = RunTrace(fresh, trace.tape, trace.initial)
+    copy.resampled, copy.drawn = trace.resampled, trace.drawn
+    copy.final, copy.h_final, copy.status = trace.final, trace.h_final, trace.status
+    return copy
 
 
 def fuzzed_adjacencies(count=400, seed=20261018):

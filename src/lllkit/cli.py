@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from . import counting, engine, instances, landscapes, properties
@@ -37,6 +38,13 @@ def _write_file(path: str, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}")
+
+
+def _exact_str(x: Fraction | int) -> str:
+    """``str(x)`` at any size: ``Decimal`` writes an int without the 4,300-digit
+    limit that ``str`` puts on it."""
+    num, den = (format(Decimal(v), "f") for v in (x.numerator, x.denominator))
+    return num if den == "1" else f"{num}/{den}"
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +104,7 @@ def load_instance_from_config(cfg: dict):
         try:
             translates = cfg.get("translates")
             if translates is None:
+                instances.check_torus_size(cfg["dimension"], cfg["side"], cfg["count"])
                 translates = instances.default_translates(cfg["dimension"], cfg["count"])
             else:
                 translates = tuple(tuple(t) for t in translates)
@@ -203,7 +212,7 @@ def cmd_solve(args) -> int:
     report = instances.check_lll_condition(graph, rule, variant="tight")
     worst = report.worst_margin
     if not report.all_pass:
-        msg = f"condition check failed (delta={report.delta}); worst margin {worst}"
+        msg = f"condition check failed (delta={report.delta}); worst margin {_exact_str(worst)}"
         if not args.force:
             raise CliError(msg + "; pass --force to run anyway")
         print(f"warning: {msg}; proceeding under --force", file=sys.stderr)
@@ -220,8 +229,8 @@ def cmd_solve(args) -> int:
         "condition": {
             "variant": report.variant,
             "delta": report.delta,
-            "threshold": _fraction_str(report.threshold_lo),
-            "worst_margin": None if worst is None else _fraction_str(worst),
+            "threshold": _exact_str(report.threshold_lo),
+            "worst_margin": None if worst is None else _exact_str(worst),
             "all_pass": report.all_pass,
         },
         "certified": trace.status == "satisfied" and not leftover,
@@ -287,9 +296,12 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _fraction_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
+# count's caps keep a run to a few seconds.  The work grows as delta * n_max^2
+# per delta: the bound (delta^delta / (delta-1)^(delta-1))^n has about
+# n * delta * log10(e * delta) digits, all printed.
+MAX_COUNT_N = 60
+MAX_COUNT_DELTA = 1000
+MAX_COUNT_TABLE = 500_000  # the sum over --deltas of delta * n_max^2
 
 LANDSCAPE_COUNT_POINTS = (
     (1, 2, 1, 1, 1, 1, 2),
@@ -307,6 +319,13 @@ def cmd_count(args) -> int:
         raise CliError(f"--deltas wants comma-separated integers, got {args.deltas!r}")
     if any(d < 2 for d in deltas):
         raise CliError("tree bounds require delta >= 2")
+    if args.n_max > MAX_COUNT_N:
+        raise CliError(f"--n-max must be at most {MAX_COUNT_N}, got {args.n_max}")
+    if max(deltas) > MAX_COUNT_DELTA:
+        raise CliError(f"each delta must be at most {MAX_COUNT_DELTA}, got {max(deltas)}")
+    table = sum(deltas) * args.n_max ** 2
+    if table > MAX_COUNT_TABLE:
+        raise CliError(f"the sum of the deltas times --n-max squared is {table}, more than {MAX_COUNT_TABLE}")
     reports = counting.tree_count_reports(deltas, args.n_max)
     if args.landscapes:
         reports += counting.landscape_count_reports(LANDSCAPE_COUNT_POINTS, budget=args.budget)
@@ -316,7 +335,7 @@ def cmd_count(args) -> int:
         if not rep.complete:
             params_str += ";partial"
         rows.append(
-            f"{rep.kind},{params_str},{rep.count},{_fraction_str(rep.bound)},{rep.passed}"
+            f"{rep.kind},{params_str},{_exact_str(rep.count)},{_exact_str(rep.bound)},{rep.passed}"
         )
     csv = "\n".join(rows) + "\n"
     sys.stdout.write(csv)

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .engine import MtaSystem, RandomTape, run_until_satisfied
 from .graphs import LocalRule, VariableGraph, Word
-from .landscapes import canvas_sources, encode_tape
+from .landscapes import canvas_sources
 
 # ---------------------------------------------------------------------------
 # Truncated polynomial helpers (integer coefficients, degree <= cap)
@@ -228,8 +228,9 @@ class CountReport(NamedTuple):
 def tree_count_reports(deltas: Iterable[int], n_max: int) -> list[CountReport]:
     reports = []
     for delta in deltas:
+        counts = tree_count_iterates(delta, n_max, n_max)[-1]  # frozen up to degree n_max
         for n in range(1, n_max + 1):
-            count = count_labelled_trees(delta, n)
+            count = counts[n]
             bound = labelled_tree_bound(delta, n)
             reports.append(
                 CountReport("tree", {"delta": delta, "n": n}, count, bound, count <= bound)
@@ -428,24 +429,11 @@ class TailEstimate(NamedTuple):
     slope: float | None  # fitted slope of log_b phat vs N (negative = decay)
     slope_se: float | None
     cap_exceeded: int
-    witness_sizes: tuple[int, ...] | None = None
 
     def slope_ci95(self) -> tuple[float, float] | None:
         if self.slope is None or self.slope_se is None:
             return None
         return (self.slope - 1.96 * self.slope_se, self.slope + 1.96 * self.slope_se)
-
-    def witness_size_prob(self, n2: int) -> float:
-        """Empirical probability that the grounded witness has exactly n2 vertices."""
-        if self.witness_sizes is None:
-            raise ValueError("witness sizes were not collected")
-        return sum(1 for s in self.witness_sizes if s == n2) / len(self.witness_sizes)
-
-    def witness_size_tail(self, n2: int) -> float:
-        """Empirical probability that the grounded witness exceeds n2 vertices."""
-        if self.witness_sizes is None:
-            raise ValueError("witness sizes were not collected")
-        return sum(1 for s in self.witness_sizes if s > n2) / len(self.witness_sizes)
 
 
 def _fit_slope(xs: Sequence[float], ys: Sequence[float]) -> tuple[float | None, float | None]:
@@ -471,9 +459,6 @@ def tail_estimate(
     n_grid: Sequence[int],
     step_cap: int,
     *,
-    collect_witness_sizes: bool = False,
-    eps: Fraction = Fraction(1, 2),
-    window_n: int | None = None,
     run_map: Callable = map,
 ) -> TailEstimate:
     """Run the engine across seeds and estimate P(max resamples > N).
@@ -481,23 +466,15 @@ def tail_estimate(
     The slope of log_b P-hat against N is fitted over grid points with at
     least ``MIN_POSITIVE`` exceedances.  Cap-exceeded runs are counted as
     exceeding every N (their true counts are at least the truncated ones).
-    With ``collect_witness_sizes`` each run is also pushed through window
-    extraction + grounding and the witness forest size recorded.
     """
     seeds = list(seeds)
     if not seeds:
         raise ValueError("at least one seed is required")
     f = tuple(f)
     system.start(f)  # every seed shares round 1; pool workers receive it with the system
-    trial = functools.partial(_tail_worker, system, f, step_cap, collect_witness_sizes,
-                              eps, window_n)
-    results = list(run_map(trial, seeds))
-    capped = sum(1 for r in results if r[1])
-    witness_sizes = tuple(r[2] for r in results) if collect_witness_sizes else None
+    tops = list(run_map(functools.partial(_tail_worker, system, f, step_cap), seeds))
     grid = tuple(n_grid)
-    exceed = []
-    for n in grid:
-        exceed.append(sum(1 for (m, was_capped, _) in results if m > n or was_capped))
+    exceed = tuple(sum(top > n for top in tops) for n in grid)
     trials = len(seeds)
     phat = tuple(c / trials for c in exceed)
     ci = tuple(1.96 * math.sqrt(p * (1 - p) / trials) for p in phat)
@@ -508,21 +485,13 @@ def tail_estimate(
         if c >= MIN_POSITIVE
     ]
     slope, slope_se = _fit_slope([float(x) for x in xs], ys)
-    return TailEstimate(
-        grid, trials, tuple(exceed), phat, ci, slope, slope_se, capped, witness_sizes,
-    )
+    return TailEstimate(grid, trials, exceed, phat, ci, slope, slope_se, tops.count(math.inf))
 
 
-def _tail_worker(system: MtaSystem, f: tuple[int, ...], step_cap: int, collect: bool,
-                 eps: Fraction, window_n: int | None, seed: int) -> tuple[int, bool, int]:
-    tape = RandomTape.stream(system.b, seed)
-    trace = run_until_satisfied(system, f, tape, step_cap)
-    size = 0
-    if collect:
-        if trace.k > 0 and any(trace.resampled):
-            code = encode_tape(trace, eps=eps, n=window_n)
-            size = 0 if code.witness is None else len(code.witness.verts)
-    return trace.max_resamples, trace.status == "cap_exceeded", size
+def _tail_worker(system: MtaSystem, f: tuple[int, ...], step_cap: int, seed: int) -> float:
+    """The run's max resample count; a capped run's is unbounded, so ``math.inf``."""
+    trace = run_until_satisfied(system, f, RandomTape.stream(system.b, seed), step_cap)
+    return math.inf if trace.status == "cap_exceeded" else trace.max_resamples
 
 
 def process_map(jobs: int) -> Callable:

@@ -108,7 +108,7 @@ def parse_dimacs(text: str, clause_size: int | None = 3) -> CnfInstance:
     """
     header: tuple[int, int] | None = None
     body: list[str] = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("c") or line.startswith("%"):
             continue
@@ -120,10 +120,10 @@ def parse_dimacs(text: str, clause_size: int | None = 3) -> CnfInstance:
                 header = (int(parts[2]), int(parts[3]))
                 if min(header) < 0:
                     raise ValueError(f"bad problem line: {line!r}")
-            except ValueError:
+            except ValueError as error:
                 # A bad token on an earlier line is the first fault.
                 _body_ints(body, text)
-                raise
+                raise _byte_error(number, line) or error from None
             continue
         body.append(line)
     tokens = _body_ints(body, text)
@@ -153,10 +153,19 @@ def parse_dimacs(text: str, clause_size: int | None = 3) -> CnfInstance:
     return CnfInstance(n_vars, clauses)
 
 
+def _byte_error(number: int, text: str) -> ValueError | None:
+    """The error naming line ``number`` and the first byte of ``text`` that is
+    not UTF-8 (a lone surrogate after decoding with ``surrogateescape``), if any."""
+    for ch in text:
+        if "\udc80" <= ch <= "\udcff":
+            return ValueError(f"line {number}: byte {ord(ch) - 0xDC00:#04x} is not UTF-8")
+    return None
+
+
 def _body_ints(body: list[str], text: str) -> list[int]:
     """The integer tokens of ``body``, the clause lines of ``text`` so far.  A first
-    bad token holding a byte that is not UTF-8 (a lone surrogate after decoding
-    with ``surrogateescape``) is reported by its line in ``text`` and the byte."""
+    bad token holding a byte that is not UTF-8 is reported by its line in ``text``
+    and the byte."""
     try:
         return list(map(int, " ".join(body).split()))
     except ValueError as error:
@@ -166,10 +175,7 @@ def _body_ints(body: list[str], text: str) -> list[int]:
                 try:
                     int(token)
                 except ValueError:
-                    escaped = [ord(ch) - 0xDC00 for ch in token if "\udc80" <= ch <= "\udcff"]
-                    if escaped:
-                        raise ValueError(f"line {number}: byte {escaped[0]:#04x} is not UTF-8") from None
-                    raise error from None
+                    raise _byte_error(number, token) or error from None
         raise
 
 
@@ -243,6 +249,28 @@ def random_bounded_overlap_sat(n_clauses: int, delta_target: int, seed: int) -> 
 # ---------------------------------------------------------------------------
 
 
+# A torus above any of these is refused before it or its translates are built;
+# at the caps a build takes about a second and under 100 MiB.
+MAX_TORUS_DIMENSION = 16
+MAX_TORUS_POINTS = 1 << 16  # side ** dimension
+MAX_TORUS_READS = 1 << 18  # points times translates
+
+
+def check_torus_size(dimension: int, side: int, translates: int) -> None:
+    """Refuse a torus above the size caps; side ** dimension is computed only
+    for a dimension within its cap.  Signs are left to ``TorusSpec``."""
+    if dimension > MAX_TORUS_DIMENSION:
+        raise ValueError(f"dimension {dimension} is above the cap of {MAX_TORUS_DIMENSION}")
+    if dimension < 1 or side < 1:
+        return
+    points = side ** dimension
+    if points > MAX_TORUS_POINTS:
+        raise ValueError(f"side {side} in dimension {dimension} gives more than {MAX_TORUS_POINTS} points")
+    if points * translates > MAX_TORUS_READS:
+        raise ValueError(f"{points} points reading {translates} translates each "
+                         f"make more than {MAX_TORUS_READS} reads")
+
+
 class TorusSpec(NamedTuple("TorusSpec", [("dimension", int), ("side", int),
                                          ("translates", tuple[tuple[int, ...], ...]), ("colors", int)])):
     """d-dimensional torus of side m, translate set T, color count b, checked at construction."""
@@ -253,6 +281,7 @@ class TorusSpec(NamedTuple("TorusSpec", [("dimension", int), ("side", int),
     def __new__(cls, dimension, side, translates, colors):
         if dimension < 1 or side < 1:
             raise ValueError("dimension and side must be positive")
+        check_torus_size(dimension, side, len(translates))
         if not translates:
             raise ValueError("translate set must be nonempty")
         reduced = set()

@@ -26,6 +26,15 @@ def dimacs_file(tmp_path):
     return str(path)
 
 
+def _big_int(digits: str) -> int:
+    """``int(digits)`` past the interpreter's 4,300-digit limit, 4,000 digits at a time."""
+    value = 0
+    for i in range(0, len(digits), 4000):
+        chunk = digits[i:i + 4000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
 class TestSolve:
     def test_dimacs_success(self, dimacs_file, tmp_path, capsys):
         out = tmp_path / "result.json"
@@ -64,6 +73,20 @@ class TestSolve:
         assert main(["solve", "--dimacs", str(path)]) == 2
         capsys.readouterr()
         assert main(["solve", "--dimacs", str(path), "--force", "--seed", "4"]) == 0
+
+    def test_condition_numbers_past_the_int_str_limit(self, tmp_path, capsys):
+        # 2,000 clauses all reading variable 1: delta = 2,000, so the threshold
+        # 1999^1999 / 2000^2000 and the margin have thousands of digits
+        path = tmp_path / "star.cnf"
+        path.write_text("p cnf 4001 2000\n" + "".join(f"1 {2 * i + 2} {2 * i + 3} 0\n" for i in range(2000)))
+        assert main(["solve", "--dimacs", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: condition check failed (delta=2000)") and err.count("\n") == 1
+        assert main(["solve", "--dimacs", str(path), "--force"]) in (0, 3)
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        numerator, denominator = json.loads(out)["condition"]["threshold"].split("/")
+        assert Fraction(_big_int(numerator), _big_int(denominator)) == instances.tight_threshold(2000)
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "broken.cnf"
@@ -197,6 +220,13 @@ class TestCount:
         assert lines[0] == "kind,params,count,bound,pass"
         assert len(lines) == 11
         assert all(line.endswith("True") for line in lines[1:])
+
+    def test_bounds_past_the_int_str_limit(self, capsys):
+        assert main(["count", "--deltas", "200"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        numerator, denominator = rows[-1].split(",")[3].split("/")
+        assert len(numerator) > 4300
+        assert Fraction(_big_int(numerator), _big_int(denominator)) == counting.labelled_tree_bound(200, 10)
 
     def test_delta_one_rejected(self, capsys):
         assert main(["count", "--deltas", "1,2", "--n-max", "3"]) == 2
@@ -521,10 +551,20 @@ class TestMalformedInput:
         ["solve", "--seed", "x"],
         ["solve", "--generate", "-5,3"],
         ["--config", "null_seed.json", "solve", "--bundled", "chain"],
-        ["solve", "--torus", "3,8,1000,2"],  # translates collide; 1000^3 vectors are never built
+        ["solve", "--torus", "3,8,1000,2"],  # 512,000 reads: 1000 translates are never built
         ["solve", "--torus", "2,64,24,3"],  # 3 * 2^24 - 3 forbidden words per point
         ["solve", "--bundled", "chain", "--eps", "1/1000000"],  # window n past MAX_WINDOW_N
         ["solve", "--bundled", "chain", "--eps", "1e-400"],  # log1p(eps) underflows to 0
+        ["solve", "--torus", "2,2,5,2"],  # translates collide modulo 2
+        ["solve", "--torus", "40,2,2,2"],  # 2^40 points
+        ["solve", "--torus", "2,3000,2,2"],  # 9,000,000 points
+        ["tail", "--torus", "100000000,1,1,1"],  # a dimension above the cap is never allocated
+        ["solve", "--torus", "2,2,1000000000,2"],  # 4 * 10^9 reads
+        ["count", "--deltas", "2,3,4", "--n-max", "100"],
+        ["count", "--deltas", "2,3,4", "--n-max", "150"],
+        ["count", "--deltas", "100000", "--n-max", "2"],
+        ["count", "--deltas", "1000000"],
+        ["count", "--deltas", "1000", "--n-max", "23"],  # delta * n_max^2 = 529,000
     ])
     def test_config_error_on_one_line(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -575,6 +615,9 @@ class TestMalformedInput:
         path.write_bytes(b"p cnf 3 1\n1 2 \xe9 0\n")
         assert main(["solve", "--dimacs", str(path)]) == 2
         assert capsys.readouterr().err == "error: DIMACS parse error: line 2: byte 0xe9 is not UTF-8\n"
+        path.write_bytes(b"p\xe9 cnf 3 1\n1 2 3 0\n")  # in the problem line
+        assert main(["solve", "--dimacs", str(path)]) == 2
+        assert capsys.readouterr().err == "error: DIMACS parse error: line 1: byte 0xe9 is not UTF-8\n"
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--bundled", "disjoint", "--out"],

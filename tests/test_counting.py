@@ -179,23 +179,6 @@ class TestTailEstimate:
             sigma = math.sqrt(p_true * (1 - p_true) / trials)
             assert abs(p_hat - p_true) <= 3 * sigma + 1e-12
 
-    def test_witness_sizes_collected(self):
-        graph, rule = disjoint_clause_instance(2)
-        from lllkit import sparse_partition, default_window_params
-
-        n = default_window_params(graph.sym_adj)
-        partition = sparse_partition(graph.sym_adj, 3 * n)
-        system = MtaSystem.build(graph, rule, partition)
-        est = tail_estimate(
-            system, [0] * graph.vertex_count, range(50), [0, 1], 100,
-            collect_witness_sizes=True, window_n=n,
-        )
-        assert est.witness_sizes is not None and len(est.witness_sizes) == 50
-        assert est.witness_size_tail(0) <= 1.0
-        assert abs(
-            est.witness_size_prob(0) + est.witness_size_tail(0) - 1.0
-        ) < 1e-12
-
     def test_run_map_is_sent_only_the_seeds(self):
         graph, rule = disjoint_clause_instance(2)
         system = MtaSystem.build(graph, rule, Partition.singletons(graph.vertex_count))

@@ -125,6 +125,8 @@ class TestDimacs:
             parse(b"c caf\xe9\np cnf 3 2\n1 2 3 0\n\n-1 \xff\xe9 2 0\n")
         with pytest.raises(ValueError, match=r"^line 1: byte 0xe9 is not UTF-8$"):
             parse(b"1 2\xe9 0\np dnf 3 1\n")  # the token comes before the bad problem line
+        with pytest.raises(ValueError, match=r"^line 2: byte 0xe9 is not UTF-8$"):
+            parse(b"c caf\xe9\np\xe9 cnf 3 1\n1 2 3 0\n")  # in the problem line itself
         with pytest.raises(ValueError, match=r"^invalid literal for int\(\) with base 10: 'x'$"):
             parse(b"p cnf 3 1\nx 2 \xe9 0\n")  # the first bad token is plain text
 

@@ -29,7 +29,7 @@ FIELDS = {
     CountReport: ("kind", "params", "count", "bound", "passed", "complete"),
     EnumResult: ("count", "complete", "examined"),
     TailEstimate: ("n_grid", "trials", "exceed_counts", "phat", "ci_half", "slope", "slope_se",
-                   "cap_exceeded", "witness_sizes"),
+                   "cap_exceeded"),
     TorusSpec: ("dimension", "side", "translates", "colors"),
 }
 
@@ -41,10 +41,7 @@ def test_field_order(cls):
 
 def test_defaults_and_repr():
     assert CountReport("tree", {}, 1, 2, True).complete is True
-    estimate = TailEstimate((0,), 1, (0,), (0.0,), (0.0,), None, None, 0)
-    assert estimate.witness_sizes is None and estimate.slope_ci95() is None
-    with pytest.raises(ValueError, match="not collected"):
-        estimate.witness_size_prob(1)
+    assert TailEstimate((0,), 1, (0,), (0.0,), (0.0,), None, None, 0).slope_ci95() is None
     assert repr(InstanceParams(1, 2, 3, False)) == "InstanceParams(d=1, delta=2, beta=3, trivially_satisfiable=False)"
     assert LandscapeType(1, 2, 1, 3, 2, 1).fits_within(LandscapeType(1, 3, 1, 3, 2, 2))
 
@@ -66,6 +63,9 @@ def test_run_trace_starts_empty():
     ((2, 3, ((0, 1), (3, -2)), 1), "collide modulo 3"),
     ((1, 4, ((0,),), 0), "at least 1"),
     ((1, 4, ((0,), (1,)), 3), "no surjection onto 3 colors from 2 translates"),
+    ((17, 1, ((0,) * 17,), 1), "dimension 17 is above the cap of 16"),
+    ((2, 257, ((0, 0),), 1), "more than 65536 points"),
+    ((1, 65536, tuple((i,) for i in range(5)), 1), "more than 262144 reads"),
 ])
 def test_torus_spec_rejected_at_construction(args, message):
     with pytest.raises(ValueError, match=message):

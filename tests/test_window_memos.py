@@ -24,10 +24,8 @@ from lllkit import (
     properties,
     restrict,
     run_k,
-    tail_estimate,
 )
 from lllkit.cli import build_system
-from lllkit.counting import process_map
 from lllkit.graphs import SymAdj, _bfs_distances
 from lllkit.landscapes import Window, WindowError, _float_log1p, _power_exceeds
 from lllkit.properties import Run, fuzz_runs
@@ -228,16 +226,6 @@ class TestWhatIsKept:
         assert vars(copy.graph.sym_adj) == {} and "canvases" not in vars(copy.graph)  # no components, balls or canvases
         assert encode_tape(Run(copy, 5, 0, [0] * graph.vertex_count).trace(), n=n) \
             == encode_tape(Run(system, 5, 0, [0] * graph.vertex_count).trace(), n=n)
-
-    def test_witness_sizes_in_a_pool(self):
-        graph, rule = bundled_instances()["torus"]
-        system, n = build_system(graph, rule, "auto", Fraction(1, 2))
-        f0 = [0] * graph.vertex_count
-        here = tail_estimate(system, f0, range(40), [0, 1, 2], 100, collect_witness_sizes=True, window_n=n)
-        assert graph.sym_adj.components and graph.sym_adj.balls  # the workers get a system that keeps them
-        pooled = tail_estimate(system, f0, range(40), [0, 1, 2], 100, collect_witness_sizes=True, window_n=n,
-                               run_map=process_map(2))
-        assert pooled == here and any(here.witness_sizes)
 
     def test_one_search_per_centre_one_graph_per_window(self, monkeypatch):
         searches, graphs_built, centres, windows = [], [], set(), set()

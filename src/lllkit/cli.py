@@ -252,28 +252,30 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _bundled_runs(k: int, tape_seeds, only: str | None = None):
-    """(name, window n, run) per bundled instance and tape seed, on the auto partition."""
-    for name, (graph, rule) in instances.bundled_instances().items():
-        if only in (None, name):
-            system, n = build_system(graph, rule, "auto", Fraction(1, 2))
-            for tape_seed in tape_seeds:
-                yield name, n, properties.Run(system, k, tape_seed, [0] * graph.vertex_count)
+def _bundled_runs(systems: dict, k: int, tape_seeds):
+    """(name, window n, run) per bundled system and tape seed."""
+    for name, (system, n) in systems.items():
+        for tape_seed in tape_seeds:
+            yield name, n, properties.Run(system, k, tape_seed, [0] * system.graph.vertex_count)
 
 
 def cmd_verify(args) -> int:
     _check_non_negative(args, "tapes", "runs")
     _check_seed(args)
     seed, runs, fuzz = args.seed, args.runs, properties.fuzz_runs
+    # Each bundled instance on the auto partition, built once for every suite that reads it.
+    systems = {name: build_system(graph, rule, "auto", Fraction(1, 2))
+               for name, (graph, rule) in instances.bundled_instances().items()}
     suites = [
-        ("roundtrip", properties.roundtrip, _bundled_runs(5, range(seed * 100003, seed * 100003 + args.tapes))),
+        ("roundtrip", properties.roundtrip, _bundled_runs(systems, 5, range(seed * 100003, seed * 100003 + args.tapes))),
         ("seq_used", properties.seq_used, fuzz(seed + 1, runs, radius=2, random_f0=True)),
         ("grounding", properties.grounding, ((run, None) for run in fuzz(seed + 2, runs, radius=2))),
         ("padding", properties.padding, fuzz(seed + 3, runs, radius=2, mixed_width=True)),
         ("tree_counts", properties.tree_counts, itertools.product((2, 3, 4), range(1, 9))),
-        ("fault_injection", properties.fault_injection, _bundled_runs(4, [seed + 4], only="disjoint")),
+        ("fault_injection", properties.fault_injection,
+         _bundled_runs({"disjoint": systems["disjoint"]}, 4, [seed + 4])),
         ("sparse_partitions", properties.sparse_partitions,
-         ((name, g.sym_adj, r) for name, (g, _) in instances.bundled_instances().items() for r in (1, 2, 3))),
+         ((name, system.graph.sym_adj, r) for name, (system, _) in systems.items() for r in (1, 2, 3))),
     ]
     failed = None
     lines = []
@@ -302,6 +304,10 @@ def cmd_verify(args) -> int:
 MAX_COUNT_N = 60
 MAX_COUNT_DELTA = 1000
 MAX_COUNT_TABLE = 500_000  # the sum over --deltas of delta * n_max^2
+# tail's caps are checked before any seed list, grid, instance or pool is built.
+MAX_TAIL_SEEDS = 10**6
+MAX_TAIL_N = 10**4
+MAX_JOBS = 64
 
 LANDSCAPE_COUNT_POINTS = (
     (1, 2, 1, 1, 1, 1, 2),
@@ -398,6 +404,10 @@ def cmd_tail(args) -> int:
         raise CliError("--jobs must be at least 1")
     _check_non_negative(args, "cap", "n_max")
     _check_seed(args)
+    for flag, value, cap in (("--seeds", args.seeds, MAX_TAIL_SEEDS), ("--n-max", args.n_max, MAX_TAIL_N),
+                             ("--jobs", args.jobs, MAX_JOBS)):
+        if value > cap:
+            raise CliError(f"{flag} must be at most {cap}, got {value}")
     graph, rule = load_instance_from_config(_instance_config_from_args(args))
     eps = _parse_eps(args.eps)
     system, _ = build_system(graph, rule, args.partition, eps, args.order)

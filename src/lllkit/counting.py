@@ -9,6 +9,7 @@ inequalities are evaluated in exact integers/rationals.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -474,7 +475,8 @@ def tail_estimate(
     system.start(f)  # every seed shares round 1; pool workers receive it with the system
     tops = list(run_map(functools.partial(_tail_worker, system, f, step_cap), seeds))
     grid = tuple(n_grid)
-    exceed = tuple(sum(top > n for top in tops) for n in grid)
+    tops.sort()  # the runs above n are those past the last top <= n
+    exceed = tuple(len(tops) - bisect.bisect_right(tops, n) for n in grid)
     trials = len(seeds)
     phat = tuple(c / trials for c in exceed)
     ci = tuple(1.96 * math.sqrt(p * (1 - p) / trials) for p in phat)

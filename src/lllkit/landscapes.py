@@ -25,6 +25,7 @@ from .graphs import (
     VariableGraph,
     Word,
     _components,
+    _distances,
     ball,
     interior,
     params,
@@ -643,23 +644,8 @@ def _balls(adj: Adjacency) -> dict[tuple[int, int], Ball]:
 
 
 def _ball_pairs(adj: Adjacency, y: int, r: int) -> Ball:
-    """B(y, r) with each vertex's distance from y, by a breadth-first search
-    that stops at radius r (or sooner, when the component runs out)."""
-    seen = {y}
-    pairs = [(y, 0)]
-    frontier = [y]
-    for d in range(1, r + 1):
-        nxt = []
-        for z in frontier:
-            for w in adj[z]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        if not nxt:
-            break
-        pairs.extend([(w, d) for w in nxt])
-        frontier = nxt
-    return tuple(pairs)
+    """B(y, r) with each vertex's distance from y, in breadth-first order."""
+    return tuple(_distances(adj, [y], r).items())
 
 
 def find_window(adj: Sequence[Sequence[int]], weights: Sequence[int], eps: Fraction, n: int) -> Window:

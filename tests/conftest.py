@@ -1,12 +1,17 @@
-"""Shared helpers for the test suite: random abstract landscapes and adjacencies."""
+"""Shared helpers for the test suite: random abstract landscapes and adjacencies,
+and the reference breadth-first search the graph tests check against."""
 
+import math
 import random
+from collections import deque
 
 import pytest
 
 from lllkit import ball
 from lllkit.instances import random_instance
 from lllkit.properties import fuzz_runs
+
+INF = math.inf
 
 
 def restricted_runs(rng: random.Random, count: int, plain: int, *, k_max: int = 5):
@@ -65,6 +70,24 @@ def random_symmetric_adjacency(rng: random.Random, n: int, p_edge: float = 0.3):
                 adj[i].add(j)
                 adj[j].add(i)
     return [tuple(sorted(s)) for s in adj]
+
+
+def _bfs_distances(adj, sources):
+    """Reference breadth-first search: the distance from the nearest source
+    to every vertex, math.inf where unreached."""
+    dist: list[float] = [INF] * len(adj)
+    queue = deque()
+    for s in sources:
+        if dist[s] == INF:
+            dist[s] = 0
+            queue.append(s)
+    while queue:
+        x = queue.popleft()
+        for y in adj[x]:
+            if dist[y] == INF:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return dist
 
 
 @pytest.fixture

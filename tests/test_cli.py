@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from lllkit import bundled_instances, counting, engine, graphs, instance_to_json, instances, landscapes
+from lllkit import bundled_instances, cli, counting, engine, graphs, instance_to_json, instances, landscapes
 from lllkit.instances import from_cnf, random_bounded_overlap_sat
 from lllkit.cli import build_system, main
 
@@ -572,6 +572,27 @@ class TestMalformedInput:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("flag, cap", [
+        ("--seeds", cli.MAX_TAIL_SEEDS), ("--n-max", cli.MAX_TAIL_N), ("--jobs", cli.MAX_JOBS),
+    ])
+    def test_tail_caps_build_nothing(self, flag, cap, monkeypatch, capsys):
+        """Above its cap each of tail's sizes exits 2 with one line before any
+        instance or pool is built; at the cap it passes the guard."""
+        class Built(Exception):
+            pass
+
+        def refuse(*args):
+            raise Built
+
+        monkeypatch.setattr(cli, "load_instance_from_config", refuse)
+        monkeypatch.setattr(counting, "process_map", refuse)
+        for value in (cap + 1, 10**9):
+            assert main(["tail", "--bundled", "chain", flag, str(value)]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: {flag} must be at most {cap}, got {value}\n"
+        with pytest.raises(Built):
+            main(["tail", "--bundled", "chain", flag, str(cap)])
 
     @pytest.mark.parametrize("command", ["solve", "tail"])
     def test_dimacs_bytes_that_are_not_utf8(self, command, tmp_path, capsys):

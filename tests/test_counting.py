@@ -194,6 +194,19 @@ class TestTailEstimate:
         assert sent == list(range(7, 19))
         assert est == tail_estimate(system, [0] * graph.vertex_count, range(7, 19), [0, 1], 100)
 
+    def test_exceedances_match_the_per_n_count(self, rng):
+        # tail_estimate counts runs above each N from the sorted maxima; a
+        # run_map that returns drawn maxima checks that against sum(top > N)
+        graph, rule = disjoint_clause_instance(2)
+        system = MtaSystem.build(graph, rule, Partition.singletons(graph.vertex_count))
+        for _ in range(50):
+            tops = [rng.choice((math.inf, rng.randint(0, 12))) for _ in range(rng.randint(1, 30))]
+            grid = rng.sample(range(-2, 16), rng.randint(1, 10))
+            est = tail_estimate(system, [0] * graph.vertex_count, range(len(tops)), grid, 100,
+                                run_map=lambda fn, seeds: list(tops))
+            assert est.exceed_counts == tuple(sum(top > n for top in tops) for n in grid)
+            assert est.cap_exceeded == tops.count(math.inf)
+
     def test_process_map_keeps_item_order(self):
         graph, rule = disjoint_clause_instance(2)
         system = MtaSystem.build(graph, rule, Partition.singletons(graph.vertex_count))

@@ -16,12 +16,13 @@ from lllkit import (
     greedy_mis,
     interior,
     is_sparse,
+    landscapes,
     params,
     properties,
     sparse_partition,
     violating_set,
 )
-from conftest import random_symmetric_adjacency
+from conftest import _bfs_distances, random_symmetric_adjacency
 
 
 def clause_graph(out_lists, n_vars, in_adj=None):
@@ -267,6 +268,49 @@ class TestMetrics:
             for i in range(4):
                 assert interior(adj, small, i) <= interior(adj, large, i)
                 assert interior(adj, small, i + 1) <= interior(adj, small, i)
+
+
+class TestSearchAgainstReference:
+    """``ball``, ``interior``, ``graph_distance`` and ``_ball_pairs`` read one
+    bounded search; each is checked against the deque search in conftest on
+    random graphs, sparse ones disconnected, at radii and depths from 0."""
+
+    @staticmethod
+    def graphs(rng):
+        yield [tuple(v for v in (i - 1, i + 1) if 0 <= v < 6) for i in range(6)]  # a path: diameter n - 1
+        for n, p_edge in [(1, 0.0), (2, 0.0), (9, 0.05), (12, 0.15), (12, 0.3), (15, 0.6)] * 8:
+            yield random_symmetric_adjacency(rng, n, p_edge)
+
+    def test_ball_and_pairs(self, rng):
+        for adj in self.graphs(rng):
+            x = rng.randrange(len(adj))
+            dist = _bfs_distances(adj, [x])
+            for r in range(5):
+                within = {v: d for v, d in enumerate(dist) if d <= r}
+                assert ball(adj, x, r) == within.keys()
+                pairs = landscapes._ball_pairs(adj, x, r)
+                assert dict(pairs) == within and pairs[0] == (x, 0)
+                assert [d for _, d in pairs] == sorted(d for _, d in pairs)
+                for limit in range(len(adj) + 2):
+                    # the least radius up to r whose ball has limit vertices, else r
+                    stop = next((s for s in range(r + 1) if sum(d <= s for d in dist) >= limit), r)
+                    assert ball(adj, x, r, limit) == {v for v, d in enumerate(dist) if d <= stop}
+
+    def test_graph_distance(self, rng):
+        for adj in self.graphs(rng):
+            for x in range(len(adj)):
+                dist = _bfs_distances(adj, [x])
+                assert graph_distance(adj, x, x) == 0
+                assert [graph_distance(adj, x, y) for y in range(len(adj))] == dist
+
+    def test_interior(self, rng):
+        for adj in self.graphs(rng):
+            n = len(adj)
+            for subset in (set(range(n)), set(), set(rng.sample(range(n), rng.randint(1, n)))):
+                outside = [v for v in range(n) if v not in subset]
+                dist = _bfs_distances(adj, outside)
+                for i in range(5):
+                    assert interior(adj, subset, i) == {v for v in subset if dist[v] >= i}
 
 
 class TestGreedyMis:

@@ -45,7 +45,7 @@ from lllkit import (
     torus_instance,
 )
 from lllkit.cli import build_system, main
-from lllkit.graphs import _bfs_distances, _components
+from lllkit.graphs import _components
 from lllkit.landscapes import _ceil_power, _float_log1p, _power_exceeds
 from lllkit.instances import (
     default_translates,
@@ -53,7 +53,7 @@ from lllkit.instances import (
     random_instance,
     tight_threshold,
 )
-from conftest import random_symmetric_adjacency
+from conftest import _bfs_distances, random_symmetric_adjacency
 
 RADII = (0, 1, 2, 3)
 EPSILONS = (Fraction(1, 10), Fraction(1, 5), Fraction(1, 2), Fraction(2))

@@ -26,10 +26,10 @@ from lllkit import (
     run_k,
 )
 from lllkit.cli import build_system
-from lllkit.graphs import SymAdj, _bfs_distances
+from lllkit.graphs import SymAdj
 from lllkit.landscapes import Window, WindowError, _float_log1p, _power_exceeds
 from lllkit.properties import Run, fuzz_runs
-from conftest import random_symmetric_adjacency
+from conftest import _bfs_distances, random_symmetric_adjacency
 
 
 def reference_find_window(adj, weights, eps, n):

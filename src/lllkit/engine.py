@@ -10,6 +10,7 @@ from, and runs from that f with any tape share the plan.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -119,7 +120,9 @@ class RandomTape:
         """The digits at the (part, position) cells, in order.
 
         Raises TapeExhausted at the first cell a finite tape lacks.  A stream
-        hashes attempt 0 inline and leaves rejected cells to ``digit``.
+        hashes attempt 0 of each cell, reading the messages a ``Cells`` keeps
+        and encoding any other cells inline, and leaves rejected cells to
+        ``digit``.
         """
         if self.digits is not None:
             cells = list(cells)
@@ -131,13 +134,25 @@ class RandomTape:
         b = self.b
         if b == 1:
             return [0 for _ in cells]
-        copy, limit = self._hasher.copy, self._limit
+        copy = self._hasher.copy
+        messages = cells.messages if isinstance(cells, Cells) else map(_ATTEMPT_0.__mod__, cells)
         out = []
-        for part, pos in cells:
+        if 256 % b == 0:
+            # b divides 2^64, so nothing is rejected, and the digit w % b of the
+            # big-endian digest w is the low bits of its last byte.
+            mask = b - 1
+            for m in messages:
+                h = copy()
+                h.update(m)
+                out.append(h.digest()[-1] & mask)
+            return out
+        limit = self._limit
+        # A rejected cell goes to ``digit``, its part and position read back off m.
+        for m in messages:
             h = copy()
-            h.update(b"%d:%d:0" % (part, pos))
+            h.update(m)
             w = int.from_bytes(h.digest(), "big")
-            out.append(w % b if w < limit else self.digit(part, pos))
+            out.append(w % b if w < limit else self.digit(*map(int, m.split(b":")[:2])))
         return out
 
     def row(self, part: int, width: int) -> tuple[int, ...]:
@@ -164,6 +179,23 @@ class RandomTape:
         return f"RandomTape(stream seed={self.seed}, b={self.b})"
 
 
+_ATTEMPT_0 = b"%d:%d:0"  # the hash message of a (part, position) cell's first attempt
+
+
+class Cells(tuple):
+    """A round plan's (part, position) tape cells: a tuple that keeps the
+    attempt-0 hash messages of its cells, encoded on the first stream draw
+    and alive as long as it is, so every run sharing the plan encodes them
+    once.  It pickles as its cells only."""
+
+    @functools.cached_property
+    def messages(self) -> tuple[bytes, ...]:
+        return tuple(map(_ATTEMPT_0.__mod__, self))
+
+    def __reduce__(self):
+        return Cells, (tuple(self),)
+
+
 class RoundPlan(NamedTuple):
     """What one round does: the constraints it resamples, the sorted
     variables it redraws, their (part, position) tape cells, and the
@@ -171,7 +203,7 @@ class RoundPlan(NamedTuple):
 
     chosen: frozenset[int]
     targets: tuple[int, ...]
-    cells: tuple[tuple[int, int], ...]
+    cells: Cells
     dirty: frozenset[int]
 
 
@@ -361,7 +393,7 @@ def _plan_round(system: MtaSystem, violated: Collection[int], counters: Sequence
     var, part_of, nbrs = system.graph.out_adj, system.partition.part_of, system.rel.nbrs
     # Chosen vertices share no variable, so the targets are distinct.
     targets = tuple(sorted([v for x in chosen for v in var[x]]))
-    cells = tuple([(part_of[v], counters[v]) for v in targets])
+    cells = Cells([(part_of[v], counters[v]) for v in targets])
     # Only constraints reading a redrawn variable can change status.
     dirty = frozenset([y for x in chosen for y in nbrs[x] if y in readers])
     return RoundPlan(chosen, targets, cells, dirty)

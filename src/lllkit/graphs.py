@@ -13,7 +13,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, KeysView, NamedTuple, Sequence
 
 Word = tuple[int, ...]
 Adjacency = Sequence[Sequence[int]]
@@ -313,14 +313,15 @@ def graph_distance(adj: Adjacency, x: int, y: int):
     return _distances(adj, [x]).get(y, INF)
 
 
-def ball(adj: Adjacency, x: int, r: int, limit: int | None = None) -> set[int]:
-    """All vertices within distance r of x (x included).
+def ball(adj: Adjacency, x: int, r: int, limit: int | None = None) -> KeysView[int]:
+    """All vertices within distance r of x (x included), as the set-like key
+    view of their distances.
 
     With a ``limit``, growth stops after the first distance layer that
     brings the set to ``limit`` vertices or more: the result has at least
     ``limit`` vertices exactly when the whole ball does.
     """
-    return set(_distances(adj, [x], r, INF if limit is None else limit))
+    return _distances(adj, [x], r, INF if limit is None else limit).keys()
 
 
 class SymAdj(tuple):

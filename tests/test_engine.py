@@ -22,7 +22,7 @@ from lllkit import (
     used_unused,
     violating_set,
 )
-from lllkit.engine import RunState, step
+from lllkit.engine import Cells, RunState, step
 from lllkit.instances import TorusSpec, default_translates, random_instance, torus_instance
 from lllkit import counting, properties
 from lllkit.properties import random_system
@@ -407,7 +407,7 @@ def oracle_digit(b: int, seed: int, part: int, pos: int) -> int:
 class TestDigitOracle:
     PARTS, WIDTH = 5, 40
 
-    @pytest.mark.parametrize("b", [1, 2, 3, 7, 3 * 2**62])
+    @pytest.mark.parametrize("b", [1, 2, 3, 4, 7, 256, 512, 2**64, 3 * 2**62])
     @pytest.mark.parametrize("seed", [0, 41, -7])
     def test_batch_paths_match_oracle(self, b, seed):
         rows = tuple(
@@ -433,6 +433,21 @@ class TestDigitOracle:
         assert len(rejected) > 10
         tape = RandomTape.stream(b, seed)
         assert tape.draw(rejected) == [oracle_digit(b, seed, i, j) for i, j in rejected]
+        assert tape.draw(Cells(rejected)) == tape.draw(rejected)
+
+    @pytest.mark.parametrize("b", [2, 3, 4, 256])
+    def test_cells_keep_messages_not_digits(self, b):
+        # One Cells drawn on two stream tapes and a finite one gets each tape's own digits.
+        cells = [(i, j) for i in range(self.PARTS) for j in range(self.WIDTH)]
+        plan = Cells(cells)
+        for seed in (0, 41):
+            want = [oracle_digit(b, seed, i, j) for i, j in cells]
+            tape = RandomTape.stream(b, seed)
+            assert tape.draw(plan) == want
+            assert tape.draw(cells) == tape.draw(c for c in cells) == tape.draw(plan) == want
+        finite = RandomTape.stream(b, 7).prefix(self.PARTS, self.WIDTH)
+        assert finite.draw(plan) == [finite.digits[i][j] for i, j in cells]
+        assert plan.messages == tuple(b"%d:%d:0" % cell for cell in cells)
 
     def test_finite_draw_raises_at_the_cell_digit_raises_at(self):
         tape = RandomTape.finite(2, [[0, 1], [1, 1]])

@@ -22,6 +22,8 @@ STDOUT_PINS = {
         "a7051e3f6ab733b340117577072c9974b554e475360cb8616ebbf08641d9c5e9",
     "tail --torus 1,30,8,3 --partition singletons --seeds 20 --seed 4":
         "a77c6449a568bdaac06cb38a617681bd085f0334297c70adbdabc236c227722d",
+    "tail --torus 1,40,10,4 --partition singletons --seeds 20 --seed 4":
+        "58b72ba527542171ece40388b99f6f38e8502d1b04a454181201b46fde9f4510",
     "tail --bundled torus --seeds 200 --seed 4":
         "18c81ac5d3e669455a0c80c1fcc2e3892276fee091a780bc8fb2307703062d06",
     "verify --seed 1 --tapes 100 --runs 50":

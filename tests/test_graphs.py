@@ -404,8 +404,7 @@ class TestSparsePartition:
             r = rng.randint(1, 3)
             power = []
             for x in range(n):
-                near = ball(adj, x, 2 * r)
-                near.discard(x)
+                near = ball(adj, x, 2 * r) - {x}
                 power.append(tuple(sorted(near)))
             part = sparse_partition(adj, r)
             bound = max(len(ball(power, x, 2)) for x in range(n))

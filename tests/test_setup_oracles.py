@@ -65,8 +65,7 @@ def iterated_mis_partition(adj, r):
     n = len(adj)
     power = []
     for x in range(n):
-        near = ball(adj, x, 2 * r)
-        near.discard(x)
+        near = ball(adj, x, 2 * r) - {x}
         power.append(tuple(sorted(near)))
     part_of = [-1] * n
     remaining = set(range(n))

@@ -24,8 +24,10 @@ from lllkit import (
     properties,
     restrict,
     run_k,
+    run_until_satisfied,
 )
 from lllkit.cli import build_system
+from lllkit.engine import Cells
 from lllkit.graphs import SymAdj
 from lllkit.landscapes import Window, WindowError, _float_log1p, _power_exceeds
 from lllkit.properties import Run, fuzz_runs
@@ -226,6 +228,16 @@ class TestWhatIsKept:
         assert vars(copy.graph.sym_adj) == {} and "canvases" not in vars(copy.graph)  # no components, balls or canvases
         assert encode_tape(Run(copy, 5, 0, [0] * graph.vertex_count).trace(), n=n) \
             == encode_tape(Run(system, 5, 0, [0] * graph.vertex_count).trace(), n=n)
+        # A stream run encodes the start plan's tape messages; its pickle keeps the cells only.
+        f0 = [0] * graph.vertex_count
+        first = run_until_satisfied(system, f0, RandomTape.stream(system.b, 3), 50)
+        plan = system.start(f0)[1]
+        assert "messages" in vars(plan.cells)
+        copy_plan = pickle.loads(pickle.dumps(system)).start(f0)[1]
+        assert type(copy_plan.cells) is Cells and copy_plan.cells == plan.cells
+        assert "messages" not in vars(copy_plan.cells)
+        tape = RandomTape.stream(system.b, 3)
+        assert tape.draw(copy_plan.cells) == tape.draw(plan.cells) == list(first.drawn[0])
 
     def test_one_search_per_centre_one_graph_per_window(self, monkeypatch):
         searches, graphs_built, centres, windows = [], [], set(), set()

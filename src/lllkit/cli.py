@@ -52,6 +52,27 @@ def _exact_str(x: Fraction | int) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _int(flag: str, lo: int, hi: int | None = None):
+    """The argparse ``type`` of an integer option with values in [lo, hi]: a
+    value is checked when it is parsed, before any instance is read."""
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise CliError(f"{flag} wants an integer, got {text!r}")
+        if value < lo:
+            raise CliError(f"{flag} must be at least {lo}, got {value}")
+        if hi is not None and value > hi:
+            raise CliError(f"{flag} must be at most {hi}, got {value}")
+        return value
+    return convert
+
+
+# A stream tape keys its hash with the seed in 16 signed bytes, and verify
+# derives tape seeds seed * 100003 + t: a 64-bit seed keeps both in range.
+_seed = _int("--seed", -(1 << 63), (1 << 63) - 1)
+
+
 def _parse_eps(text: str) -> Fraction:
     try:
         eps = Fraction(text)
@@ -60,20 +81,6 @@ def _parse_eps(text: str) -> Fraction:
     if eps <= 0:
         raise CliError(f"--eps must be positive, got {text!r}")
     return eps
-
-
-def _check_non_negative(args, *names: str) -> None:
-    for name in names:
-        value = getattr(args, name)
-        if value < 0:
-            raise CliError(f"--{name.replace('_', '-')} must be at least 0, got {value}")
-
-
-def _check_seed(args) -> None:
-    # A stream tape keys its hash with the seed in 16 signed bytes, and verify
-    # derives tape seeds seed * 100003 + t: a 64-bit seed keeps both in range.
-    if not -(1 << 63) <= args.seed < 1 << 63:
-        raise CliError(f"--seed must fit in 64 signed bits, got {args.seed}")
 
 
 def load_instance_from_config(cfg: dict):
@@ -163,25 +170,24 @@ def build_system(graph, rule, partition_cfg, eps: Fraction, order_cfg=None):
 
 
 def _instance_config_from_args(args) -> dict:
-    if args.dimacs:
+    """The config of the one instance source the parser let through."""
+    if args.dimacs is not None:
         return {"kind": "dimacs", "path": args.dimacs}
-    if args.instance:
+    if args.instance is not None:
         return {"kind": "json", "path": args.instance}
-    if args.bundled:
+    if args.bundled is not None:
         return {"kind": "bundled", "name": args.bundled}
-    if args.torus:
+    if args.torus is not None:
         try:
             d, m, count, colors = (int(t) for t in args.torus.split(","))
         except ValueError:
             raise CliError("--torus wants d,m,translates,colors")
         return {"kind": "torus", "dimension": d, "side": m, "count": count, "colors": colors}
-    if args.generate:
-        try:
-            clauses, delta = (int(t) for t in args.generate.split(","))
-        except ValueError:
-            raise CliError("--generate wants clauses,delta")
-        return {"kind": "generator", "clauses": clauses, "delta": delta, "seed": args.seed}
-    raise CliError("no instance source given")
+    try:
+        clauses, delta = (int(t) for t in args.generate.split(","))
+    except ValueError:
+        raise CliError("--generate wants clauses,delta")
+    return {"kind": "generator", "clauses": clauses, "delta": delta, "seed": args.seed}
 
 
 # ---------------------------------------------------------------------------
@@ -203,22 +209,22 @@ def _parse_f0(text: str | None, n: int, b: int) -> list[int]:
 
 
 def cmd_solve(args) -> int:
-    _check_non_negative(args, "cap")
-    _check_seed(args)
     graph, rule = load_instance_from_config(_instance_config_from_args(args))
     for x in rule.support:
         if rule.complement_size(x) == rule.full_size(x):
             raise CliError(f"vertex {x} allows no assignment; the instance is unsatisfiable")
     report = instances.check_lll_condition(graph, rule, variant="tight")
     worst = report.worst_margin
+    failed = None
     if not report.all_pass:
-        msg = f"condition check failed (delta={report.delta}); worst margin {_exact_str(worst)}"
+        failed = f"condition check failed (delta={report.delta}); worst margin {_exact_str(worst)}"
         if not args.force:
-            raise CliError(msg + "; pass --force to run anyway")
-        print(f"warning: {msg}; proceeding under --force", file=sys.stderr)
-    eps = _parse_eps(args.eps)
+            raise CliError(failed + "; pass --force to run anyway")
     f0 = _parse_f0(args.f0, graph.vertex_count, rule.b)
-    system, _ = build_system(graph, rule, args.partition, eps, args.order)
+    system, _ = build_system(graph, rule, args.partition, args.eps, args.order)
+    if failed:
+        # Only once every input is accepted, so a failing exit writes one line.
+        print(f"warning: {failed}; proceeding under --force", file=sys.stderr)
     tape = engine.RandomTape.stream(system.b, args.seed)
     trace = engine.run_until_satisfied(system, f0, tape, args.cap)
     leftover = violating_set(graph, rule, trace.final)
@@ -260,8 +266,6 @@ def _bundled_runs(systems: dict, k: int, tape_seeds):
 
 
 def cmd_verify(args) -> int:
-    _check_non_negative(args, "tapes", "runs")
-    _check_seed(args)
     seed, runs, fuzz = args.seed, args.runs, properties.fuzz_runs
     # Each bundled instance on the auto partition, built once for every suite that reads it.
     systems = {name: build_system(graph, rule, "auto", Fraction(1, 2))
@@ -284,9 +288,9 @@ def cmd_verify(args) -> int:
         lines.append(f"{name}: {'PASS' if failure is None else 'FAIL'} ({count} cases)")
         failed = failed or failure
     report = "\n".join(lines) + "\n"
-    sys.stdout.write(report)
     if args.out:
         _write_file(args.out, report)
+    sys.stdout.write(report)
     if failed is not None:
         sys.stderr.write(json.dumps(failed, separators=(",", ":")) + "\n")
         return EXIT_SUITE
@@ -317,22 +321,23 @@ LANDSCAPE_COUNT_POINTS = (
 )
 
 
-def cmd_count(args) -> int:
-    _check_non_negative(args, "n_max", "budget")
+def _parse_deltas(text: str) -> list[int]:
     try:
-        deltas = [int(t) for t in args.deltas.split(",")]
+        deltas = [int(t) for t in text.split(",")]
     except ValueError:
-        raise CliError(f"--deltas wants comma-separated integers, got {args.deltas!r}")
+        raise CliError(f"--deltas wants comma-separated integers, got {text!r}")
     if any(d < 2 for d in deltas):
         raise CliError("tree bounds require delta >= 2")
-    if args.n_max > MAX_COUNT_N:
-        raise CliError(f"--n-max must be at most {MAX_COUNT_N}, got {args.n_max}")
     if max(deltas) > MAX_COUNT_DELTA:
         raise CliError(f"each delta must be at most {MAX_COUNT_DELTA}, got {max(deltas)}")
-    table = sum(deltas) * args.n_max ** 2
+    return deltas
+
+
+def cmd_count(args) -> int:
+    table = sum(args.deltas) * args.n_max ** 2
     if table > MAX_COUNT_TABLE:
         raise CliError(f"the sum of the deltas times --n-max squared is {table}, more than {MAX_COUNT_TABLE}")
-    reports = counting.tree_count_reports(deltas, args.n_max)
+    reports = counting.tree_count_reports(args.deltas, args.n_max)
     if args.landscapes:
         reports += counting.landscape_count_reports(LANDSCAPE_COUNT_POINTS, budget=args.budget)
     rows = ["kind,params,count,bound,pass"]
@@ -344,9 +349,9 @@ def cmd_count(args) -> int:
             f"{rep.kind},{params_str},{_exact_str(rep.count)},{_exact_str(rep.bound)},{rep.passed}"
         )
     csv = "\n".join(rows) + "\n"
-    sys.stdout.write(csv)
     if args.out:
         _write_file(args.out, csv)
+    sys.stdout.write(csv)
     return EXIT_OK
 
 
@@ -398,19 +403,8 @@ def _svg_line_chart(points: list[tuple[float, float]], title: str) -> str:
 
 
 def cmd_tail(args) -> int:
-    if args.seeds < 1:
-        raise CliError("at least one seed is required")
-    if args.jobs < 1:
-        raise CliError("--jobs must be at least 1")
-    _check_non_negative(args, "cap", "n_max")
-    _check_seed(args)
-    for flag, value, cap in (("--seeds", args.seeds, MAX_TAIL_SEEDS), ("--n-max", args.n_max, MAX_TAIL_N),
-                             ("--jobs", args.jobs, MAX_JOBS)):
-        if value > cap:
-            raise CliError(f"{flag} must be at most {cap}, got {value}")
     graph, rule = load_instance_from_config(_instance_config_from_args(args))
-    eps = _parse_eps(args.eps)
-    system, _ = build_system(graph, rule, args.partition, eps, args.order)
+    system, _ = build_system(graph, rule, args.partition, args.eps, args.order)
     grid = list(range(0, args.n_max + 1))
     seeds = [args.seed + i for i in range(args.seeds)]
     est = counting.tail_estimate(
@@ -425,9 +419,6 @@ def cmd_tail(args) -> int:
     for n, c, p, ci in zip(est.n_grid, est.exceed_counts, est.phat, est.ci_half):
         rows.append(f"{n},{est.trials},{c},{p!r},{ci!r}")
     csv = "\n".join(rows) + "\n"
-    sys.stdout.write(csv)
-    if est.slope is not None:
-        sys.stdout.write(f"# fitted slope {est.slope!r} (se {est.slope_se!r})\n")
     if args.out:
         _write_file(args.out, csv)
     if args.svg:
@@ -437,20 +428,15 @@ def cmd_tail(args) -> int:
             if p > 0
         ]
         _write_file(args.svg, _svg_line_chart(points, "exceedance decay"))
+    sys.stdout.write(csv)
+    if est.slope is not None:
+        sys.stdout.write(f"# fitted slope {est.slope!r} (se {est.slope_se!r})\n")
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
-
-
-def _add_instance_args(sub) -> None:
-    sub.add_argument("--dimacs", help="DIMACS CNF file")
-    sub.add_argument("--instance", help="instance JSON file")
-    sub.add_argument("--bundled", help="bundled instance name (disjoint, chain, torus)")
-    sub.add_argument("--torus", help="torus spec d,m,translates,colors")
-    sub.add_argument("--generate", help="random 3-SAT spec clauses,delta")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -460,63 +446,75 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+def _add_run_args(sub) -> None:
+    """The options solve and tail share: exactly one instance source, then the system and its run."""
+    source = sub.add_mutually_exclusive_group(required=True)
+    source.add_argument("--dimacs", help="DIMACS CNF file")
+    source.add_argument("--instance", help="instance JSON file")
+    source.add_argument("--bundled", help="bundled instance name (disjoint, chain, torus)")
+    source.add_argument("--torus", help="torus spec d,m,translates,colors")
+    source.add_argument("--generate", help="random 3-SAT spec clauses,delta")
+    sub.add_argument("--seed", type=_seed, default=0)
+    sub.add_argument("--cap", type=_int("--cap", 0), default=1000)
+    sub.add_argument("--eps", type=_parse_eps, default="1/2")
+    sub.add_argument("--partition", default="auto", help="auto | singletons | <radius>")
+    sub.add_argument("--order", default="index", help="index | JSON permutation of the vertices")
+
+
+def _config_parser() -> argparse.ArgumentParser:
+    # Without abbreviations, --conf is refused rather than read as --config.
+    parser = _Parser(add_help=False, allow_abbrev=False)
+    parser.add_argument("--config", help="JSON config file, anywhere on the line; flags override its entries")
+    return parser
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="lllkit", description=__doc__)
-    parser.add_argument("--config", help="JSON config file; flags override its entries")
+    parser = _Parser(prog="lllkit", description=__doc__, parents=[_config_parser()], allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="run the resampler until satisfied")
-    _add_instance_args(solve)
-    solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--cap", type=int, default=1000)
-    solve.add_argument("--eps", default="1/2")
-    solve.add_argument("--partition", default="auto", help="auto | singletons | <radius>")
-    solve.add_argument("--order", default="index", help="index | JSON permutation of the vertices")
+    _add_run_args(solve)
     solve.add_argument("--f0", help="JSON list initial assignment (default all zeros)")
     solve.add_argument("--force", action="store_true", help="run despite a failing condition check")
     solve.add_argument("--out", help="write the result JSON here")
     solve.set_defaults(func=cmd_solve)
 
     verify = sub.add_parser("verify", help="run the property suites")
-    verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--tapes", type=int, default=100, help="round-trips per bundled instance")
-    verify.add_argument("--runs", type=int, default=100, help="fuzz runs per suite")
+    verify.add_argument("--seed", type=_seed, default=0)
+    verify.add_argument("--tapes", type=_int("--tapes", 0), default=100, help="round-trips per bundled instance")
+    verify.add_argument("--runs", type=_int("--runs", 0), default=100, help="fuzz runs per suite")
     verify.add_argument("--out", help="write the report here")
     verify.set_defaults(func=cmd_verify)
 
     count = sub.add_parser("count", help="exact counts against their bounds")
-    count.add_argument("--deltas", default="2,3,4")
-    count.add_argument("--n-max", type=int, default=10)
+    count.add_argument("--deltas", type=_parse_deltas, default="2,3,4")
+    count.add_argument("--n-max", type=_int("--n-max", 0, MAX_COUNT_N), default=10)
     count.add_argument("--landscapes", action="store_true", help="include tiny landscape enumerations")
-    count.add_argument("--budget", type=int, default=2_000_000)
+    count.add_argument("--budget", type=_int("--budget", 0), default=2_000_000)
     count.add_argument("--out", help="write the CSV here")
     count.set_defaults(func=cmd_count)
 
     tail = sub.add_parser("tail", help="Monte Carlo exceedance estimation")
-    _add_instance_args(tail)
-    tail.add_argument("--seed", type=int, default=0)
-    tail.add_argument("--seeds", type=int, default=1000)
-    tail.add_argument("--cap", type=int, default=1000)
-    tail.add_argument("--n-max", type=int, default=10)
-    tail.add_argument("--eps", default="1/2")
-    tail.add_argument("--partition", default="auto")
-    tail.add_argument("--order", default="index")
-    tail.add_argument("--jobs", type=int, default=1)
+    _add_run_args(tail)
+    tail.add_argument("--seeds", type=_int("--seeds", 1, MAX_TAIL_SEEDS), default=1000)
+    tail.add_argument("--n-max", type=_int("--n-max", 0, MAX_TAIL_N), default=10)
+    tail.add_argument("--jobs", type=_int("--jobs", 1, MAX_JOBS), default=1)
     tail.add_argument("--out", help="write the CSV here")
     tail.add_argument("--svg", help="write a log-scale decay chart here")
     tail.set_defaults(func=cmd_tail)
     return parser
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Prepend config-file entries as defaults; explicit flags win."""
-    if "--config" not in argv:
+def _apply_config_file(argv: list[str]) -> list[str]:
+    """Insert the --config file's entries right after the subcommand.
+
+    Explicit flags follow them and win, because argparse keeps an option's
+    last value; every entry is still parsed, so a bad one is refused.
+    """
+    config, rest = _config_parser().parse_known_args(argv)
+    path = config.config
+    if path is None:
         return argv
-    idx = argv.index("--config")
-    try:
-        path = argv[idx + 1]
-    except IndexError:
-        raise CliError("--config needs a path")
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -524,29 +522,21 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
         raise CliError(f"cannot read config {path}: {exc}")
     if not isinstance(cfg, dict):
         raise CliError(f"config {path} must hold a JSON object")
-    rest = argv[:idx] + argv[idx + 2 :]
-    if not rest:
-        raise CliError("config file given but no subcommand")
-    command, tail_args = rest[0], rest[1:]
     injected: list[str] = []
     for key, value in cfg.items():
         flag = "--" + key.replace("_", "-")
-        if flag in tail_args:
-            continue
         if isinstance(value, bool):
             if value:
                 injected.append(flag)
         else:
-            injected.extend([flag, str(value)])
-    return [command] + injected + tail_args
+            injected.append(f"{flag}={value}")
+    return rest[:1] + injected + rest[1:]
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = make_parser()
     try:
-        argv = _apply_config_file(parser, argv)
-        args = parser.parse_args(argv)
+        args = make_parser().parse_args(_apply_config_file(argv))
         return args.func(args)
     except CliError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -107,8 +107,6 @@ class RandomTape:
             if part >= len(self.digits) or pos >= len(self.digits[part]):
                 raise TapeExhausted(f"tape has no digit at part {part}, position {pos}")
             return self.digits[part][pos]
-        if self.b == 1:
-            return 0
         for attempt in itertools.count():
             h = self._hasher.copy()
             h.update(b"%d:%d:%d" % (part, pos, attempt))
@@ -132,8 +130,6 @@ class RandomTape:
             except IndexError:
                 return [self.digit(part, pos) for part, pos in cells]
         b = self.b
-        if b == 1:
-            return [0 for _ in cells]
         copy = self._hasher.copy
         messages = cells.messages if isinstance(cells, Cells) else map(_ATTEMPT_0.__mod__, cells)
         out = []

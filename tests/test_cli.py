@@ -114,6 +114,17 @@ class TestSolve:
         main(["solve", "--dimacs", dimacs_file, "--seed", "5", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("bad", [["--f0", "[9]"], ["--order", "[0]"], ["--partition", "two"]],
+                             ids=["f0", "order", "partition"])
+    def test_force_failure_writes_one_line(self, bad, tmp_path, capsys):
+        """Under --force a failing condition is warned about only once every input is accepted."""
+        path = tmp_path / "four.cnf"
+        path.write_text("p cnf 3 4\n1 2 3 0\n-1 2 3 0\n1 -2 3 0\n1 2 -3 0\n")  # delta 4, p = 1/8 > 27/256
+        assert main(["solve", "--dimacs", str(path), "--force", *bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+        assert captured.out == ""
+
 
 # the real functions, captured before a test patches them
 _decode, _ground, _pad, _count = (
@@ -295,6 +306,35 @@ class TestConfigFile:
         assert code == 0
         out = capsys.readouterr().out
         assert "25" in out.split("\n")[1]
+
+    def test_config_spellings_match(self, tmp_path, capsys):
+        """--config PATH and --config=PATH, before or after the subcommand, run the same."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"bundled": "disjoint", "seeds": 5, "partition": "singletons"}))
+        outputs = []
+        for argv in (["--config", str(cfg), "tail", "--n-max", "2"], [f"--config={cfg}", "tail", "--n-max", "2"],
+                     ["tail", "--n-max", "2", "--config", str(cfg)], ["tail", f"--config={cfg}", "--n-max", "2"]):
+            assert main(argv) == 0, argv
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0].split("\n")[1].startswith("0,5,")  # the file's 5 seeds ran
+        assert outputs == [outputs[0]] * 4
+
+    @pytest.mark.parametrize("argv", [
+        ["--conf", "cfg.json", "tail", "--bundled", "disjoint", "--n-max", "2"],
+        ["--config", "cfg.json", "solve", "--torus", "2,16,8,2"],
+        ["--config", "cfg.json", "tail", "--torus", "1,24,8,2", "--seeds", "5", "--n-max", "2"],
+        ["--config", "bad_seed.json", "solve", "--bundled", "disjoint", "--seed", "3"],
+    ], ids=["abbreviated", "solve-second-source", "tail-second-source", "overridden-bad-entry"])
+    def test_config_refused_on_one_line(self, argv, tmp_path, monkeypatch, capsys):
+        """An abbreviated --config, a source on top of the file's, and a bad entry
+        that a flag overrides each exit 2 with one line, having run nothing."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text('{"bundled": "disjoint"}')
+        (tmp_path / "bad_seed.json").write_text('{"seed": "x"}')
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+        assert captured.out == ""
 
 
 class TestInputValidation:
@@ -565,6 +605,9 @@ class TestMalformedInput:
         ["count", "--deltas", "100000", "--n-max", "2"],
         ["count", "--deltas", "1000000"],
         ["count", "--deltas", "1000", "--n-max", "23"],  # delta * n_max^2 = 529,000
+        ["solve", "--bundled", "disjoint", "--torus", "2,16,8,2"],  # two instance sources
+        ["tail", "--torus", "1,24,8,2", "--bundled", "disjoint", "--seeds", "5", "--n-max", "2"],
+        ["solve", "--dimacs", ""],  # an empty source is still the one source given
     ])
     def test_config_error_on_one_line(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -593,6 +636,15 @@ class TestMalformedInput:
             assert err == f"error: {flag} must be at most {cap}, got {value}\n"
         with pytest.raises(Built):
             main(["tail", "--bundled", "chain", flag, str(cap)])
+
+    @pytest.mark.parametrize("command", ["solve", "tail"])
+    def test_eps_checked_before_the_instance(self, command, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("instance loaded")
+
+        monkeypatch.setattr(cli, "load_instance_from_config", refuse)
+        assert main([command, "--bundled", "chain", "--eps", "0"]) == 2
+        assert capsys.readouterr().err == "error: --eps must be positive, got '0'\n"
 
     @pytest.mark.parametrize("command", ["solve", "tail"])
     def test_dimacs_bytes_that_are_not_utf8(self, command, tmp_path, capsys):
@@ -650,8 +702,10 @@ class TestMalformedInput:
     def test_unwritable_output_path(self, argv, tmp_path, capsys):
         target = tmp_path / "missing" / "x"
         assert main(argv + [str(target)]) == 2
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
+        err = captured.err
         assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1, err
+        assert captured.out == ""
 
     def test_word_digit_outside_the_digit_set(self, tmp_path, capsys):
         path = tmp_path / "bang.json"

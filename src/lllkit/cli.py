@@ -259,10 +259,14 @@ def cmd_solve(args) -> int:
 
 
 def _bundled_runs(systems: dict, k: int, tape_seeds):
-    """(name, window n, run) per bundled system and tape seed."""
+    """(name, window n, run) per bundled system and tape seed.  The runs share
+    one tape memo, which lives as long as this generator: the first system to
+    reach a seed draws its rows, and a system with more parts draws only the
+    rows it lacks."""
+    memo: dict = {}
     for name, (system, n) in systems.items():
         for tape_seed in tape_seeds:
-            yield name, n, properties.Run(system, k, tape_seed, [0] * system.graph.vertex_count)
+            yield name, n, properties.Run(system, k, tape_seed, [0] * system.graph.vertex_count, memo)
 
 
 def cmd_verify(args) -> int:
@@ -472,21 +476,21 @@ def make_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lllkit", description=__doc__, parents=[_config_parser()], allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    solve = sub.add_parser("solve", help="run the resampler until satisfied")
+    solve = sub.add_parser("solve", help="run the resampler until satisfied", allow_abbrev=False)
     _add_run_args(solve)
     solve.add_argument("--f0", help="JSON list initial assignment (default all zeros)")
     solve.add_argument("--force", action="store_true", help="run despite a failing condition check")
     solve.add_argument("--out", help="write the result JSON here")
     solve.set_defaults(func=cmd_solve)
 
-    verify = sub.add_parser("verify", help="run the property suites")
+    verify = sub.add_parser("verify", help="run the property suites", allow_abbrev=False)
     verify.add_argument("--seed", type=_seed, default=0)
     verify.add_argument("--tapes", type=_int("--tapes", 0), default=100, help="round-trips per bundled instance")
     verify.add_argument("--runs", type=_int("--runs", 0), default=100, help="fuzz runs per suite")
     verify.add_argument("--out", help="write the report here")
     verify.set_defaults(func=cmd_verify)
 
-    count = sub.add_parser("count", help="exact counts against their bounds")
+    count = sub.add_parser("count", help="exact counts against their bounds", allow_abbrev=False)
     count.add_argument("--deltas", type=_parse_deltas, default="2,3,4")
     count.add_argument("--n-max", type=_int("--n-max", 0, MAX_COUNT_N), default=10)
     count.add_argument("--landscapes", action="store_true", help="include tiny landscape enumerations")
@@ -494,7 +498,7 @@ def make_parser() -> argparse.ArgumentParser:
     count.add_argument("--out", help="write the CSV here")
     count.set_defaults(func=cmd_count)
 
-    tail = sub.add_parser("tail", help="Monte Carlo exceedance estimation")
+    tail = sub.add_parser("tail", help="Monte Carlo exceedance estimation", allow_abbrev=False)
     _add_run_args(tail)
     tail.add_argument("--seeds", type=_int("--seeds", 1, MAX_TAIL_SEEDS), default=1000)
     tail.add_argument("--n-max", type=_int("--n-max", 0, MAX_TAIL_N), default=10)
@@ -509,9 +513,13 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     """Insert the --config file's entries right after the subcommand.
 
     Explicit flags follow them and win, because argparse keeps an option's
-    last value; every entry is still parsed, so a bad one is refused.
+    last value; every entry is still parsed, so a bad one is refused.  An
+    option before the subcommand other than --config and --help is refused
+    by name, before argparse takes the value after it for the subcommand.
     """
     config, rest = _config_parser().parse_known_args(argv)
+    if rest and rest[0].startswith("-") and rest[0] not in ("-h", "--help"):
+        raise CliError(f"unrecognized arguments: {rest[0]}")
     path = config.config
     if path is None:
         return argv

@@ -63,12 +63,11 @@ class RandomTape:
             key = seed.to_bytes(16, "big", signed=True)
             self._hasher = hashlib.blake2b(key=key, digest_size=8)
         if digits is not None:
-            widths = {len(row) for row in digits}
-            if len(widths) > 1:
+            if len(set(map(len, digits))) > 1:
                 raise ValueError("finite tape streams must share one width")
-            for row in digits:
-                if row and (min(row) < 0 or max(row) >= b):
-                    raise ValueError("finite tape digit outside alphabet")
+            values = set(itertools.chain.from_iterable(digits))
+            if min(values, default=0) < 0 or max(values, default=0) >= b:
+                raise ValueError("finite tape digit outside alphabet")
 
     @classmethod
     def finite(cls, b: int, digits: Sequence[Sequence[int]]) -> "RandomTape":
@@ -79,8 +78,30 @@ class RandomTape:
         return cls(b, seed=seed)
 
     @classmethod
-    def finite_random(cls, b: int, parts: int, width: int, seed: int) -> "RandomTape":
-        return cls.stream(b, seed).prefix(parts, width)
+    def finite_random(cls, b: int, parts: int, width: int, seed: int, *,
+                      memo: dict | None = None) -> "RandomTape":
+        """``stream(b, seed).prefix(parts, width)``.
+
+        A ``memo`` dict shared by several calls keeps each (b, seed,
+        width)'s rows drawn so far, in order, as one ``bytes`` when every
+        digit fits a byte (b <= 256), else as a tuple, so a call draws only
+        the rows it lacks.  It also
+        keeps each block of rows drawn as a ``Cells``, so the block's hash
+        messages are encoded once for every seed.
+        """
+        if memo is None:
+            memo = {}
+        key = ("digits", b, seed, width)
+        drawn = memo.get(key, b"" if b <= 256 else ())
+        if len(drawn) < parts * width:
+            first = len(drawn) // width
+            block = ("cells", first, parts, width)
+            cells = memo.get(block)
+            if cells is None:
+                cells = memo[block] = Cells((i, pos) for i in range(first, parts) for pos in range(width))
+            fresh = cls.stream(b, seed).draw(cells)
+            drawn = memo[key] = drawn + (bytes(fresh) if b <= 256 else tuple(fresh))
+        return cls(b, digits=tuple(tuple(drawn[i * width:(i + 1) * width]) for i in range(parts)))
 
     def __reduce__(self):
         # A keyed hasher does not pickle; rebuild the tape from its definition.

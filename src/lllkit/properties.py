@@ -18,15 +18,18 @@ from .instances import random_instance
 
 
 class Run(NamedTuple):
-    """k rounds of ``system`` from ``f0`` on the tape seeded ``tape_seed``."""
+    """k rounds of ``system`` from ``f0`` on the tape seeded ``tape_seed``;
+    runs that share a ``memo`` dict draw each of a seed's rows once (see
+    ``RandomTape.finite_random``)."""
 
     system: MtaSystem
     k: int
     tape_seed: int
     f0: list[int]
+    memo: dict | None = None
 
     def tape(self) -> RandomTape:
-        return RandomTape.finite_random(self.system.b, self.system.p, self.k, self.tape_seed)
+        return RandomTape.finite_random(self.system.b, self.system.p, self.k, self.tape_seed, memo=self.memo)
 
     def trace(self, tape: RandomTape | None = None) -> RunTrace:
         return engine.run_k(self.system, self.f0, self.k, self.tape() if tape is None else tape)

@@ -319,22 +319,30 @@ class TestConfigFile:
         assert outputs[0].split("\n")[1].startswith("0,5,")  # the file's 5 seeds ran
         assert outputs == [outputs[0]] * 4
 
-    @pytest.mark.parametrize("argv", [
-        ["--conf", "cfg.json", "tail", "--bundled", "disjoint", "--n-max", "2"],
-        ["--config", "cfg.json", "solve", "--torus", "2,16,8,2"],
-        ["--config", "cfg.json", "tail", "--torus", "1,24,8,2", "--seeds", "5", "--n-max", "2"],
-        ["--config", "bad_seed.json", "solve", "--bundled", "disjoint", "--seed", "3"],
+    @pytest.mark.parametrize("argv, named", [
+        (["--conf", "cfg.json", "tail", "--bundled", "disjoint", "--n-max", "2"], "--conf"),
+        (["--config", "cfg.json", "solve", "--torus", "2,16,8,2"], "--torus"),
+        (["--config", "cfg.json", "tail", "--torus", "1,24,8,2", "--seeds", "5", "--n-max", "2"], "--torus"),
+        (["--config", "bad_seed.json", "solve", "--bundled", "disjoint", "--seed", "3"], "--seed"),
     ], ids=["abbreviated", "solve-second-source", "tail-second-source", "overridden-bad-entry"])
-    def test_config_refused_on_one_line(self, argv, tmp_path, monkeypatch, capsys):
+    def test_config_refused_on_one_line(self, argv, named, tmp_path, monkeypatch, capsys):
         """An abbreviated --config, a source on top of the file's, and a bad entry
-        that a flag overrides each exit 2 with one line, having run nothing."""
+        that a flag overrides each exit 2 with one line, having run nothing.
+        The line names the option at fault, not the value after it."""
         monkeypatch.chdir(tmp_path)
         (tmp_path / "cfg.json").write_text('{"bundled": "disjoint"}')
         (tmp_path / "bad_seed.json").write_text('{"seed": "x"}')
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+        assert named in captured.err and "cfg.json" not in captured.err, captured.err
         assert captured.out == ""
+
+    def test_empty_config_key_is_unrecognized(self, tmp_path, capsys):
+        cfg = tmp_path / "empty_key.json"
+        cfg.write_text('{"": 1}')
+        assert main(["--config", str(cfg), "verify", "--tapes", "1", "--runs", "1"]) == 2
+        assert capsys.readouterr().err == "error: unrecognized arguments: --=1\n"
 
 
 class TestInputValidation:
@@ -608,6 +616,10 @@ class TestMalformedInput:
         ["solve", "--bundled", "disjoint", "--torus", "2,16,8,2"],  # two instance sources
         ["tail", "--torus", "1,24,8,2", "--bundled", "disjoint", "--seeds", "5", "--n-max", "2"],
         ["solve", "--dimacs", ""],  # an empty source is still the one source given
+        ["tail", "--bundled", "disjoint", "--jo", "2", "--seeds", "5"],  # no abbreviated options
+        ["verify", "--ta", "3", "--ru", "3"],
+        ["solve", "--bundled", "disjoint", "--se", "5"],
+        ["count", "--n", "3"],
     ])
     def test_config_error_on_one_line(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -1,7 +1,8 @@
 """The tape code's window geometry: ``find_window`` against its full-radius
 reference, its memory at a window parameter near 10^6, and what a graph
 keeps (one ball per centre, one restricted canvas per window) against runs
-on a fresh graph."""
+on a fresh graph; and the tape memo ``verify``'s round trips share, against
+tapes drawn cold."""
 
 import pickle
 import random
@@ -26,7 +27,8 @@ from lllkit import (
     run_k,
     run_until_satisfied,
 )
-from lllkit.cli import build_system
+from lllkit import cli
+from lllkit.cli import build_system, main
 from lllkit.engine import Cells
 from lllkit.graphs import SymAdj
 from lllkit.landscapes import Window, WindowError, _float_log1p, _power_exceeds
@@ -266,3 +268,79 @@ class TestWhatIsKept:
         assert properties.roundtrip(cases) == (600, None)
         assert centres and len(searches) == len(set(searches)) <= len(centres)
         assert 0 < len(graphs_built) <= len(windows)
+
+
+def bundled_systems():
+    """The systems ``verify`` builds: each bundled instance on the auto partition."""
+    return {name: build_system(graph, rule, "auto", Fraction(1, 2))
+            for name, (graph, rule) in bundled_instances().items()}
+
+
+def count_stream_cells(monkeypatch):
+    """Patch ``RandomTape.draw`` to count the cells each stream draw reads."""
+    drawn = []
+    real_draw = RandomTape.draw
+
+    def counting_draw(tape, cells):
+        cells = cells if isinstance(cells, Cells) else list(cells)
+        if not tape.is_finite:
+            drawn.append(len(cells))
+        return real_draw(tape, cells)
+
+    monkeypatch.setattr(RandomTape, "draw", counting_draw)
+    return drawn
+
+
+class TestTapeMemo:
+    @pytest.mark.parametrize("b", [2, 3, 4, 256, 257])
+    def test_matches_cold_prefix(self, b):
+        """Parts grow and then shrink, at width 0 too, over seeds sharing one memo."""
+        memo = {}
+        for seed in (0, 17, -5):
+            for width in (0, 3, 7):
+                for parts in (1, 4, 9, 5, 0, 9, 2):
+                    got = RandomTape.finite_random(b, parts, width, seed, memo=memo)
+                    want = RandomTape.stream(b, seed).prefix(parts, width)
+                    assert got == want and got.digits == want.digits, (seed, width, parts)
+                    assert all(type(d) is int for row in got.digits for d in row)
+        kept = [value for key, value in memo.items() if key[0] == "digits"]
+        assert len(kept) == 6  # widths 3 and 7 per seed; width 0 draws nothing
+        assert all(type(value) is (bytes if b <= 256 else tuple) for value in kept)
+
+    def test_bundled_rows_drawn_once(self, monkeypatch):
+        """The bundled systems have 4, 13 and 24 parts: with the memo a seed's
+        24 rows are drawn once, without it 4 + 13 + 24 rows."""
+        drawn = count_stream_cells(monkeypatch)
+        systems, seeds = bundled_systems(), range(20)
+        assert properties.roundtrip(cli._bundled_runs(systems, 5, seeds)) == (60, None)
+        assert sum(drawn) == 20 * 24 * 5
+        drawn.clear()
+        cold = ((name, n, run._replace(memo=None)) for name, n, run in cli._bundled_runs(systems, 5, seeds))
+        assert properties.roundtrip(cold) == (60, None)
+        assert sum(drawn) == 20 * (4 + 13 + 24) * 5
+
+    def test_first_counterexample_is_kept(self, monkeypatch):
+        systems, seeds = bundled_systems(), range(40)
+        bad = RandomTape.finite_random(2, systems["chain"][0].p, 5, 17)
+        real_decode = landscapes.decode_tape
+
+        def failing_decode(code, parts, width):
+            tape = real_decode(code, parts, width)
+            return None if tape == bad else tape
+
+        monkeypatch.setattr(landscapes, "decode_tape", failing_decode)
+        warm = properties.roundtrip(cli._bundled_runs(systems, 5, seeds))
+        cold = properties.roundtrip((name, n, run._replace(memo=None))
+                                    for name, n, run in cli._bundled_runs(systems, 5, seeds))
+        assert warm == cold == (40 + 18, {"suite": "roundtrip", "instance": "chain", "tape_seed": 17})
+
+    def test_memo_lives_for_one_call(self, monkeypatch, capsys):
+        """A second in-process verify draws every cell the first drew."""
+        drawn = count_stream_cells(monkeypatch)
+        counts = []
+        for _ in range(2):
+            assert main(["verify", "--seed", "2", "--tapes", "30", "--runs", "5"]) == 0
+            counts.append(sum(drawn))
+            drawn.clear()
+        assert counts[0] == counts[1] >= 30 * 24 * 5
+        assert "roundtrip: PASS (90 cases)" in capsys.readouterr().out

@@ -12,8 +12,6 @@ from .graphs import (
     VariableGraph,
     ball,
     build_rel,
-    failure_prob,
-    graph_distance,
     greedy_mis,
     interior,
     is_sparse,
@@ -33,7 +31,6 @@ from .instances import (
     load_instance,
     parse_dimacs,
     random_bounded_overlap_sat,
-    save_instance,
     torus_instance,
 )
 from .engine import (
@@ -45,7 +42,6 @@ from .engine import (
     pad_uniform,
     run_k,
     run_until_satisfied,
-    step,
     used_unused,
 )
 from .landscapes import (
@@ -62,7 +58,6 @@ from .landscapes import (
     extract_landscape,
     find_window,
     ground,
-    is_faithful_at,
     join,
     push_all,
     push_tree,
@@ -74,14 +69,12 @@ from .counting import (
     EnumResult,
     TailEstimate,
     count_labelled_trees,
-    enumerate_labelled_trees,
     enumerate_small_landscapes,
     fuss_catalan,
     labelled_tree_bound,
     landscape_class_bound,
     landscape_count_reports,
     q_value_upper_bounds,
-    q_values_exact,
     tail_estimate,
     tree_count_iterates,
     tree_count_reports,

@@ -91,42 +91,6 @@ def fuss_catalan(delta: int, n: int) -> int:
     return q
 
 
-def enumerate_labelled_trees(delta: int, n: int) -> int:
-    """Brute-force oracle: generate every tree as a canonical nested tuple
-    (sorted (label, subtree) pairs) and count distinct objects."""
-    if n == 0:
-        return 0
-    cache: dict[int, frozenset] = {}
-
-    def gen(size: int) -> frozenset:
-        if size in cache:
-            return cache[size]
-        out = set()
-        if size == 1:
-            out.add(())
-        else:
-            for count in range(1, min(delta, size - 1) + 1):
-                for labels in itertools.combinations(range(delta), count):
-                    for sizes in _compositions(size - 1, count):
-                        for subtrees in itertools.product(*(gen(s) for s in sizes)):
-                            out.add(tuple(zip(labels, subtrees)))
-        result = frozenset(out)
-        cache[size] = result
-        return result
-
-    return len(gen(n))
-
-
-def _compositions(total: int, parts: int):
-    """Ordered tuples of positive integers summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def labelled_tree_bound(delta: int, n: int) -> Fraction:
     """(delta^delta / (delta-1)^(delta-1))^n, an upper bound for the count."""
     if delta < 2:
@@ -143,20 +107,6 @@ def critical_abscissa(delta: int) -> Fraction:
     if delta < 2:
         raise ValueError("delta must be at least 2")
     return Fraction((delta - 1) ** (delta - 1), delta ** delta)
-
-
-def q_values_exact(delta: int, steps: int) -> list[Fraction]:
-    """Exact values Q_0(rho), ..., Q_steps(rho) at rho = critical abscissa,
-    with Q_0(rho) = rho and Q_{i+1} = rho (1 + Q_i)^delta.
-
-    Denominator bit counts grow like delta^i, so this is only feasible for
-    delta = 2 or small step counts; use q_value_upper_bounds otherwise.
-    """
-    rho = critical_abscissa(delta)
-    values = [rho]
-    for _ in range(steps):
-        values.append(rho * (1 + values[-1]) ** delta)
-    return values
 
 
 def q_value_upper_bounds(delta: int, steps: int, precision_bits: int = 512) -> list[Fraction]:
@@ -430,11 +380,6 @@ class TailEstimate(NamedTuple):
     slope: float | None  # fitted slope of log_b phat vs N (negative = decay)
     slope_se: float | None
     cap_exceeded: int
-
-    def slope_ci95(self) -> tuple[float, float] | None:
-        if self.slope is None or self.slope_se is None:
-            return None
-        return (self.slope - 1.96 * self.slope_se, self.slope + 1.96 * self.slope_se)
 
 
 def _fit_slope(xs: Sequence[float], ys: Sequence[float]) -> tuple[float | None, float | None]:

@@ -25,7 +25,6 @@ from .graphs import (
     Word,
     greedy_mis,
     params,
-    violating_set,
 )
 
 Reader = Callable[[Sequence[int]], Word]  # an assignment to the word one vertex reads
@@ -314,12 +313,6 @@ class _OneOrNoVariable:
         return tuple(f[v] for v in self.var)
 
 
-class RunState(NamedTuple):
-    step: int
-    assignment: tuple[int, ...]
-    counters: tuple[int, ...]
-
-
 class RunTrace:
     """What a run did: the initial assignment, each round's resample set and
     drawn digits (over its sorted targets), and the ending; ``states()`` replays the rest."""
@@ -374,29 +367,6 @@ class RunTrace:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def step(system: MtaSystem, state: RunState, tape: RandomTape) -> tuple[RunState, frozenset[int]]:
-    """One resampling round.
-
-    Computes the violated set, picks its greedy maximal independent subset,
-    and redraws every variable read by that subset from its part's stream at
-    the variable's counter position.  Raises TapeExhausted before mutating
-    anything if the tape is too short.
-    """
-    violated = violating_set(system.graph, system.rule, state.assignment)
-    chosen = greedy_mis(system.rel.adj_noself, violated, system.order)
-    if not chosen:
-        return RunState(state.step + 1, state.assignment, state.counters), frozenset()
-    targets = sorted({v for x in chosen for v in system.graph.var(x)})
-    part_of = system.partition.part_of
-    fresh = {v: tape.digit(part_of[v], state.counters[v]) for v in targets}
-    assignment = list(state.assignment)
-    counters = list(state.counters)
-    for v in targets:
-        assignment[v] = fresh[v]
-        counters[v] += 1
-    return RunState(state.step + 1, tuple(assignment), tuple(counters)), frozenset(chosen)
-
-
 def _plan_round(system: MtaSystem, violated: Collection[int], counters: Sequence[int]) -> RoundPlan:
     """The round that resamples the greedy independent subset of the
     nonempty ``violated`` at these counters.
@@ -419,7 +389,7 @@ def _plan_round(system: MtaSystem, violated: Collection[int], counters: Sequence
 def _run(system: MtaSystem, f: Sequence[int], tape: RandomTape | None, *,
          max_steps: int, stop_when_satisfied: bool,
          draw: Callable[[Sequence[tuple[int, int]]], Sequence[int]] | None = None) -> RunTrace:
-    """The incremental form of repeated ``step``: same states, same digits.
+    """The incremental form of repeated ``step`` (tests/conftest.py): same states, same digits.
 
     Round 1 comes from ``system.start``.  After it the violated set is
     re-checked only at the support vertices sharing a variable with a

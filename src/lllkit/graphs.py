@@ -204,13 +204,6 @@ def restriction_word(graph: VariableGraph, f: Sequence[int], x: int) -> Word:
     return tuple(f[v] for v in graph.var(x))
 
 
-def failure_prob(graph: VariableGraph, rule: LocalRule, x: int) -> Fraction:
-    """Probability that a uniform assignment violates the rule at x."""
-    if rule.word_lengths[x] != len(graph.var(x)):
-        raise ValueError("rule word length disagrees with out-degree")
-    return rule.failure_prob(x)
-
-
 def violating_set(graph: VariableGraph, rule: LocalRule, f: Sequence[int]) -> set[int]:
     """Vertices whose restriction of f is forbidden.
 
@@ -238,9 +231,6 @@ class RelGraph:
     @property
     def vertex_count(self) -> int:
         return len(self.nbrs)
-
-    def degree(self, x: int) -> int:
-        return len(self.nbrs[x])
 
     def label(self, x: int, y: int) -> int:
         return self.nbrs[x].index(y)
@@ -306,11 +296,6 @@ def _distances(adj: Adjacency, sources: Iterable[int], r: float = INF, limit: fl
                     nxt.append(w)
         frontier = nxt
     return dist
-
-
-def graph_distance(adj: Adjacency, x: int, y: int):
-    """BFS distance in a symmetric graph; math.inf when disconnected."""
-    return _distances(adj, [x]).get(y, INF)
 
 
 def ball(adj: Adjacency, x: int, r: int, limit: int | None = None) -> KeysView[int]:
@@ -429,9 +414,6 @@ class Partition:
     @classmethod
     def singletons(cls, n: int) -> "Partition":
         return cls(n, tuple(range(n)))
-
-    def members(self, i: int) -> list[int]:
-        return [x for x, j in enumerate(self.part_of) if j == i]
 
     @property
     def vertex_count(self) -> int:

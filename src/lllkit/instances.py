@@ -67,12 +67,6 @@ class CnfInstance:
     def clause_count(self) -> int:
         return len(self.clauses)
 
-    def to_dimacs(self) -> str:
-        lines = [f"p cnf {self.variable_count} {self.clause_count}"]
-        for clause in self.clauses:
-            lines.append(" ".join(str(s * (v + 1)) for v, s in clause) + " 0")
-        return "\n".join(lines) + "\n"
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, CnfInstance)
@@ -370,16 +364,6 @@ def _by_max_coordinate(dimension: int) -> Iterator[tuple[int, ...]]:
                 v[-1] = m
 
 
-def torus_condition_holds(spec: TorusSpec) -> bool:
-    """Exact check of b(1 - 1/b)^|T| < 1/(e |T|^2), using a rational
-    over-approximation of e (conservative: shrinks the threshold)."""
-    t = len(spec.translates)
-    b = spec.colors
-    lhs = b * (1 - Fraction(1, b)) ** t
-    _, e_hi = e_bounds()
-    return lhs < 1 / (e_hi * t * t)
-
-
 # ---------------------------------------------------------------------------
 # Local-lemma condition checks
 # ---------------------------------------------------------------------------
@@ -521,11 +505,6 @@ def instance_from_json(text: str) -> tuple[VariableGraph, LocalRule]:
     allowed = [frozenset(str_to_word(s, b) for s in ws) for ws in obj["allowed"]]
     rule = LocalRule.for_graph(graph, b, allowed)
     return graph, rule
-
-
-def save_instance(path, graph: VariableGraph, rule: LocalRule) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(instance_to_json(graph, rule))
 
 
 def load_instance(path) -> tuple[VariableGraph, LocalRule]:

@@ -355,20 +355,6 @@ def restrict(ls: DecoratedLandscape, vertices: Iterable[int]) -> tuple[Decorated
     return DecoratedLandscape(graph, canvas.rule, verts, parent, prev, final, part_of), keep
 
 
-def is_faithful_at(ls: DecoratedLandscape, vertices: Iterable[int], x: int) -> bool:
-    """True when every constraint reading x keeps its full var list inside
-    the restriction set (then x's decoded sequence is preserved)."""
-    keep = set(vertices)
-    if x not in keep:
-        raise ValueError(f"vertex {x} is not in the restriction set")
-    for y in ls.graph.cl(x):
-        if y not in keep:
-            return False
-        if any(v not in keep for v in ls.graph.var(y)):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Pushes, rebranchings, joinings, grounding
 # ---------------------------------------------------------------------------
@@ -425,15 +411,6 @@ def push_tree(ls: DecoratedLandscape, tree: frozenset[ForestVertex]) -> Decorate
     if not is_tree_pushable(ls, tree):
         raise LandscapeError("push_tree: tree is at level 0 or receives a cross edge")
     return _push(ls, tree)
-
-
-def rebranchable_triples(ls: DecoratedLandscape) -> Iterator[tuple[ForestVertex, ForestVertex, ForestVertex]]:
-    """(x, y, z): (x, z) is a forest edge, (y, z) a canvas edge, y a forest
-    vertex distinct from x."""
-    for z, x in sorted(ls.parent.items()):
-        for y in canvas_sources(ls.rel, ls.verts, z):
-            if y != x:
-                yield (x, y, z)
 
 
 def rebranch(ls: DecoratedLandscape, triple: tuple[ForestVertex, ForestVertex, ForestVertex]) -> DecoratedLandscape:

@@ -1,14 +1,26 @@
-"""Shared helpers for the test suite: random abstract landscapes and adjacencies,
-and the reference breadth-first search the graph tests check against."""
+"""Shared helpers for the test suite: random abstract landscapes and
+adjacencies, and the reference oracles.  The oracles are slow, plain
+versions of what the library computes, kept here and not in ``lllkit``
+because no command runs them: the deque search, one resampling ``step``
+that re-checks every constraint, the brute-force tree enumeration, the
+exact Q values, the faithfulness test of a restriction, the rebranchable
+triples and ``graph_distance``.  ``to_dimacs`` writes a CNF back out for
+the round-trip tests."""
 
+import itertools
 import math
 import random
 from collections import deque
+from fractions import Fraction
+from typing import Iterable, Iterator, NamedTuple
 
 import pytest
 
-from lllkit import ball
-from lllkit.instances import random_instance
+from lllkit import DecoratedLandscape, MtaSystem, RandomTape, ball, build_rel, greedy_mis, violating_set
+from lllkit.counting import critical_abscissa
+from lllkit.graphs import Adjacency, _distances
+from lllkit.instances import CnfInstance, random_instance
+from lllkit.landscapes import ForestVertex, canvas_sources
 from lllkit.properties import fuzz_runs
 
 INF = math.inf
@@ -29,8 +41,6 @@ def restricted_runs(rng: random.Random, count: int, plain: int, *, k_max: int = 
 def random_abstract_landscape(rng: random.Random):
     """A random valid landscape not derived from any run: roots at
     arbitrary levels, gaps between occupied levels, several trees."""
-    from lllkit import DecoratedLandscape, build_rel
-
     graph, rule = random_instance(rng)
     rel = build_rel(graph)
     support = list(rule.support)
@@ -88,6 +98,120 @@ def _bfs_distances(adj, sources):
                 dist[y] = dist[x] + 1
                 queue.append(y)
     return dist
+
+
+class RunState(NamedTuple):
+    step: int
+    assignment: tuple[int, ...]
+    counters: tuple[int, ...]
+
+
+def step(system: MtaSystem, state: RunState, tape: RandomTape) -> tuple[RunState, frozenset[int]]:
+    """One resampling round.
+
+    Computes the violated set, picks its greedy maximal independent subset,
+    and redraws every variable read by that subset from its part's stream at
+    the variable's counter position.  Raises TapeExhausted before mutating
+    anything if the tape is too short.
+    """
+    violated = violating_set(system.graph, system.rule, state.assignment)
+    chosen = greedy_mis(system.rel.adj_noself, violated, system.order)
+    if not chosen:
+        return RunState(state.step + 1, state.assignment, state.counters), frozenset()
+    targets = sorted({v for x in chosen for v in system.graph.var(x)})
+    part_of = system.partition.part_of
+    fresh = {v: tape.digit(part_of[v], state.counters[v]) for v in targets}
+    assignment = list(state.assignment)
+    counters = list(state.counters)
+    for v in targets:
+        assignment[v] = fresh[v]
+        counters[v] += 1
+    return RunState(state.step + 1, tuple(assignment), tuple(counters)), frozenset(chosen)
+
+
+def enumerate_labelled_trees(delta: int, n: int) -> int:
+    """Brute-force oracle: generate every tree as a canonical nested tuple
+    (sorted (label, subtree) pairs) and count distinct objects."""
+    if n == 0:
+        return 0
+    cache: dict[int, frozenset] = {}
+
+    def gen(size: int) -> frozenset:
+        if size in cache:
+            return cache[size]
+        out = set()
+        if size == 1:
+            out.add(())
+        else:
+            for count in range(1, min(delta, size - 1) + 1):
+                for labels in itertools.combinations(range(delta), count):
+                    for sizes in _compositions(size - 1, count):
+                        for subtrees in itertools.product(*(gen(s) for s in sizes)):
+                            out.add(tuple(zip(labels, subtrees)))
+        result = frozenset(out)
+        cache[size] = result
+        return result
+
+    return len(gen(n))
+
+
+def _compositions(total: int, parts: int):
+    """Ordered tuples of positive integers summing to total."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def q_values_exact(delta: int, steps: int) -> list[Fraction]:
+    """Exact values Q_0(rho), ..., Q_steps(rho) at rho = critical abscissa,
+    with Q_0(rho) = rho and Q_{i+1} = rho (1 + Q_i)^delta.
+
+    Denominator bit counts grow like delta^i, so this is only feasible for
+    delta = 2 or small step counts; use q_value_upper_bounds otherwise.
+    """
+    rho = critical_abscissa(delta)
+    values = [rho]
+    for _ in range(steps):
+        values.append(rho * (1 + values[-1]) ** delta)
+    return values
+
+
+def is_faithful_at(ls: DecoratedLandscape, vertices: Iterable[int], x: int) -> bool:
+    """True when every constraint reading x keeps its full var list inside
+    the restriction set (then x's decoded sequence is preserved)."""
+    keep = set(vertices)
+    if x not in keep:
+        raise ValueError(f"vertex {x} is not in the restriction set")
+    for y in ls.graph.cl(x):
+        if y not in keep:
+            return False
+        if any(v not in keep for v in ls.graph.var(y)):
+            return False
+    return True
+
+
+def rebranchable_triples(ls: DecoratedLandscape) -> Iterator[tuple[ForestVertex, ForestVertex, ForestVertex]]:
+    """(x, y, z): (x, z) is a forest edge, (y, z) a canvas edge, y a forest
+    vertex distinct from x."""
+    for z, x in sorted(ls.parent.items()):
+        for y in canvas_sources(ls.rel, ls.verts, z):
+            if y != x:
+                yield (x, y, z)
+
+
+def graph_distance(adj: Adjacency, x: int, y: int):
+    """BFS distance in a symmetric graph; math.inf when disconnected."""
+    return _distances(adj, [x]).get(y, INF)
+
+
+def to_dimacs(cnf: CnfInstance) -> str:
+    lines = [f"p cnf {cnf.variable_count} {cnf.clause_count}"]
+    for clause in cnf.clauses:
+        lines.append(" ".join(str(s * (v + 1)) for v, s in clause) + " 0")
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture

@@ -53,17 +53,25 @@ class TestSolve:
         result = json.loads(capsys.readouterr().out)
         assert result["status"] == "satisfied"
 
-    def test_unsatisfiable_vertex_diagnosed(self, tmp_path, capsys):
-        # a clause whose allowed set is empty is rejected before running
-        from lllkit import LocalRule, VariableGraph, save_instance
+    @pytest.mark.parametrize("b, out_adj, allowed, command", [
+        (2, [(1,), ()], [set(), {()}], ["solve"]),
+        (2, [(0,)], [set()], ["tail", "--seeds", "40", "--cap", "3", "--partition", "singletons"]),
+        # at b = 1 tail's slope fit would take a logarithm to base 1
+        (1, [(0,)], [set()], ["tail", "--seeds", "40", "--cap", "3", "--partition", "singletons"]),
+    ], ids=["solve", "tail-b2", "tail-b1"])
+    def test_unsatisfiable_vertex_diagnosed(self, b, out_adj, allowed, command, tmp_path, capsys):
+        # a vertex whose allowed set is empty is rejected before running
+        from lllkit import LocalRule, VariableGraph, instance_to_json
 
-        graph = VariableGraph([(1,), ()])
-        rule = LocalRule.for_graph(graph, 2, [set(), {()}])
+        graph = VariableGraph(out_adj)
+        rule = LocalRule.for_graph(graph, b, allowed)
         path = tmp_path / "bad.json"
-        save_instance(path, graph, rule)
-        code = main(["solve", "--instance", str(path)])
+        path.write_text(instance_to_json(graph, rule))
+        code = main([*command, "--instance", str(path)])
         assert code == 2
-        assert "no assignment" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "no assignment" in captured.err and captured.err.count("\n") == 1
+        assert captured.out == ""
 
     def test_condition_failure_needs_force(self, tmp_path, capsys):
         # star-shaped CNF with dependency degree 4 fails the tight condition
@@ -620,6 +628,7 @@ class TestMalformedInput:
         ["verify", "--ta", "3", "--ru", "3"],
         ["solve", "--bundled", "disjoint", "--se", "5"],
         ["count", "--n", "3"],
+        ["solve", "--generate", "100001,3"],  # one clause above the cap
     ])
     def test_config_error_on_one_line(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -657,6 +666,33 @@ class TestMalformedInput:
         monkeypatch.setattr(cli, "load_instance_from_config", refuse)
         assert main([command, "--bundled", "chain", "--eps", "0"]) == 2
         assert capsys.readouterr().err == "error: --eps must be positive, got '0'\n"
+
+    @pytest.mark.parametrize("command", ["solve", "tail"])
+    def test_partition_and_order_checked_before_the_instance(self, command, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("instance loaded")
+
+        monkeypatch.setattr(cli, "load_instance_from_config", refuse)
+        assert main([command, "--generate", "50000,3", "--seed", "2", "--partition", "foo"]) == 2
+        assert capsys.readouterr().err == "error: --partition wants auto, singletons or a radius >= 0, got 'foo'\n"
+        assert main([command, "--bundled", "chain", "--order", "[0.5]"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad vertex order '[0.5]'") and err.count("\n") == 1, err
+
+    def test_generate_cap_builds_nothing(self, monkeypatch, capsys):
+        class Built(Exception):
+            pass
+
+        def refuse(*args):
+            raise Built
+
+        monkeypatch.setattr(cli, "load_instance_from_config", refuse)
+        cap = cli.MAX_GENERATE_CLAUSES
+        for value in (cap + 1, 10**9):
+            assert main(["solve", "--generate", f"{value},3"]) == 2
+            assert capsys.readouterr().err == f"error: --generate makes at most {cap} clauses, got {value}\n"
+        with pytest.raises(Built):
+            main(["solve", "--generate", f"{cap},3"])
 
     @pytest.mark.parametrize("command", ["solve", "tail"])
     def test_dimacs_bytes_that_are_not_utf8(self, command, tmp_path, capsys):

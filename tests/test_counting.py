@@ -8,13 +8,11 @@ from lllkit import (
     MtaSystem,
     Partition,
     count_labelled_trees,
-    enumerate_labelled_trees,
     enumerate_small_landscapes,
     fuss_catalan,
     labelled_tree_bound,
     landscape_class_bound,
     q_value_upper_bounds,
-    q_values_exact,
     tail_estimate,
     tree_count_iterates,
 )
@@ -26,6 +24,7 @@ from lllkit.counting import (
     _canonical_key,
 )
 from lllkit.instances import disjoint_clause_instance
+from conftest import enumerate_labelled_trees, q_values_exact
 
 
 class TestTreeCounts:

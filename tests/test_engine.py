@@ -22,10 +22,11 @@ from lllkit import (
     used_unused,
     violating_set,
 )
-from lllkit.engine import Cells, RunState, step
+from lllkit.engine import Cells
 from lllkit.instances import TorusSpec, default_translates, random_instance, torus_instance
 from lllkit import counting, properties
 from lllkit.properties import random_system
+from conftest import RunState, step
 
 
 def single_clause_system(falsifier=(0,), b=2):

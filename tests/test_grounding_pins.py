@@ -13,9 +13,9 @@ import random
 import pytest
 
 from lllkit import ball, extract_landscape, ground, restrict
-from lllkit.landscapes import joinable_pairs, pushable_trees, rebranchable_triples
+from lllkit.landscapes import joinable_pairs, pushable_trees
 from lllkit.properties import fuzz_runs
-from conftest import random_abstract_landscape
+from conftest import random_abstract_landscape, rebranchable_triples
 
 ABSTRACT_DRAWS = 3000
 RESTRICTED_RUNS = 2000

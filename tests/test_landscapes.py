@@ -26,7 +26,6 @@ from lllkit import (
     find_window,
     ground,
     interior,
-    is_faithful_at,
     join,
     pad_uniform,
     push_all,
@@ -42,13 +41,12 @@ from lllkit.landscapes import (
     WindowError,
     is_tree_pushable,
     joinable_pairs,
-    rebranchable_triples,
 )
 from lllkit import properties
 from lllkit.cli import build_system
 from lllkit.instances import random_instance
 from lllkit.properties import Run, random_system
-from conftest import restricted_runs
+from conftest import is_faithful_at, rebranchable_triples, restricted_runs
 
 
 def single_clause_landscape(final_v=1, prev_digit=0):

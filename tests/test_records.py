@@ -17,7 +17,7 @@ from lllkit import (
     TorusSpec,
     Window,
 )
-from lllkit.engine import RunState
+from conftest import RunState
 
 FIELDS = {
     RunState: ("step", "assignment", "counters"),
@@ -41,7 +41,6 @@ def test_field_order(cls):
 
 def test_defaults_and_repr():
     assert CountReport("tree", {}, 1, 2, True).complete is True
-    assert TailEstimate((0,), 1, (0,), (0.0,), (0.0,), None, None, 0).slope_ci95() is None
     assert repr(InstanceParams(1, 2, 3, False)) == "InstanceParams(d=1, delta=2, beta=3, trivially_satisfiable=False)"
     assert LandscapeType(1, 2, 1, 3, 2, 1).fits_within(LandscapeType(1, 3, 1, 3, 2, 2))
 

@@ -38,7 +38,6 @@ from .engine import (
     RandomTape,
     RunTrace,
     TapeExhausted,
-    classic_parallel_mta,
     pad_uniform,
     run_k,
     run_until_satisfied,

@@ -12,6 +12,7 @@ import argparse
 import itertools
 import json
 import math
+import random
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -154,12 +155,8 @@ def load_instance_from_config(cfg: dict):
             raise CliError(f"instance load error: {exc}")
     elif kind == "torus":
         try:
-            translates = cfg.get("translates")
-            if translates is None:
-                instances.check_torus_size(cfg["dimension"], cfg["side"], cfg["count"])
-                translates = instances.default_translates(cfg["dimension"], cfg["count"])
-            else:
-                translates = tuple(tuple(t) for t in translates)
+            instances.check_torus_size(cfg["dimension"], cfg["side"], cfg["count"])
+            translates = instances.default_translates(cfg["dimension"], cfg["count"])
             spec = instances.TorusSpec(cfg["dimension"], cfg["side"], translates, cfg["colors"])
             graph, rule = instances.torus_instance(spec)
         except (KeyError, ValueError) as exc:
@@ -300,15 +297,16 @@ def _bundled_runs(systems: dict, k: int, tape_seeds):
 
 
 def cmd_verify(args) -> int:
-    seed, runs, fuzz = args.seed, args.runs, properties.fuzz_runs
+    seed, runs = args.seed, args.runs
     # Each bundled instance on the auto partition, built once for every suite that reads it.
-    systems = {name: build_system(graph, rule, "auto", Fraction(1, 2))
+    systems = {name: build_system(graph, rule, "auto", landscapes.EPS)
                for name, (graph, rule) in instances.bundled_instances().items()}
+    abstract = random.Random(seed + 2)
     suites = [
         ("roundtrip", properties.roundtrip, _bundled_runs(systems, 5, range(seed * 100003, seed * 100003 + args.tapes))),
-        ("seq_used", properties.seq_used, fuzz(seed + 1, runs, radius=2, random_f0=True)),
-        ("grounding", properties.grounding, ((run, None) for run in fuzz(seed + 2, runs, radius=2))),
-        ("padding", properties.padding, fuzz(seed + 3, runs, radius=2, mixed_width=True)),
+        ("seq_used", properties.seq_used, properties.fuzz_runs(seed + 1, runs, radius=2, random_f0=True)),
+        ("grounding", properties.grounding, (properties.random_abstract_landscape(abstract) for _ in range(runs))),
+        ("padding", properties.padding, properties.fuzz_runs(seed + 3, runs, radius=2, mixed_width=True)),
         ("tree_counts", properties.tree_counts, itertools.product((2, 3, 4), range(1, 9))),
         ("fault_injection", properties.fault_injection,
          _bundled_runs({"disjoint": systems["disjoint"]}, 4, [seed + 4])),
@@ -346,6 +344,16 @@ MAX_COUNT_TABLE = 500_000  # the sum over --deltas of delta * n_max^2
 MAX_TAIL_SEEDS = 10**6
 MAX_TAIL_N = 10**4
 MAX_JOBS = 64
+# --cap bounds the rounds of one solve or tail run, whose trace keeps every
+# round.  At the cap, solve --torus 2,24,10,2 --partition 0 never satisfies
+# and took 12.6 s and 83 MiB on a 2-vCPU host; on the 64x64 torus a round
+# costs about 10 ms and 48 KiB, so 10^6 rounds would take hours and 46 GiB.
+MAX_CAP = 10**4
+# At the caps, verify took 80 s and 53 MiB at --tapes 10^5 (the tape memo
+# keeps every seed's rows until the suite ends) and 95 s and 24 MiB at
+# --runs 10^5.
+MAX_VERIFY_TAPES = 10**5
+MAX_VERIFY_RUNS = 10**5
 
 LANDSCAPE_COUNT_POINTS = (
     (1, 2, 1, 1, 1, 1, 2),
@@ -489,7 +497,7 @@ def _add_run_args(sub) -> None:
     source.add_argument("--torus", type=_ints("--torus", "d,m,translates,colors"), help="torus spec d,m,translates,colors")
     source.add_argument("--generate", type=_generate, help="random 3-SAT spec clauses,delta")
     sub.add_argument("--seed", type=_seed, default=0)
-    sub.add_argument("--cap", type=_int("--cap", 0), default=1000)
+    sub.add_argument("--cap", type=_int("--cap", 0, MAX_CAP), default=1000)
     sub.add_argument("--eps", type=_parse_eps, default="1/2")
     sub.add_argument("--partition", type=_partition, default="auto", help="auto | singletons | <radius>")
     sub.add_argument("--order", type=_order, default="index", help="index | JSON permutation of the vertices")
@@ -515,8 +523,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run the property suites", allow_abbrev=False)
     verify.add_argument("--seed", type=_seed, default=0)
-    verify.add_argument("--tapes", type=_int("--tapes", 0), default=100, help="round-trips per bundled instance")
-    verify.add_argument("--runs", type=_int("--runs", 0), default=100, help="fuzz runs per suite")
+    verify.add_argument("--tapes", type=_int("--tapes", 0, MAX_VERIFY_TAPES), default=100, help="round-trips per bundled instance")
+    verify.add_argument("--runs", type=_int("--runs", 0, MAX_VERIFY_RUNS), default=100, help="fuzz runs per suite")
     verify.add_argument("--out", help="write the report here")
     verify.set_defaults(func=cmd_verify)
 

@@ -109,16 +109,15 @@ def critical_abscissa(delta: int) -> Fraction:
     return Fraction((delta - 1) ** (delta - 1), delta ** delta)
 
 
-def q_value_upper_bounds(delta: int, steps: int, precision_bits: int = 512) -> list[Fraction]:
+def q_value_upper_bounds(delta: int, steps: int) -> list[Fraction]:
     """Certified upper bounds on Q_0(rho), ..., Q_steps(rho).
 
     The map v -> rho (1 + v)^delta is increasing, so rounding each value up
-    to a denominator of 2^precision_bits keeps a rigorous upper bound while
-    the numbers stay small.  Every returned value is an exact rational >=
-    the true one.
+    to a denominator of 2^512 keeps a rigorous upper bound while the numbers
+    stay small.  Every returned value is an exact rational >= the true one.
     """
     rho = critical_abscissa(delta)
-    scale = 1 << precision_bits
+    scale = 1 << 512
 
     def round_up(value: Fraction) -> Fraction:
         return Fraction(-((-value.numerator * scale) // value.denominator), scale)

@@ -14,7 +14,6 @@ import functools
 import hashlib
 import itertools
 import json
-import random
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
@@ -79,7 +78,8 @@ class RandomTape:
     @classmethod
     def finite_random(cls, b: int, parts: int, width: int, seed: int, *,
                       memo: dict | None = None) -> "RandomTape":
-        """``stream(b, seed).prefix(parts, width)``.
+        """The first ``parts`` streams of ``stream(b, seed)``, each cut to
+        ``width`` digits, as a finite tape.
 
         A ``memo`` dict shared by several calls keeps each (b, seed,
         width)'s rows drawn so far, in order, as one ``bytes`` when every
@@ -176,11 +176,6 @@ class RandomTape:
         if self.digits is not None and part < len(self.digits) and width <= len(self.digits[part]):
             return self.digits[part][:width]
         return tuple(self.draw([(part, pos) for pos in range(width)]))
-
-    def prefix(self, parts: int, width: int) -> "RandomTape":
-        """Materialize a finite p-by-k tape from this source, in one ``draw``."""
-        cells = self.draw([(i, pos) for i in range(parts) for pos in range(width)])
-        return RandomTape.finite(self.b, [cells[i * width:(i + 1) * width] for i in range(parts)])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RandomTape):
@@ -317,7 +312,7 @@ class RunTrace:
     """What a run did: the initial assignment, each round's resample set and
     drawn digits (over its sorted targets), and the ending; ``states()`` replays the rest."""
 
-    def __init__(self, system: MtaSystem, tape: RandomTape | None, initial: tuple[int, ...]):
+    def __init__(self, system: MtaSystem, tape: RandomTape, initial: tuple[int, ...]):
         self.system, self.tape, self.initial = system, tape, initial
         self.resampled: list[frozenset[int]] = []
         self.drawn: list[tuple[int, ...]] = []
@@ -351,10 +346,6 @@ class RunTrace:
     def assignments(self) -> list[tuple[int, ...]]:
         return [a for a, _ in self.states()]
 
-    @property
-    def counters(self) -> list[tuple[int, ...]]:
-        return [h for _, h in self.states()]
-
     def to_jsonl(self) -> str:
         lines = []
         after = itertools.islice(self.states(), 1, None)
@@ -386,21 +377,18 @@ def _plan_round(system: MtaSystem, violated: Collection[int], counters: Sequence
     return RoundPlan(chosen, targets, cells, dirty)
 
 
-def _run(system: MtaSystem, f: Sequence[int], tape: RandomTape | None, *,
-         max_steps: int, stop_when_satisfied: bool,
-         draw: Callable[[Sequence[tuple[int, int]]], Sequence[int]] | None = None) -> RunTrace:
+def _run(system: MtaSystem, f: Sequence[int], tape: RandomTape, *,
+         max_steps: int, stop_when_satisfied: bool) -> RunTrace:
     """The incremental form of repeated ``step`` (tests/conftest.py): same states, same digits.
 
     Round 1 comes from ``system.start``.  After it the violated set is
     re-checked only at the support vertices sharing a variable with a
     resampled one, and each later round is planned by ``_plan_round``.
-    ``draw`` maps a round's (part, position) cells to digits (default ``tape.draw``).
     """
     initial = tuple(f)
     violated, plan = system.start(initial)
     violated = set(violated)
-    if draw is None:
-        draw = tape.draw
+    draw = tape.draw
     assignment = list(initial)
     counters = [0] * len(initial)
     trace = RunTrace(system, tape, initial)
@@ -450,20 +438,9 @@ def run_until_satisfied(system: MtaSystem, f: Sequence[int], tape: RandomTape,
     return _run(system, f, tape, max_steps=step_cap, stop_when_satisfied=True)
 
 
-def classic_parallel_mta(system: MtaSystem, f: Sequence[int], seed: int,
-                         step_cap: int) -> RunTrace:
-    """Baseline: identical loop, but every redraw uses a fresh independent
-    digit instead of the shared per-part streams."""
-    rng, b = random.Random(seed), system.b
-    return _run(system, f, None, max_steps=step_cap, stop_when_satisfied=True,
-                draw=lambda cells: [rng.randrange(b) for _ in cells])
-
-
 def used_unused(trace: RunTrace, x: int) -> tuple[Word, Word]:
     """Split stream pi(x) of a finite-length run into the consumed prefix
     (the digits the run read at x) and the untouched suffix up to k-1."""
-    if trace.tape is None:
-        raise ValueError("trace has no tape (classic baseline run)")
     part = trace.system.partition.part_of[x]
     h = trace.h_final[x]
     digits = trace.tape.row(part, trace.k)

@@ -379,19 +379,13 @@ def interior(adj: Adjacency, subset: Iterable[int], i: int) -> set[int]:
     return inside - _distances(adj, outside, i - 1).keys()
 
 
-def greedy_mis(
-    adj: Adjacency,
-    members: Iterable[int],
-    order: Sequence[int] | None = None,
-) -> set[int]:
-    """Greedy maximal independent subset of ``members``.
+def greedy_mis(adj: Adjacency, members: Iterable[int], order: Sequence[int]) -> set[int]:
+    """Greedy maximal independent subset of ``members``, taken in ``order``.
 
-    Deterministic given the order; self-loops are ignored for the
-    independence test, so a self-looped vertex can still be chosen.
+    Self-loops are ignored for the independence test, so a self-looped
+    vertex can still be chosen.
     """
     member_set = set(members)
-    if order is None:
-        order = sorted(member_set)
     blocked: set[int] = set()
     chosen: set[int] = set()
     for x in order:

@@ -2,14 +2,12 @@
 
 Covers DIMACS CNF (3-SAT and general mode), torus multicolored-translate
 instances, random bounded-overlap 3-CNF generation, small random fuzz
-instances, condition checkers for the symmetric and tight local-lemma
-thresholds, and a byte-stable JSON instance format (see
-docs/instance-format.md).
+instances, a condition check at the tight local-lemma threshold, and a
+byte-stable JSON instance format (see docs/instance-format.md).
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -368,23 +366,10 @@ def _by_max_coordinate(dimension: int) -> Iterator[tuple[int, ...]]:
 # Local-lemma condition checks
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def e_bounds() -> tuple[Fraction, Fraction]:
-    """Rational enclosure of e, accurate beyond 50 decimal digits.
-
-    Taylor series with a rigorous remainder: sum_{i<=N} 1/i! < e <
-    sum + 2/(N+1)!.  N = 45 gives an interval width below 1e-55.
-    """
-    n_terms = 45
-    lo = sum(Fraction(1, math.factorial(i)) for i in range(n_terms + 1))
-    return lo, lo + Fraction(2, math.factorial(n_terms + 1))
-
-
 class ConditionReport(NamedTuple):
     variant: str
     delta: int
     threshold_lo: Fraction  # certified threshold (pass iff prob < this)
-    threshold_hi: Fraction  # upper enclosure (equals lo for the tight variant)
     worst_margin: Fraction | None  # threshold_lo minus the largest prob; None if every prob is 0
     all_pass: bool
 
@@ -404,14 +389,13 @@ def check_lll_condition(
     rule: LocalRule,
     variant: str = "tight",
 ) -> ConditionReport:
-    """Whether every vertex's failure probability is below a threshold, with
-    the threshold minus the largest probability as ``worst_margin``.
-
-    variant "tight": p(x) < (delta-1)^(delta-1)/delta^delta (exact rationals).
-    variant "symmetric": p(x) < 1/(e delta); e enters through a rational
-    enclosure, and a pass is certified against the over-approximation.
+    """Whether every vertex's failure probability p(x) is below the tight
+    threshold (delta-1)^(delta-1)/delta^delta, in exact rationals, with the
+    threshold minus the largest probability as ``worst_margin``.  The only
+    ``variant`` is "tight"; for every delta >= 1 its threshold is above the
+    symmetric 1/(e delta), so the tight check passes whatever that one does.
     """
-    if variant not in ("tight", "symmetric"):
+    if variant != "tight":
         raise ValueError(f"unknown variant {variant!r}")
     delta = params(graph, rule).delta
     if delta == 0:
@@ -419,19 +403,13 @@ def check_lll_condition(
             raise ValueError(
                 "inconsistent instance: nontrivial rule on a vertex with empty var set"
             )
-        one = Fraction(1)
-        return ConditionReport(variant, 0, one, one, None, True)
-    if variant == "tight":
-        thr_lo = thr_hi = tight_threshold(delta)
-    else:
-        e_lo, e_hi = e_bounds()
-        thr_lo = 1 / (e_hi * delta)
-        thr_hi = 1 / (e_lo * delta)
+        return ConditionReport(variant, 0, Fraction(1), None, True)
+    threshold = tight_threshold(delta)
     # p(x) = |forbidden(x)| / b^|var(x)|, so each distinct pair is one case.
     cases = set(zip(map(len, rule.forbidden), rule.word_lengths))
     p_max = max((Fraction(beta, rule.b**n) for beta, n in cases if beta), default=None)
-    worst = None if p_max is None else thr_lo - p_max
-    return ConditionReport(variant, delta, thr_lo, thr_hi, worst, worst is None or worst > 0)
+    worst = None if p_max is None else threshold - p_max
+    return ConditionReport(variant, delta, threshold, worst, worst is None or worst > 0)
 
 
 # ---------------------------------------------------------------------------

@@ -444,8 +444,9 @@ def join(ls: DecoratedLandscape, pair: tuple[ForestVertex, ForestVertex]) -> Dec
     return ls._replace(parent=parent)
 
 
-def ground(ls: DecoratedLandscape, return_ops: bool = False):
-    """An equivalent landscape with every root at level 0.
+def ground(ls: DecoratedLandscape) -> tuple[DecoratedLandscape, list[tuple]]:
+    """An equivalent landscape with every root at level 0, and the operations
+    that made it.
 
     Loop: join when possible (least (level, root, source)); else push a
     pushable tree; else push everything when nothing touches level 0; else
@@ -460,9 +461,7 @@ def ground(ls: DecoratedLandscape, return_ops: bool = False):
     current = ls
     for _ in range(guard):
         if current.is_grounded:
-            if return_ops:
-                return current, ops
-            return current
+            return current, ops
         pair = min(
             joinable_pairs(current),
             key=lambda yz: (yz[1][1], yz[1][0], yz[0][0]),
@@ -522,6 +521,7 @@ class WindowError(ValueError):
 
 
 MAX_WINDOW_N = 10**6  # larger window parameters are refused, not computed
+EPS = Fraction(1, 2)  # the growth rate 1 + EPS at which encode_tape's windows stall
 
 
 def _float_log1p(eps: Fraction) -> float | None:
@@ -562,7 +562,7 @@ def _ceil_power(base: Fraction, rate: float | None, n: int, cap: int) -> int:
     return k
 
 
-def default_window_params(adj: Sequence[Sequence[int]], eps: Fraction = Fraction(1, 2)) -> int:
+def default_window_params(adj: Sequence[Sequence[int]], eps: Fraction = EPS) -> int:
     """Smallest n >= 1 with max_x |B(x, 3n)| < (1 + eps)^n for this graph.
 
     Requires eps > 0.  Then it exists on every finite graph: once
@@ -679,12 +679,13 @@ class TapeCode(NamedTuple):
     b: int
 
 
-def encode_tape(trace: RunTrace, eps: Fraction = Fraction(1, 2), n: int | None = None) -> TapeCode:
+def encode_tape(trace: RunTrace, n: int) -> TapeCode:
     """Compress a finite run's tape into (parts, leftover digits, witness).
 
     With an empty landscape no part is recorded and the payload is the
     concatenation of all streams.  Otherwise a window F around the column
-    of maximal occupancy is found, the landscape is restricted to F and
+    of maximal occupancy is found, ``n`` being a window parameter at ``EPS``
+    (see ``default_window_params``), the landscape is restricted to F and
     grounded, the parts of the window interior F_-2 are recorded, and the
     payload concatenates the per-part leftovers: the unused suffix for
     interior parts, the whole stream for the rest.  The partition must
@@ -692,17 +693,13 @@ def encode_tape(trace: RunTrace, eps: Fraction = Fraction(1, 2), n: int | None =
     from its part alone.
     """
     system = trace.system
-    if trace.tape is None:
-        raise ValueError("trace has no tape")
     part_of = system.partition.part_of
     ls = extract_landscape(trace)
     witness = None
     core_by_part: dict[int, int] = {}
     if not ls.is_empty:
         adj = system.graph.sym_adj
-        if n is None:
-            n = default_window_params(adj, eps)
-        window = find_window(adj, ls.column_occupancy(), eps, n)
+        window = find_window(adj, ls.column_occupancy(), EPS, n)
         ball_3n = adj.balls[window.center, n]  # kept there by find_window
         if len({part_of[x] for x, _ in ball_3n}) != len(ball_3n):
             raise ValueError(
@@ -710,7 +707,7 @@ def encode_tape(trace: RunTrace, eps: Fraction = Fraction(1, 2), n: int | None =
                 f"a {3 * n}-sparse partition is required"
             )
         restricted, keep = restrict(ls, window.vertices)
-        witness = ground(restricted)
+        witness, _ = ground(restricted)
         core_by_part = {part_of[x]: x for x in _canvas(ls.graph, ls.rule, keep).core}
     payload: list[int] = []
     for i in range(system.partition.part_count):

@@ -3,7 +3,8 @@
 A property checks an iterable of cases in order (a lazy generator draws each
 case just before it is checked) and returns ``(checks made, first
 counterexample or None)``; a counterexample is a JSON-ready dict whose
-``suite`` names the property.  ``fuzz_runs`` is the one fuzz generator.
+``suite`` names the property.  ``fuzz_runs`` is the one fuzz generator of
+runs, and ``random_abstract_landscape`` draws the landscapes no run makes.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from . import counting, engine, graphs, landscapes
 from .engine import MtaSystem, RandomTape, RunTrace
 from .instances import random_instance
+from .landscapes import DecoratedLandscape
 
 
 class Run(NamedTuple):
@@ -58,6 +60,40 @@ def fuzz_runs(rng: random.Random | int, count: int, *, k_max: int = 5, random_f0
         yield Run(system, k, tape_seed, f0)
 
 
+def random_abstract_landscape(rng: random.Random) -> DecoratedLandscape:
+    """A random valid landscape not derived from any run: roots at
+    arbitrary levels, gaps between occupied levels, several trees."""
+    graph, rule = random_instance(rng)
+    rel = graphs.build_rel(graph)
+    support = list(rule.support)
+    max_level = rng.randint(1, 5)
+    verts = []
+    parent = {}
+    by_level = {}
+    for level in range(max_level + 1):
+        chosen = []
+        for x in rng.sample(support, len(support)):
+            if rng.random() < 0.5:
+                continue
+            if any(rel.adjacent(x, y) for y in chosen):
+                continue
+            chosen.append(x)
+        by_level[level] = chosen
+        for x in chosen:
+            v = (x, level)
+            verts.append(v)
+            candidates = [y for y in by_level.get(level - 1, []) if rel.adjacent(y, x)]
+            if candidates and rng.random() < 0.8:
+                parent[v] = (rng.choice(candidates), level - 1)
+    prev = {}
+    for v in verts:
+        x = v[0]
+        prev[v] = rng.choice(sorted(rule.forbidden[x]))
+    final = tuple(rng.randrange(rule.b) for _ in range(graph.vertex_count))
+    parts = tuple(range(graph.vertex_count))
+    return DecoratedLandscape(graph, rule, verts, parent, prev, final, parts)
+
+
 def _property(check):
     """Turn ``check(cases)``, a generator yielding one failure dict or None per
     check, into a property returning (checks made, first counterexample)."""
@@ -97,16 +133,12 @@ def seq_used(cases: Iterable[Run]):
 
 
 @_property
-def grounding(cases: Iterable[tuple[Run, Iterable[int] | None]]):
+def grounding(cases: Iterable[DecoratedLandscape]):
     """ground() puts every root at level 0 and keeps each Seq(x) and the
-    multiset of base columns.  A case is a run and the vertex set its
-    landscape is restricted to first (None: no restriction)."""
-    for run, region in cases:
-        ls = landscapes.extract_landscape(run.trace())
-        if region is not None:
-            ls, _ = landscapes.restrict(ls, region)
+    multiset of base columns.  A case is a landscape."""
+    for ls in cases:
         before = landscapes.asgn_seq(ls)
-        grounded = landscapes.ground(ls)
+        grounded, _ = landscapes.ground(ls)
         if not grounded.is_grounded:
             yield {"problem": "roots above level 0"}
         elif landscapes.asgn_seq(grounded) != before:

@@ -1,11 +1,13 @@
-"""Shared helpers for the test suite: random abstract landscapes and
+"""Shared helpers for the test suite: restricted run landscapes, random
 adjacencies, and the reference oracles.  The oracles are slow, plain
 versions of what the library computes, kept here and not in ``lllkit``
 because no command runs them: the deque search, one resampling ``step``
-that re-checks every constraint, the brute-force tree enumeration, the
-exact Q values, the faithfulness test of a restriction, the rebranchable
-triples and ``graph_distance``.  ``to_dimacs`` writes a CNF back out for
-the round-trip tests."""
+that re-checks every constraint, the fresh-bits baseline
+``classic_parallel_mta``, a tape's ``prefix`` in one draw, a trace's
+``counters`` after each round, the brute-force tree enumeration, the exact
+Q values, the faithfulness test of a restriction, the rebranchable triples
+and ``graph_distance``.  ``to_dimacs`` writes a CNF back out for the
+round-trip tests."""
 
 import itertools
 import math
@@ -16,10 +18,12 @@ from typing import Iterable, Iterator, NamedTuple
 
 import pytest
 
-from lllkit import DecoratedLandscape, MtaSystem, RandomTape, ball, build_rel, greedy_mis, violating_set
+from lllkit import (DecoratedLandscape, MtaSystem, RandomTape, RunTrace, ball, extract_landscape, greedy_mis,
+                    restrict, violating_set)
 from lllkit.counting import critical_abscissa
+from lllkit.engine import _run
 from lllkit.graphs import Adjacency, _distances
-from lllkit.instances import CnfInstance, random_instance
+from lllkit.instances import CnfInstance
 from lllkit.landscapes import ForestVertex, canvas_sources
 from lllkit.properties import fuzz_runs
 
@@ -38,38 +42,11 @@ def restricted_runs(rng: random.Random, count: int, plain: int, *, k_max: int = 
             yield run, ball(graph.sym_adj, center, rng.randint(1, 3))
 
 
-def random_abstract_landscape(rng: random.Random):
-    """A random valid landscape not derived from any run: roots at
-    arbitrary levels, gaps between occupied levels, several trees."""
-    graph, rule = random_instance(rng)
-    rel = build_rel(graph)
-    support = list(rule.support)
-    max_level = rng.randint(1, 5)
-    verts = []
-    parent = {}
-    by_level = {}
-    for level in range(max_level + 1):
-        chosen = []
-        for x in rng.sample(support, len(support)):
-            if rng.random() < 0.5:
-                continue
-            if any(rel.adjacent(x, y) for y in chosen):
-                continue
-            chosen.append(x)
-        by_level[level] = chosen
-        for x in chosen:
-            v = (x, level)
-            verts.append(v)
-            candidates = [y for y in by_level.get(level - 1, []) if rel.adjacent(y, x)]
-            if candidates and rng.random() < 0.8:
-                parent[v] = (rng.choice(candidates), level - 1)
-    prev = {}
-    for v in verts:
-        x = v[0]
-        prev[v] = rng.choice(sorted(rule.forbidden[x]))
-    final = tuple(rng.randrange(rule.b) for _ in range(graph.vertex_count))
-    parts = tuple(range(graph.vertex_count))
-    return DecoratedLandscape(graph, rule, verts, parent, prev, final, parts)
+def restricted_landscapes(rng: random.Random, count: int, plain: int, *, k_max: int = 5):
+    """The landscapes of ``restricted_runs``' runs, each restricted to its ball."""
+    for run, region in restricted_runs(rng, count, plain, k_max=k_max):
+        ls = extract_landscape(run.trace())
+        yield ls if region is None else restrict(ls, region)[0]
 
 
 def random_symmetric_adjacency(rng: random.Random, n: int, p_edge: float = 0.3):
@@ -127,6 +104,34 @@ def step(system: MtaSystem, state: RunState, tape: RandomTape) -> tuple[RunState
         assignment[v] = fresh[v]
         counters[v] += 1
     return RunState(state.step + 1, tuple(assignment), tuple(counters)), frozenset(chosen)
+
+
+class _FreshDigits:
+    """The tape of the fresh-bits baseline: every cell drawn gets a new digit
+    from one generator, whatever its part and position."""
+
+    def __init__(self, b: int, seed: int):
+        self.b, self.rng = b, random.Random(seed)
+
+    def draw(self, cells) -> list[int]:
+        return [self.rng.randrange(self.b) for _ in cells]
+
+
+def classic_parallel_mta(system: MtaSystem, f, seed: int, step_cap: int) -> RunTrace:
+    """Baseline: the engine's loop, but every redraw uses a fresh independent
+    digit instead of the shared per-part streams."""
+    return _run(system, f, _FreshDigits(system.b, seed), max_steps=step_cap, stop_when_satisfied=True)
+
+
+def prefix(tape: RandomTape, parts: int, width: int) -> RandomTape:
+    """The finite parts-by-width tape read off ``tape`` in one ``draw``."""
+    cells = tape.draw([(i, pos) for i in range(parts) for pos in range(width)])
+    return RandomTape.finite(tape.b, [cells[i * width:(i + 1) * width] for i in range(parts)])
+
+
+def counters(trace: RunTrace) -> list[tuple[int, ...]]:
+    """The resample counters before the first round and after each round."""
+    return [h for _, h in trace.states()]
 
 
 def enumerate_labelled_trees(delta: int, n: int) -> int:

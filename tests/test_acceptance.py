@@ -31,7 +31,7 @@ from lllkit import properties
 from lllkit.cli import build_system
 from lllkit.instances import TorusSpec, chain_sat_instance, default_translates, disjoint_clause_instance
 from lllkit.properties import Run
-from conftest import enumerate_labelled_trees, q_values_exact, restricted_runs
+from conftest import enumerate_labelled_trees, q_values_exact, restricted_landscapes
 
 
 def _bundled_systems():
@@ -67,7 +67,7 @@ def test_03_grounding_terminates_and_preserves_sequences():
     extracted, restricted = 600, 400
     total = extracted + restricted
     # ground() raises GroundingError if the guard trips
-    cases = restricted_runs(random.Random(202), total, extracted, k_max=6)
+    cases = restricted_landscapes(random.Random(202), total, extracted, k_max=6)
     assert properties.grounding(cases) == (total, None)
     print(f"ACCEPTANCE 03 PASS: {extracted + restricted} groundings, sequences preserved")
 

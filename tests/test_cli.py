@@ -150,21 +150,23 @@ def _decode_leniently(code, p, k):
 
 def _ground_one_level_up(ls):
     # every Seq(x) is unchanged, so tape codes still decode, but no root is at level 0
-    g = _ground(ls)
+    g, ops = _ground(ls)
     lift = {v: (v[0], v[1] + 1) for v in g.verts}
     return g._replace(verts=list(lift.values()), parent={lift[c]: lift[q] for c, q in g.parent.items()},
-                      prev={lift[v]: w for v, w in g.prev.items()})
+                      prev={lift[v]: w for v, w in g.prev.items()}), ops
 
 
-# suite -> (module, function the property calls through it, a wrong version)
+# fault -> (the suite it fails, module, function the property calls through it, a wrong version)
 PLANTED = {
-    "roundtrip": (landscapes, "decode_tape", _decode_then_lose),
-    "seq_used": (engine, "used_unused", lambda trace, x: ((-1,), ())),
-    "grounding": (landscapes, "ground", _ground_one_level_up),
-    "padding": (engine, "pad_uniform", lambda system: (_pad(system)[0], system.graph.vertex_count - 1)),
-    "tree_counts": (counting, "count_labelled_trees", lambda delta, n: _count(delta, n) + 1),
-    "fault_injection": (landscapes, "decode_tape", _decode_leniently),
-    "sparse_partitions": (graphs, "is_sparse", lambda adj, partition, r: False),
+    "roundtrip": ("roundtrip", landscapes, "decode_tape", _decode_then_lose),
+    "seq_used": ("seq_used", engine, "used_unused", lambda trace, x: ((-1,), ())),
+    "grounding": ("grounding", landscapes, "ground", _ground_one_level_up),
+    # a ground that does nothing passes on landscapes that are grounded already
+    "grounding-identity": ("grounding", landscapes, "ground", lambda ls: (ls, [])),
+    "padding": ("padding", engine, "pad_uniform", lambda system: (_pad(system)[0], system.graph.vertex_count - 1)),
+    "tree_counts": ("tree_counts", counting, "count_labelled_trees", lambda delta, n: _count(delta, n) + 1),
+    "fault_injection": ("fault_injection", landscapes, "decode_tape", _decode_leniently),
+    "sparse_partitions": ("sparse_partitions", graphs, "is_sparse", lambda adj, partition, r: False),
 }
 
 
@@ -185,9 +187,9 @@ class TestVerify:
         main(["verify", "--tapes", "5", "--runs", "8", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize("suite", list(PLANTED))
-    def test_planted_fault_fails_its_suite(self, suite, monkeypatch, capsys):
-        module, name, wrong = PLANTED[suite]
+    @pytest.mark.parametrize("fault", list(PLANTED))
+    def test_planted_fault_fails_its_suite(self, fault, monkeypatch, capsys):
+        suite, module, name, wrong = PLANTED[fault]
         monkeypatch.setattr(module, name, wrong)
         assert main(["verify", "--tapes", "4", "--runs", "25"]) == 4
         captured = capsys.readouterr()
@@ -657,6 +659,28 @@ class TestMalformedInput:
             assert err == f"error: {flag} must be at most {cap}, got {value}\n"
         with pytest.raises(Built):
             main(["tail", "--bundled", "chain", flag, str(cap)])
+
+    @pytest.mark.parametrize("command, flag, cap", [
+        ("solve", "--cap", cli.MAX_CAP), ("tail", "--cap", cli.MAX_CAP),
+        ("verify", "--tapes", cli.MAX_VERIFY_TAPES), ("verify", "--runs", cli.MAX_VERIFY_RUNS),
+    ])
+    def test_run_caps_load_nothing(self, command, flag, cap, monkeypatch, capsys):
+        """Above its cap a run size exits 2 with one line before any instance
+        is loaded; at the cap it passes the guard."""
+        class Loaded(Exception):
+            pass
+
+        def refuse(*args):
+            raise Loaded
+
+        monkeypatch.setattr(cli, "load_instance_from_config", refuse)
+        monkeypatch.setattr(instances, "bundled_instances", refuse)
+        source = [] if command == "verify" else ["--bundled", "chain"]
+        for value in (cap + 1, 10**9):
+            assert main([command, *source, flag, str(value)]) == 2
+            assert capsys.readouterr().err == f"error: {flag} must be at most {cap}, got {value}\n"
+        with pytest.raises(Loaded):
+            main([command, *source, flag, str(cap)])
 
     @pytest.mark.parametrize("command", ["solve", "tail"])
     def test_eps_checked_before_the_instance(self, command, monkeypatch, capsys):

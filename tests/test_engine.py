@@ -15,7 +15,6 @@ from lllkit import (
     RunTrace,
     TapeExhausted,
     VariableGraph,
-    classic_parallel_mta,
     pad_uniform,
     run_k,
     run_until_satisfied,
@@ -26,7 +25,7 @@ from lllkit.engine import Cells
 from lllkit.instances import TorusSpec, default_translates, random_instance, torus_instance
 from lllkit import counting, properties
 from lllkit.properties import random_system
-from conftest import RunState, step
+from conftest import RunState, classic_parallel_mta, counters, prefix, step
 
 
 def single_clause_system(falsifier=(0,), b=2):
@@ -77,7 +76,7 @@ class TestRandomTape:
         b = tape.digit(0, 0)
         assert tape.digit(5, 9) == a and tape.digit(0, 0) == b
         assert RandomTape.stream(3, seed=42).digit(5, 9) == a
-        assert RandomTape.stream(3, seed=43).prefix(2, 20) != tape.prefix(2, 20)
+        assert prefix(RandomTape.stream(3, seed=43), 2, 20) != prefix(tape, 2, 20)
 
     def test_stream_roughly_uniform(self):
         for b in (2, 3, 5):
@@ -91,7 +90,7 @@ class TestRandomTape:
 
     def test_prefix_matches_stream(self):
         src = RandomTape.stream(2, seed=9)
-        fin = src.prefix(3, 8)
+        fin = prefix(src, 3, 8)
         assert all(fin.digit(i, j) == src.digit(i, j) for i in range(3) for j in range(8))
 
     def test_alphabet_one(self):
@@ -162,13 +161,13 @@ class TestRunK:
             system = random_system(rng)
             stream = RandomTape.stream(system.b, rng.randrange(2**30))
             k_small, k_big = 3, 6
-            short = stream.prefix(system.p, k_small)
-            long = stream.prefix(system.p, k_big)
+            short = prefix(stream, system.p, k_small)
+            long = prefix(stream, system.p, k_big)
             f0 = [rng.randrange(system.b) for _ in range(system.graph.vertex_count)]
             t1 = run_k(system, f0, k_small, short)
             t2 = run_k(system, f0, k_big, long)
             assert t1.assignments == t2.assignments[: k_small + 1]
-            assert t1.counters == t2.counters[: k_small + 1]
+            assert counters(t1) == counters(t2)[: k_small + 1]
             assert t1.resampled == t2.resampled[:k_small]
 
     def test_tape_exhausted_flagged(self):
@@ -189,7 +188,7 @@ class TestRunK:
             for j in range(4):
                 state, resampled = step(system, state, tape)
                 assert state.assignment == trace.assignments[j + 1]
-                assert state.counters == trace.counters[j + 1]
+                assert state.counters == counters(trace)[j + 1]
                 assert resampled == trace.resampled[j]
 
 
@@ -262,10 +261,11 @@ class TestRunInvariants:
             system = random_system(rng)
             tape = RandomTape.finite_random(system.b, system.p, 5, seed=rng.randrange(2**30))
             trace = run_k(system, [0] * system.graph.vertex_count, 5, tape)
+            h = counters(trace)
             for j in range(trace.k):
                 touched = {v for x in trace.resampled[j] for v in system.graph.var(x)}
                 for v in range(system.graph.vertex_count):
-                    diff = trace.counters[j + 1][v] - trace.counters[j][v]
+                    diff = h[j + 1][v] - h[j][v]
                     assert diff == (1 if v in touched else 0)
 
 
@@ -370,12 +370,6 @@ class TestClassicBaseline:
         sigma_mean = math.sqrt(2 / n)
         assert abs(mean - 2) < 3 * sigma_mean
 
-    def test_no_tape_in_trace(self):
-        system = single_clause_system()
-        trace = classic_parallel_mta(system, [0, 0], seed=0, step_cap=10)
-        with pytest.raises(ValueError):
-            used_unused(trace, 1)
-
 
 class TestTraceDump:
     def test_jsonl_shape(self):
@@ -419,8 +413,8 @@ class TestDigitOracle:
         assert tape.draw(cells) == [rows[i][j] for i, j in cells]
         assert [tape.digit(i, j) for i, j in cells] == [rows[i][j] for i, j in cells]
         assert RandomTape.finite_random(b, self.PARTS, self.WIDTH, seed).digits == rows
-        assert tape.prefix(self.PARTS, self.WIDTH).digits == rows
-        assert tape.prefix(2, 7).prefix(2, 3).digits == tuple(row[:3] for row in rows[:2])
+        assert prefix(tape, self.PARTS, self.WIDTH).digits == rows
+        assert prefix(prefix(tape, 2, 7), 2, 3).digits == tuple(row[:3] for row in rows[:2])
 
     def test_large_alphabet_reaches_later_attempts(self):
         # b = 3*2^62 rejects a quarter of the attempt-0 hashes
@@ -446,7 +440,7 @@ class TestDigitOracle:
             tape = RandomTape.stream(b, seed)
             assert tape.draw(plan) == want
             assert tape.draw(cells) == tape.draw(c for c in cells) == tape.draw(plan) == want
-        finite = RandomTape.stream(b, 7).prefix(self.PARTS, self.WIDTH)
+        finite = prefix(RandomTape.stream(b, 7), self.PARTS, self.WIDTH)
         assert finite.draw(plan) == [finite.digits[i][j] for i, j in cells]
         assert plan.messages == tuple(b"%d:%d:0" % cell for cell in cells)
 
@@ -462,10 +456,10 @@ class TestDigitOracle:
             tape.row(0, 3)
         with pytest.raises(TapeExhausted):
             tape.row(2, 1)
-        assert tape.prefix(2, 1).digits == ((0,), (1,))
+        assert prefix(tape, 2, 1).digits == ((0,), (1,))
         for parts, width in ((2, 3), (3, 1)):
             with pytest.raises(TapeExhausted):
-                tape.prefix(parts, width)
+                prefix(tape, parts, width)
 
     def test_run_stops_before_mutating_on_exhaustion(self, rng):
         seen = 0
@@ -481,7 +475,7 @@ class TestDigitOracle:
             state = RunState(trace.k, trace.final, trace.h_final)
             with pytest.raises(TapeExhausted):
                 step(system, state, tape)
-            assert len(trace.assignments) == len(trace.counters) == trace.k + 1
+            assert len(trace.assignments) == len(counters(trace)) == trace.k + 1
         assert seen > 10
 
     def test_tapes_pickle(self):
@@ -523,7 +517,7 @@ def assert_run_matches_step(system: MtaSystem, f0, k: int, tape: RandomTape) -> 
     for j in range(trace.k):
         state, resampled = step(system, state, tape)
         assert state.assignment == trace.assignments[j + 1]
-        assert state.counters == trace.counters[j + 1]
+        assert state.counters == counters(trace)[j + 1]
         assert resampled == trace.resampled[j]
     if trace.status == "tape_exhausted":
         with pytest.raises(TapeExhausted):

@@ -147,7 +147,7 @@ class TestFailureProb:
         assert rule2.failure_prob(0) == 1
 
     def test_range_and_support_characterization(self, rng):
-        from conftest import random_instance
+        from lllkit.instances import random_instance
 
         for _ in range(20):
             g, rule = random_instance(rng, mixed_width=True)
@@ -314,30 +314,30 @@ class TestSearchAgainstReference:
 class TestGreedyMis:
     def test_triangle(self):
         adj = [(1, 2), (0, 2), (0, 1)]
-        assert greedy_mis(adj, {0, 1, 2}) == {0}
+        assert greedy_mis(adj, {0, 1, 2}, [0, 1, 2]) == {0}
 
     def test_edgeless(self):
         adj = [(), (), ()]
-        assert greedy_mis(adj, {0, 2}) == {0, 2}
+        assert greedy_mis(adj, {0, 2}, [0, 1, 2]) == {0, 2}
 
     def test_path(self):
         adj = [(1,), (0, 2), (1,)]
-        assert greedy_mis(adj, {0, 1, 2}) == {0, 2}
+        assert greedy_mis(adj, {0, 1, 2}, [0, 1, 2]) == {0, 2}
 
     def test_self_loop_does_not_block(self):
         adj = [(0,)]
-        assert greedy_mis(adj, {0}) == {0}
+        assert greedy_mis(adj, {0}, [0]) == {0}
 
     def test_custom_order(self):
         adj = [(1,), (0, 2), (1,)]
-        assert greedy_mis(adj, {0, 1, 2}, order=[1, 0, 2]) == {1}
+        assert greedy_mis(adj, {0, 1, 2}, [1, 0, 2]) == {1}
 
     def test_independent_and_maximal_exhaustively(self, rng):
         for _ in range(40):
             n = rng.randint(1, 12)
             adj = random_symmetric_adjacency(rng, n)
             members = set(rng.sample(range(n), rng.randint(0, n)))
-            chosen = greedy_mis(adj, members)
+            chosen = greedy_mis(adj, members, sorted(members))
             assert chosen <= members
             for x in chosen:
                 assert not (set(adj[x]) & chosen) - {x}
@@ -352,7 +352,7 @@ class TestGreedyMisCost:
         adj[3], adj[4] = (4,), (3,)
         tracemalloc.start()
         try:
-            chosen = greedy_mis(adj, [4, 3])
+            chosen = greedy_mis(adj, [4, 3], [3, 4])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -14,8 +14,8 @@ import pytest
 
 from lllkit import ball, extract_landscape, ground, restrict
 from lllkit.landscapes import joinable_pairs, pushable_trees
-from lllkit.properties import fuzz_runs
-from conftest import random_abstract_landscape, rebranchable_triples
+from lllkit.properties import fuzz_runs, random_abstract_landscape
+from conftest import rebranchable_triples
 
 ABSTRACT_DRAWS = 3000
 RESTRICTED_RUNS = 2000
@@ -23,7 +23,7 @@ RESTRICTED_RUNS = 2000
 
 def _choices(ls) -> tuple:
     """Everything the calculus decides on ``ls``, as plain tuples."""
-    _, ops = ground(ls, return_ops=True)
+    _, ops = ground(ls)
     return (
         sorted(ls.parent.items()),
         ops,

@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -29,7 +28,6 @@ from lllkit.instances import (
     chain_sat_instance,
     default_translates,
     disjoint_clause_instance,
-    e_bounds,
     non_surjective_count,
     non_surjective_words,
     random_instance,
@@ -241,13 +239,6 @@ class TestConditionCheck:
         assert report.threshold_lo == Fraction(27, 256)
         assert not report.all_pass  # 27/256 < 1/8
 
-    def test_symmetric_variant(self):
-        graph, rule = self._instance([[0, 1, 2], [2, 3, 4]], 5, [(0, 0, 0), (0, 0, 0)])
-        report = check_lll_condition(graph, rule, "symmetric")
-        # 1/8 < 1/(2e) ~ 0.1839
-        assert report.all_pass
-        assert report.threshold_lo < Fraction(1, 2) / 2 < report.threshold_hi * 3
-
     def test_inconsistent_instance_diagnosed(self):
         g = VariableGraph([()])
         from lllkit import LocalRule
@@ -262,16 +253,6 @@ class TestConditionCheck:
         assert [report.all_pass for report in reports] == [True, False]
         for report in reports:
             assert report.all_pass == (report.worst_margin is None or report.worst_margin > 0)
-
-
-class TestEBounds:
-    def test_enclosure(self):
-        lo, hi = e_bounds()
-        assert lo < hi
-        assert hi - lo < Fraction(1, 10**50)
-        assert abs(float(lo) - math.e) < 1e-14
-        # leading digits pinned
-        assert str(lo.numerator * 10**20 // lo.denominator).startswith("271828182845904523536")
 
 
 class TestGenerator:

@@ -46,7 +46,7 @@ from lllkit import properties
 from lllkit.cli import build_system
 from lllkit.instances import random_instance
 from lllkit.properties import Run, random_system
-from conftest import is_faithful_at, rebranchable_triples, restricted_runs
+from conftest import is_faithful_at, rebranchable_triples, restricted_landscapes, restricted_runs
 
 
 def single_clause_landscape(final_v=1, prev_digit=0):
@@ -246,21 +246,19 @@ class TestAsgnSeq:
     def test_equals_the_replay(self, rng):
         """Abstract landscapes and their groundings, and landscapes of fuzzed
         runs, whole, restricted to balls and grounded."""
-        from conftest import random_abstract_landscape
-
         def cases():
             for _ in range(1000):
-                ls = random_abstract_landscape(rng)
+                ls = properties.random_abstract_landscape(rng)
                 yield ls
                 if not ls.is_empty:
-                    yield ground(ls)
+                    yield ground(ls)[0]
             for run, ball_ in restricted_runs(rng, 1500, 300):
                 ls = extract_landscape(run.trace())
                 yield ls
                 if ball_ is not None:
                     ls = restrict(ls, ball_)[0]
                     yield ls
-                yield ground(ls)
+                yield ground(ls)[0]
 
         checked = nonempty = 0
         for ls in cases():
@@ -382,35 +380,33 @@ class TestOperations:
 class TestGround:
     def test_already_grounded_unchanged(self):
         ls = single_clause_landscape()
-        assert ground(ls) == ls
+        assert ground(ls) == (ls, [])
 
     def test_single_high_tree_three_pushes(self):
         ls = column_chain_landscape([3])
-        grounded, ops = ground(ls, return_ops=True)
+        grounded, ops = ground(ls)
         assert grounded.verts == {(0, 0)}
         assert [op[0] for op in ops] == ["push_tree"] * 3
 
     def test_fuzzed_grounding(self, rng):
         # roots at level 0, sequences and the base-column multiset preserved
-        cases = ((run, None) for run in properties.fuzz_runs(rng, 60))
+        cases = (extract_landscape(run.trace()) for run in properties.fuzz_runs(rng, 60))
         assert properties.grounding(cases) == (60, None)
 
     def test_grounding_abstract_landscapes(self, rng):
         # arbitrary roots, level gaps and tree counts, beyond what runs produce
-        from conftest import random_abstract_landscape
-
         for _ in range(150):
-            ls = random_abstract_landscape(rng)
+            ls = properties.random_abstract_landscape(rng)
             if ls.is_empty:
                 continue
             before = asgn_seq(ls)
-            grounded, ops = ground(ls, return_ops=True)
+            grounded, ops = ground(ls)
             assert grounded.is_grounded
             assert asgn_seq(grounded) == before
             assert sorted(v[0] for v in grounded.verts) == sorted(v[0] for v in ls.verts)
 
     def test_grounding_restricted_landscapes(self, rng):
-        assert properties.grounding(restricted_runs(rng, 40, 0)) == (40, None)
+        assert properties.grounding(restricted_landscapes(rng, 40, 0)) == (40, None)
 
 
 class TestFindWindow:
@@ -461,7 +457,8 @@ class TestFindWindow:
     def test_small_eps_encodes(self, eps):
         # n is about 10^6; the exact power (1 + eps)^n in the growth
         # precondition once took about 9 s at 1/389800 (2 vCPU) and
-        # minutes at the eps with a 1,024-bit denominator
+        # minutes at the eps with a 1,024-bit denominator.  encode_tape
+        # then finds its window at growth 1 + EPS with that n.
         script = f"""
 from fractions import Fraction
 from lllkit import RandomTape, bundled_instances, decode_tape, encode_tape, run_k
@@ -470,7 +467,7 @@ eps = Fraction("{eps}")
 system, n = build_system(*bundled_instances()["chain"], "auto", eps)
 tape = RandomTape.finite_random(system.b, system.p, 3, seed=0)
 trace = run_k(system, [0] * system.graph.vertex_count, 3, tape)
-code = encode_tape(trace, eps, n)
+code = encode_tape(trace, n)
 assert code.witness is not None and decode_tape(code, system.p, 3) == tape
 """
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))

@@ -22,7 +22,7 @@ from conftest import RunState
 FIELDS = {
     RunState: ("step", "assignment", "counters"),
     InstanceParams: ("d", "delta", "beta", "trivially_satisfiable"),
-    ConditionReport: ("variant", "delta", "threshold_lo", "threshold_hi", "worst_margin", "all_pass"),
+    ConditionReport: ("variant", "delta", "threshold_lo", "worst_margin", "all_pass"),
     LandscapeType: ("d", "delta", "beta", "n1", "n2", "p"),
     Window: ("center", "radius", "vertices"),
     TapeCode: ("part_ids", "payload", "witness", "b"),

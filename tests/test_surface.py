@@ -8,18 +8,22 @@ whose name is also read elsewhere, as a local variable say, counts as
 reached.  A slow reference path that only the
 tests use belongs in ``tests/conftest.py``, and a convenience that only
 wraps a public path is not needed at all.
+
+Likewise every optional parameter of a public function, public method or
+public class's ``__init__`` must be passed, by keyword or by position, by
+some call in ``src/lllkit`` or ``perfbench``, or be listed in
+``KEPT_PARAMS`` with the reason it stays.  A parameter only the tests set
+is an option no command has.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "lllkit"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "lllkit"
 
 KEPT = {
-    "engine.classic_parallel_mta": "the fresh-bits baseline, whose fate is ROADMAP item 9",
-    "engine.RandomTape.prefix": "the reference that finite_random's memo must match, digit for digit",
     "engine.RunTrace.assignments": "perfbench/tracing.py reads it to count a run's trace cells",
-    "engine.RunTrace.counters": "the twin of assignments: the counters after each round",
     "engine.RunTrace.to_jsonl": "the run-trace format that docs/instance-format.md documents",
     "landscapes.LandscapeType": "the landscape type that ROADMAP item 5 counts by",
     "landscapes.LandscapeType.fits_within": "the type order that ROADMAP item 5 needs",
@@ -31,6 +35,14 @@ KEPT = {
     "graphs.LocalRule.allowed": "the allowed sets that the JSON format lists",
     "graphs.RelGraph.label": "the edge labelling that build_rel documents",
     "graphs.LocalRule.failure_prob": "a vertex's failure probability, which the condition check bounds",
+}
+
+KEPT_PARAMS = {
+    "instances.parse_dimacs.clause_size": "general-width DIMACS, which ROADMAP item 4 gives a CLI route",
+    "instances.disjoint_clause_instance.n_clauses": "sizes the bundled disjoint family; the tests build 2 to 5 clauses",
+    "instances.chain_sat_instance.n_clauses": "sizes the bundled chain family; the tests build other lengths",
+    "instances.chain_sat_instance.seed": "draws the chain family's sign patterns; the tests pin other seeds",
+    "properties.fuzz_runs.k_max": "acceptance 03 and the grounding tests draw runs of up to 6 rounds",
 }
 
 
@@ -79,3 +91,70 @@ def test_every_public_definition_is_reached_or_kept():
     stale = sorted(KEPT.keys() - defined)
     assert not stale, f"KEPT names {stale}, which src/ no longer defines"
     assert all(reason and "\n" not in reason for reason in KEPT.values())
+
+
+def _optional_params(fn: ast.FunctionDef, method: bool):
+    """(name, position or None if keyword-only) per parameter with a default;
+    a method's position does not count self or cls."""
+    args = fn.args
+    positional = (args.posonlyargs + args.args)[1 if method else 0:]
+    first = len(positional) - len(args.defaults)
+    yield from ((arg.arg, i) for i, arg in enumerate(positional) if i >= first)
+    yield from ((arg.arg, None) for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None)
+
+
+def _callables(trees):
+    """(key, the name a call uses, node, is a method) per public function,
+    public method and public class's ``__init__``.  The package has no
+    static methods, so a method's first parameter is self or cls."""
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                yield f"{module}.{node.name}", node.name, node, False
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef) and (sub.name == "__init__" or not sub.name.startswith("_")):
+                        name = node.name if sub.name == "__init__" else sub.name
+                        yield f"{module}.{node.name}.{sub.name}", name, sub, True
+
+
+def _calls(trees):
+    """callee name -> the calls so named; ``cls(...)`` inside a class calls that class."""
+    calls = {}
+    for tree in trees:
+        classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+        owner = {id(n): c.name for c in classes for n in ast.walk(c)}
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call):
+                name = n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None)
+                if name == "cls":
+                    name = owner.get(id(n), name)
+                calls.setdefault(name, []).append(n)
+    return calls
+
+
+def _passes(call: ast.Call, param: str, position: int | None) -> bool:
+    if any(kw.arg in (param, None) for kw in call.keywords):  # None: a **mapping
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_every_optional_parameter_is_passed_or_kept():
+    trees = _trees()
+    callers = list(trees.values()) + [ast.parse(p.read_text(encoding="utf-8"))
+                                      for p in sorted((ROOT / "perfbench").rglob("*.py"))]
+    calls = _calls(callers)
+    unpassed = set()
+    for key, name, node, method in _callables(trees):
+        inside = set(map(id, ast.walk(node)))  # a function's own body does not pass its parameters
+        outside = [call for call in calls.get(name, ()) if id(call) not in inside]
+        for param, position in _optional_params(node, method):
+            if not any(_passes(call, param, position) for call in outside):
+                unpassed.add(f"{key}.{param}")
+    unkept = sorted(unpassed - KEPT_PARAMS.keys())
+    assert not unkept, f"no src/ or perfbench call passes {unkept}; drop them or keep them with a reason"
+    stale = sorted(KEPT_PARAMS.keys() - unpassed)
+    assert not stale, f"KEPT_PARAMS names {stale}, which are passed or no longer optional"
+    assert all(reason and "\n" not in reason for reason in KEPT_PARAMS.values())

@@ -33,7 +33,7 @@ from lllkit.engine import Cells
 from lllkit.graphs import SymAdj
 from lllkit.landscapes import Window, WindowError, _float_log1p, _power_exceeds
 from lllkit.properties import Run, fuzz_runs
-from conftest import _bfs_distances, random_symmetric_adjacency
+from conftest import _bfs_distances, prefix, random_symmetric_adjacency
 
 
 def reference_find_window(adj, weights, eps, n):
@@ -300,7 +300,7 @@ class TestTapeMemo:
             for width in (0, 3, 7):
                 for parts in (1, 4, 9, 5, 0, 9, 2):
                     got = RandomTape.finite_random(b, parts, width, seed, memo=memo)
-                    want = RandomTape.stream(b, seed).prefix(parts, width)
+                    want = prefix(RandomTape.stream(b, seed), parts, width)
                     assert got == want and got.digits == want.digits, (seed, width, parts)
                     assert all(type(d) is int for row in got.digits for d in row)
         kept = [value for key, value in memo.items() if key[0] == "digits"]

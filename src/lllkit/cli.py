@@ -144,10 +144,7 @@ def load_instance_from_config(cfg: dict):
             cnf = instances.parse_dimacs(text)
         except ValueError as exc:
             raise CliError(f"DIMACS parse error: {exc}")
-        try:
-            graph, rule, _ = instances.from_cnf(cnf)
-        except (MemoryError, OverflowError):
-            raise CliError(f"DIMACS header declares {cnf.variable_count} variables, too many to build")
+        graph, rule, _ = instances.from_cnf(cnf)
     elif kind == "json":
         try:
             graph, rule = instances.load_instance(cfg["path"])
@@ -345,9 +342,10 @@ MAX_TAIL_SEEDS = 10**6
 MAX_TAIL_N = 10**4
 MAX_JOBS = 64
 # --cap bounds the rounds of one solve or tail run, whose trace keeps every
-# round.  At the cap, solve --torus 2,24,10,2 --partition 0 never satisfies
-# and took 12.6 s and 83 MiB on a 2-vCPU host; on the 64x64 torus a round
-# costs about 10 ms and 48 KiB, so 10^6 rounds would take hours and 46 GiB.
+# round's resample set.  At the cap, solve --torus 2,24,10,2 --partition 0
+# never satisfies and took 12.1 s and 45 MiB on a 2-vCPU host; on the 64x64
+# torus a round costs about 9 ms and 20 KiB, so 10^6 rounds would take hours
+# and 19 GiB.
 MAX_CAP = 10**4
 # At the caps, verify took 80 s and 53 MiB at --tapes 10^5 (the tape memo
 # keeps every seed's rows until the suite ends) and 95 s and 24 MiB at

@@ -310,12 +310,11 @@ class _OneOrNoVariable:
 
 class RunTrace:
     """What a run did: the initial assignment, each round's resample set and
-    drawn digits (over its sorted targets), and the ending; ``states()`` replays the rest."""
+    the ending; ``states()`` replays the rest, reading the digits off the tape."""
 
     def __init__(self, system: MtaSystem, tape: RandomTape, initial: tuple[int, ...]):
         self.system, self.tape, self.initial = system, tape, initial
         self.resampled: list[frozenset[int]] = []
-        self.drawn: list[tuple[int, ...]] = []
         self.final: tuple[int, ...] = ()
         self.h_final: tuple[int, ...] = ()
         self.status = "ok"  # ok | satisfied | cap_exceeded | tape_exhausted
@@ -331,12 +330,12 @@ class RunTrace:
     def states(self) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
         """(assignment, counters) before the first round and after each round."""
         assignment, counters = list(self.initial), [0] * len(self.initial)
-        var = self.system.graph.out_adj
         state = tuple(assignment), tuple(counters)
         yield state
-        for chosen, digits in zip(self.resampled, self.drawn):
-            if digits:  # a round that drew nothing leaves the state as it was
-                for v, d in zip(sorted([v for x in chosen for v in var[x]]), digits):
+        for chosen in self.resampled:
+            if chosen:  # a round that resampled nothing leaves the state as it was
+                targets, cells = _round_cells(self.system, chosen, counters)
+                for v, d in zip(targets, self.tape.draw(cells)):
                     assignment[v] = d
                     counters[v] += 1
                 state = tuple(assignment), tuple(counters)
@@ -368,13 +367,18 @@ def _plan_round(system: MtaSystem, violated: Collection[int], counters: Sequence
     readers, rank = system.loop_tables()
     ranked = sorted(violated) if rank is None else sorted(violated, key=rank.__getitem__)
     chosen = frozenset(greedy_mis(system.rel.adj_noself, violated, ranked))
-    var, part_of, nbrs = system.graph.out_adj, system.partition.part_of, system.rel.nbrs
+    targets, cells = _round_cells(system, chosen, counters)
+    # Only constraints reading a redrawn variable can change status.
+    dirty = frozenset([y for x in chosen for y in system.rel.nbrs[x] if y in readers])
+    return RoundPlan(chosen, targets, cells, dirty)
+
+
+def _round_cells(system: MtaSystem, chosen: Collection[int], counters: Sequence[int]) -> tuple[tuple[int, ...], Cells]:
+    """The sorted variables a round resampling ``chosen`` redraws, and their tape cells at ``counters``."""
+    var, part_of = system.graph.out_adj, system.partition.part_of
     # Chosen vertices share no variable, so the targets are distinct.
     targets = tuple(sorted([v for x in chosen for v in var[x]]))
-    cells = Cells([(part_of[v], counters[v]) for v in targets])
-    # Only constraints reading a redrawn variable can change status.
-    dirty = frozenset([y for x in chosen for y in nbrs[x] if y in readers])
-    return RoundPlan(chosen, targets, cells, dirty)
+    return targets, Cells([(part_of[v], counters[v]) for v in targets])
 
 
 def _run(system: MtaSystem, f: Sequence[int], tape: RandomTape, *,
@@ -388,9 +392,7 @@ def _run(system: MtaSystem, f: Sequence[int], tape: RandomTape, *,
     initial = tuple(f)
     violated, plan = system.start(initial)
     violated = set(violated)
-    draw = tape.draw
-    assignment = list(initial)
-    counters = [0] * len(initial)
+    assignment, counters = list(initial), [0] * len(initial)
     trace = RunTrace(system, tape, initial)
     readers, _ = system.loop_tables()
     forbidden = system.rule.forbidden
@@ -399,12 +401,11 @@ def _run(system: MtaSystem, f: Sequence[int], tape: RandomTape, *,
             if stop_when_satisfied:
                 break
             trace.resampled.append(frozenset())
-            trace.drawn.append(())
             continue
         chosen, targets, cells, dirty = plan or _plan_round(system, violated, counters)
         plan = None
         try:
-            fresh = draw(cells)
+            fresh = tape.draw(cells)
         except TapeExhausted:
             trace.status = "tape_exhausted"
             break
@@ -412,7 +413,6 @@ def _run(system: MtaSystem, f: Sequence[int], tape: RandomTape, *,
             assignment[v] = d
             counters[v] += 1
         trace.resampled.append(chosen)
-        trace.drawn.append(tuple(fresh))
         violated -= dirty
         for y in dirty:
             if readers[y](assignment) in forbidden[y]:

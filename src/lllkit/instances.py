@@ -28,6 +28,10 @@ WORD_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 # Loading complements each allowed list within all b^len(var(x)) words, so
 # a vertex with more words than this is refused before any enumeration.
 MAX_LOAD_WORDS = 1 << 20
+# An instance with more vertices than this (DIMACS variables plus clauses,
+# JSON ``vertices``) is refused before any graph is built.  At the cap, solve
+# on ``p cnf 524287 1`` took 4.0 s and 205 MiB on a 2-vCPU host.
+MAX_LOAD_VERTICES = 1 << 19
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +126,9 @@ def parse_dimacs(text: str, clause_size: int | None = 3) -> CnfInstance:
     if header is None:
         raise ValueError("missing 'p cnf' header")
     n_vars, n_clauses = header
+    if n_vars + n_clauses > MAX_LOAD_VERTICES:
+        raise ValueError(f"header declares {n_vars} variables and {n_clauses} clauses, more than the "
+                         f"{MAX_LOAD_VERTICES} vertices an instance may have: too many to build")
     clauses: list[list[Literal]] = []
     current: list[Literal] = []
     for t in tokens:
@@ -465,6 +472,9 @@ def instance_from_json(text: str) -> tuple[VariableGraph, LocalRule]:
         raise ValueError("instance JSON: b must be an integer >= 1")
     if type(n) is not int or n < 0:
         raise ValueError("instance JSON: vertices must be an integer >= 0")
+    if n > MAX_LOAD_VERTICES:
+        raise ValueError(f"instance JSON: {n} vertices, more than the {MAX_LOAD_VERTICES} "
+                         f"an instance may have: too many to build")
     if not _is_list_of_lists(obj["out_adj"], int):
         raise ValueError("instance JSON: out_adj must be a list of lists of integers")
     if not _is_list_of_lists(obj["allowed"], str):

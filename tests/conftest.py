@@ -18,8 +18,8 @@ from typing import Iterable, Iterator, NamedTuple
 
 import pytest
 
-from lllkit import (DecoratedLandscape, MtaSystem, RandomTape, RunTrace, ball, extract_landscape, greedy_mis,
-                    restrict, violating_set)
+from lllkit import (DecoratedLandscape, MtaSystem, Partition, RandomTape, RunTrace, ball, extract_landscape,
+                    greedy_mis, restrict, violating_set)
 from lllkit.counting import critical_abscissa
 from lllkit.engine import _run
 from lllkit.graphs import Adjacency, _distances
@@ -107,20 +107,27 @@ def step(system: MtaSystem, state: RunState, tape: RandomTape) -> tuple[RunState
 
 
 class _FreshDigits:
-    """The tape of the fresh-bits baseline: every cell drawn gets a new digit
-    from one generator, whatever its part and position."""
+    """The tape of the fresh-bits baseline: a cell gets a new digit from one
+    generator when it is first drawn, and keeps it, so a replay reads the
+    digits the run read."""
 
     def __init__(self, b: int, seed: int):
-        self.b, self.rng = b, random.Random(seed)
+        self.b, self.rng, self.digits = b, random.Random(seed), {}
 
     def draw(self, cells) -> list[int]:
-        return [self.rng.randrange(self.b) for _ in cells]
+        for cell in cells:
+            if cell not in self.digits:
+                self.digits[cell] = self.rng.randrange(self.b)
+        return [self.digits[cell] for cell in cells]
 
 
 def classic_parallel_mta(system: MtaSystem, f, seed: int, step_cap: int) -> RunTrace:
     """Baseline: the engine's loop, but every redraw uses a fresh independent
-    digit instead of the shared per-part streams."""
-    return _run(system, f, _FreshDigits(system.b, seed), max_steps=step_cap, stop_when_satisfied=True)
+    digit instead of the shared per-part streams.  It runs on singleton parts,
+    so a cell is one (vertex, resample) pair and no two redraws share one."""
+    n = system.graph.vertex_count
+    singletons = MtaSystem.build(system.graph, system.rule, Partition.singletons(n), system.order)
+    return _run(singletons, f, _FreshDigits(system.b, seed), max_steps=step_cap, stop_when_satisfied=True)
 
 
 def prefix(tape: RandomTape, parts: int, width: int) -> RandomTape:

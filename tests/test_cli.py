@@ -755,6 +755,33 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and err.count("\n") == 1, err
 
+    def test_vertex_cap_refuses_before_any_graph(self, tmp_path, capsys, monkeypatch):
+        cap = instances.MAX_LOAD_VERTICES
+        # at the cap, the header parses: cap - 1 variables and one clause
+        assert instances.parse_dimacs(f"p cnf {cap - 1} 1\n1 2 3 0\n").variable_count == cap - 1
+        assert "length disagrees" in str(pytest.raises(
+            ValueError, instances.instance_from_json,
+            json.dumps({"b": 2, "vertices": cap, "out_adj": [], "allowed": []})).value)
+
+        def no_build(*args):
+            raise AssertionError("built a graph above the vertex cap")
+
+        monkeypatch.setattr(instances, "from_cnf", no_build)
+        monkeypatch.setattr(instances, "VariableGraph", no_build)
+        path = tmp_path / "over.cnf"
+        for header in (f"p cnf {cap} 1", "p cnf 2000000 1"):  # cap + 1 and far above it
+            path.write_text(header + "\n1 2 3 0\n")
+            assert main(["solve", "--dimacs", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: DIMACS parse error: ") and "too many to build" in err, err
+            assert err.count("\n") == 1
+        path = tmp_path / "over.json"
+        path.write_text(json.dumps({"b": 2, "vertices": cap + 1, "out_adj": [], "allowed": []}))
+        assert main(["solve", "--instance", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: instance load error: ") and "too many to build" in err, err
+        assert err.count("\n") == 1
+
     def test_dimacs_byte_named_with_its_line(self, tmp_path, capsys):
         path = tmp_path / "e9.cnf"
         path.write_bytes(b"p cnf 3 1\n1 2 \xe9 0\n")

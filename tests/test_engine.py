@@ -589,7 +589,7 @@ def fresh_copy(system: MtaSystem) -> MtaSystem:
 
 
 def run_fields(trace: RunTrace) -> tuple:
-    return trace.initial, trace.resampled, trace.drawn, trace.final, trace.h_final, trace.status
+    return trace.initial, trace.resampled, trace.final, trace.h_final, trace.status
 
 
 def start_systems(rng: random.Random, count: int):
@@ -705,13 +705,10 @@ class TestUsedUnusedRows:
 
 
 def assert_record_replays(trace: RunTrace) -> None:
-    """The stored record replays to the stored ending: every drawn digit
-    bumps one counter, and every recorded round drew one digit tuple."""
+    """The stored record replays to the stored ending, one state per round."""
     states = list(trace.states())
     assert states[-1] == (trace.final, trace.h_final)
     assert len(states) == trace.k + 1
-    assert sum(map(len, trace.drawn)) == sum(trace.h_final)
-    assert len(trace.drawn) == trace.k
 
 
 class TestRunRecord:
@@ -756,4 +753,29 @@ class TestRunRecord:
             tracemalloc.stop()
         assert trace.k == 200 and trace.h_final[1] == 200
         assert kept < 1_000_000
+        assert_record_replays(trace)
+
+    def test_trace_keeps_no_digits(self):
+        # b = 1 and one clause forbids the one word on its w variables, so
+        # every round redraws all w of them; a trace that kept the digits
+        # would hold a slot (8 bytes) per digit, w * k of them
+        import gc
+        import tracemalloc
+
+        w, k = 1000, 200
+        graph = VariableGraph([tuple(range(1, w + 1))] + [()] * w)
+        rule = LocalRule(1, [frozenset({(0,) * w})] + [frozenset()] * w, [w] + [0] * w)
+        system = MtaSystem.build(graph, rule, Partition.singletons(w + 1))
+        f0, tape = [0] * (w + 1), RandomTape.stream(1, 0)
+        run_k(system, f0, 1, tape)  # plans and keeps round 1 before the count starts
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace = run_k(system, f0, k, tape)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert trace.k == k and trace.h_final == (0,) + (k,) * w
+        assert kept < w * k // 2  # under half a byte per digit: the round sets and the ending
         assert_record_replays(trace)

@@ -47,7 +47,7 @@ def test_defaults_and_repr():
 
 def test_run_trace_starts_empty():
     trace = RunTrace(None, None, (0, 1))
-    assert (trace.resampled, trace.drawn, trace.final, trace.h_final, trace.status) == ([], [], (), (), "ok")
+    assert (trace.resampled, trace.final, trace.h_final, trace.status) == ([], (), (), "ok")
     assert trace.k == 0 and trace.max_resamples == 0
     assert RunTrace(None, None, ()).resampled is not trace.resampled
 

@@ -83,7 +83,7 @@ def on_fresh_graph(trace):
     system = trace.system
     fresh = MtaSystem.build(fresh_graph(system.graph), system.rule, system.partition, system.order)
     copy = RunTrace(fresh, trace.tape, trace.initial)
-    copy.resampled, copy.drawn = trace.resampled, trace.drawn
+    copy.resampled = trace.resampled
     copy.final, copy.h_final, copy.status = trace.final, trace.h_final, trace.status
     return copy
 
@@ -239,7 +239,7 @@ class TestWhatIsKept:
         assert type(copy_plan.cells) is Cells and copy_plan.cells == plan.cells
         assert "messages" not in vars(copy_plan.cells)
         tape = RandomTape.stream(system.b, 3)
-        assert tape.draw(copy_plan.cells) == tape.draw(plan.cells) == list(first.drawn[0])
+        assert tape.draw(copy_plan.cells) == tape.draw(plan.cells) == [first.assignments[1][v] for v in plan.targets]
 
     def test_one_search_per_centre_one_graph_per_window(self, monkeypatch):
         searches, graphs_built, centres, windows = [], [], set(), set()

@@ -99,9 +99,12 @@ def _generate(text: str) -> tuple[int, int]:
     return clauses, delta
 
 
-def _partition(text: str) -> str:
-    if text in ("auto", "singletons") or text.isdecimal():
+def _partition(text: str) -> str | int:
+    # Every radius of at least V - 1 gives the same partition, so the vertex cap bounds it.
+    if text in ("auto", "singletons"):
         return text
+    if text.isdecimal():
+        return _int("--partition", 0, instances.MAX_LOAD_VERTICES)(text)
     raise CliError(f"--partition wants auto, singletons or a radius >= 0, got {text!r}")
 
 
@@ -120,6 +123,9 @@ def _order(text: str) -> list[int] | None:
 
 
 def _parse_eps(text: str) -> Fraction:
+    # Fraction expands an exponent in full: 1e99999999 alone would take minutes.
+    if sum(map(str.isdecimal, text.upper().partition("E")[2])) > 4:
+        raise CliError(f"--eps takes an exponent of at most 4 digits, got {text!r}")
     try:
         eps = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -342,10 +348,10 @@ MAX_TAIL_SEEDS = 10**6
 MAX_TAIL_N = 10**4
 MAX_JOBS = 64
 # --cap bounds the rounds of one solve or tail run, whose trace keeps every
-# round's resample set.  At the cap, solve --torus 2,24,10,2 --partition 0
-# never satisfies and took 12.1 s and 45 MiB on a 2-vCPU host; on the 64x64
-# torus a round costs about 9 ms and 20 KiB, so 10^6 rounds would take hours
-# and 19 GiB.
+# round's sorted tuple of resampled constraints.  At the cap, solve --torus
+# 2,24,10,2 --partition 0 never satisfies and took 10.0 s and 25 MiB on a
+# 2-vCPU host; on the 64x64 torus a round costs about 8 ms and 2.7 KiB, so
+# 10^6 rounds would take hours and 2.6 GiB.
 MAX_CAP = 10**4
 # At the caps, verify took 80 s and 53 MiB at --tapes 10^5 (the tape memo
 # keeps every seed's rows until the suite ends) and 95 s and 24 MiB at

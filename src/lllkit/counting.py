@@ -18,6 +18,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .engine import MtaSystem, RandomTape, run_until_satisfied
 from .graphs import LocalRule, VariableGraph, Word
+from .instances import tight_threshold
 from .landscapes import canvas_sources
 
 # ---------------------------------------------------------------------------
@@ -95,7 +96,7 @@ def labelled_tree_bound(delta: int, n: int) -> Fraction:
     """(delta^delta / (delta-1)^(delta-1))^n, an upper bound for the count."""
     if delta < 2:
         raise ValueError("the bound requires delta >= 2")
-    return Fraction(delta ** delta, (delta - 1) ** (delta - 1)) ** n
+    return (1 / tight_threshold(delta)) ** n
 
 
 # ---------------------------------------------------------------------------
@@ -103,20 +104,16 @@ def labelled_tree_bound(delta: int, n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def critical_abscissa(delta: int) -> Fraction:
-    if delta < 2:
-        raise ValueError("delta must be at least 2")
-    return Fraction((delta - 1) ** (delta - 1), delta ** delta)
-
-
 def q_value_upper_bounds(delta: int, steps: int) -> list[Fraction]:
-    """Certified upper bounds on Q_0(rho), ..., Q_steps(rho).
+    """Certified upper bounds on Q_0(rho), ..., Q_steps(rho) at rho = tight_threshold(delta).
 
     The map v -> rho (1 + v)^delta is increasing, so rounding each value up
     to a denominator of 2^512 keeps a rigorous upper bound while the numbers
     stay small.  Every returned value is an exact rational >= the true one.
     """
-    rho = critical_abscissa(delta)
+    if delta < 2:
+        raise ValueError("delta must be at least 2")
+    rho = tight_threshold(delta)
     scale = 1 << 512
 
     def round_up(value: Fraction) -> Fraction:
@@ -162,7 +159,7 @@ def landscape_class_bound(
     if delta < 2:
         raise ValueError("the bound requires delta >= 2")
     prefactor = landscape_class_prefactor(d, delta, n1, p, b)
-    ratio = Fraction(delta ** delta, (delta - 1) ** (delta - 1))
+    ratio = 1 / tight_threshold(delta)
     return prefactor * max(n2, 1) ** n1 * (ratio * beta) ** n2
 
 

@@ -208,11 +208,11 @@ class Cells(tuple):
 
 
 class RoundPlan(NamedTuple):
-    """What one round does: the constraints it resamples, the sorted
+    """What one round does: the sorted constraints it resamples, the sorted
     variables it redraws, their (part, position) tape cells, and the
     constraints to re-check afterwards."""
 
-    chosen: frozenset[int]
+    chosen: tuple[int, ...]
     targets: tuple[int, ...]
     cells: Cells
     dirty: frozenset[int]
@@ -309,12 +309,12 @@ class _OneOrNoVariable:
 
 
 class RunTrace:
-    """What a run did: the initial assignment, each round's resample set and
-    the ending; ``states()`` replays the rest, reading the digits off the tape."""
+    """What a run did: the initial assignment, each round's sorted tuple of
+    resampled constraints and the ending; ``states()`` replays the rest off the tape."""
 
     def __init__(self, system: MtaSystem, tape: RandomTape, initial: tuple[int, ...]):
         self.system, self.tape, self.initial = system, tape, initial
-        self.resampled: list[frozenset[int]] = []
+        self.resampled: list[tuple[int, ...]] = []
         self.final: tuple[int, ...] = ()
         self.h_final: tuple[int, ...] = ()
         self.status = "ok"  # ok | satisfied | cap_exceeded | tape_exhausted
@@ -351,7 +351,7 @@ class RunTrace:
         for j, (res, (_, counters)) in enumerate(zip(self.resampled, after)):
             digest = hashlib.sha256(repr(counters).encode()).hexdigest()[:16]
             lines.append(json.dumps(
-                {"step": j, "resampled": sorted(res), "counters_digest": digest},
+                {"step": j, "resampled": list(res), "counters_digest": digest},
                 separators=(",", ":"),
             ))
         return "\n".join(lines) + ("\n" if lines else "")
@@ -366,7 +366,7 @@ def _plan_round(system: MtaSystem, violated: Collection[int], counters: Sequence
     """
     readers, rank = system.loop_tables()
     ranked = sorted(violated) if rank is None else sorted(violated, key=rank.__getitem__)
-    chosen = frozenset(greedy_mis(system.rel.adj_noself, violated, ranked))
+    chosen = tuple(sorted(greedy_mis(system.rel.adj_noself, violated, ranked)))
     targets, cells = _round_cells(system, chosen, counters)
     # Only constraints reading a redrawn variable can change status.
     dirty = frozenset([y for x in chosen for y in system.rel.nbrs[x] if y in readers])
@@ -400,7 +400,7 @@ def _run(system: MtaSystem, f: Sequence[int], tape: RandomTape, *,
         if not violated:
             if stop_when_satisfied:
                 break
-            trace.resampled.append(frozenset())
+            trace.resampled.append(())
             continue
         chosen, targets, cells, dirty = plan or _plan_round(system, violated, counters)
         plan = None

@@ -20,10 +20,9 @@ import pytest
 
 from lllkit import (DecoratedLandscape, MtaSystem, Partition, RandomTape, RunTrace, ball, extract_landscape,
                     greedy_mis, restrict, violating_set)
-from lllkit.counting import critical_abscissa
 from lllkit.engine import _run
 from lllkit.graphs import Adjacency, _distances
-from lllkit.instances import CnfInstance
+from lllkit.instances import CnfInstance, tight_threshold
 from lllkit.landscapes import ForestVertex, canvas_sources
 from lllkit.properties import fuzz_runs
 
@@ -184,7 +183,7 @@ def q_values_exact(delta: int, steps: int) -> list[Fraction]:
     Denominator bit counts grow like delta^i, so this is only feasible for
     delta = 2 or small step counts; use q_value_upper_bounds otherwise.
     """
-    rho = critical_abscissa(delta)
+    rho = tight_threshold(delta)
     values = [rho]
     for _ in range(steps):
         values.append(rho * (1 + values[-1]) ** delta)

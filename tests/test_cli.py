@@ -437,6 +437,17 @@ class TestInputValidation:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["certified"] is True
 
+    @pytest.mark.parametrize("eps", ["1e-999999", "1e99999999"])
+    def test_long_eps_exponent_refused(self, eps):
+        # Fraction expands the exponent in full: these once ran for 22 s and for minutes
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lllkit.cli", "solve", "--bundled", "chain", "--eps", eps],
+            capture_output=True, text=True, timeout=10, env=env,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: --eps") and proc.stderr.count("\n") == 1, proc.stderr
+
     def test_f0_accepted(self, capsys):
         f0 = json.dumps([1] * 24)
         assert main(["solve", "--bundled", "disjoint", "--f0", f0, "--seed", "1"]) == 0
@@ -631,6 +642,7 @@ class TestMalformedInput:
         ["solve", "--bundled", "disjoint", "--se", "5"],
         ["count", "--n", "3"],
         ["solve", "--generate", "100001,3"],  # one clause above the cap
+        ["tail", "--bundled", "chain", "--partition", "9" * 5000],  # past int()'s 4,300-digit limit
     ])
     def test_config_error_on_one_line(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -744,8 +756,8 @@ class TestMalformedInput:
         ("p cnf -3 0", "bad problem line"),
         ("p cnf -3 1", "bad problem line"),
         ("p cnf 3 -1", "bad problem line"),
-        ("p cnf 9223372036854775807 1", "too many to build"),  # MemoryError in from_cnf
-        ("p cnf 99999999999999999999 1", "too many to build"),  # OverflowError in from_cnf
+        ("p cnf 9223372036854775807 1", "too many to build"),  # refused by parse_dimacs's vertex cap
+        ("p cnf 99999999999999999999 1", "too many to build"),  # so from_cnf never sees either header
     ])
     @pytest.mark.parametrize("command", ["solve", "tail"])
     def test_dimacs_header_counts(self, command, header, message, tmp_path, capsys):

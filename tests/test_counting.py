@@ -18,12 +18,11 @@ from lllkit import (
 )
 from lllkit import properties
 from lllkit.counting import (
-    critical_abscissa,
     landscape_class_prefactor,
     process_map,
     _canonical_key,
 )
-from lllkit.instances import disjoint_clause_instance
+from lllkit.instances import disjoint_clause_instance, tight_threshold
 from conftest import enumerate_labelled_trees, q_values_exact
 
 
@@ -73,7 +72,7 @@ class TestQIteration:
         for delta in (2, 3, 4):
             limit = Fraction(1, delta - 1)
             values = q_values_exact(delta, 7)
-            assert values[0] == critical_abscissa(delta)
+            assert values[0] == tight_threshold(delta)
             assert all(v <= limit for v in values)
             assert all(a < b for a, b in zip(values, values[1:]))
 

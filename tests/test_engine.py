@@ -189,7 +189,7 @@ class TestRunK:
                 state, resampled = step(system, state, tape)
                 assert state.assignment == trace.assignments[j + 1]
                 assert state.counters == counters(trace)[j + 1]
-                assert resampled == trace.resampled[j]
+                assert tuple(sorted(resampled)) == trace.resampled[j]
 
 
 class TestRunUntilSatisfied:
@@ -249,6 +249,7 @@ class TestRunInvariants:
             trace = run_k(system, f0, 4, tape)
             adj = system.rel.adj_noself
             for j, chosen in enumerate(trace.resampled):
+                chosen = set(chosen)
                 violated = violating_set(system.graph, system.rule, trace.assignments[j])
                 assert chosen <= violated
                 for x in chosen:
@@ -518,7 +519,7 @@ def assert_run_matches_step(system: MtaSystem, f0, k: int, tape: RandomTape) -> 
         state, resampled = step(system, state, tape)
         assert state.assignment == trace.assignments[j + 1]
         assert state.counters == counters(trace)[j + 1]
-        assert resampled == trace.resampled[j]
+        assert tuple(sorted(resampled)) == trace.resampled[j]
     if trace.status == "tape_exhausted":
         with pytest.raises(TapeExhausted):
             step(system, state, tape)
@@ -779,3 +780,28 @@ class TestRunRecord:
         assert trace.k == k and trace.h_final == (0,) + (k,) * w
         assert kept < w * k // 2  # under half a byte per digit: the round sets and the ending
         assert_record_replays(trace)
+
+    def test_trace_keeps_a_sorted_tuple_per_round(self):
+        # b = 1 and c one-variable clauses that forbid their one word, so every
+        # round resamples all c of them; the reversed order makes the greedy
+        # pick them in decreasing id, and a tuple holds one 8-byte slot per id
+        import gc
+        import tracemalloc
+
+        c, k = 500, 100
+        graph = VariableGraph([(c + i,) for i in range(c)] + [()] * c)
+        rule = LocalRule(1, [frozenset({(0,)})] * c + [frozenset()] * c, [1] * c + [0] * c)
+        system = MtaSystem.build(graph, rule, Partition.singletons(2 * c), range(2 * c - 1, -1, -1))
+        f0, tape = [0] * (2 * c), RandomTape.stream(1, 0)
+        run_k(system, f0, 1, tape)  # plans and keeps round 1 before the count starts
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace = run_k(system, f0, k, tape)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert trace.k == k and trace.h_final == (0,) * c + (k,) * c
+        assert all(type(r) is tuple and len(r) == c and all(map(int.__lt__, r, r[1:])) for r in trace.resampled)
+        assert kept < 12 * c * k  # bytes a resample: about 8 as tuples, 33 as frozensets

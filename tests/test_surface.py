@@ -29,7 +29,6 @@ KEPT = {
     "landscapes.LandscapeType.fits_within": "the type order that ROADMAP item 5 needs",
     "landscapes.DecoratedLandscape.type_of": "a landscape's type, which ROADMAP item 5 needs",
     "counting.q_value_upper_bounds": "acceptance criterion 06 checks it",
-    "counting.critical_abscissa": "acceptance criterion 06 evaluates Q at it",
     "instances.instance_to_json": "writes the JSON instance format that docs/instance-format.md documents",
     "instances.word_to_str": "writes a word of that JSON format",
     "graphs.LocalRule.allowed": "the allowed sets that the JSON format lists",

@@ -28,7 +28,6 @@ from .instances import (
     from_cnf,
     instance_from_json,
     instance_to_json,
-    load_instance,
     parse_dimacs,
     random_bounded_overlap_sat,
     torus_instance,

@@ -53,14 +53,35 @@ def _exact_str(x: Fraction | int) -> str:
 # ---------------------------------------------------------------------------
 
 
+QUOTE_CHARS = 40  # of a refused value, its error line quotes at most this many characters
+
+
+def _quote(text: str) -> str:
+    """A refused value as its one error line shows it: whole if it is short,
+    else its first ``QUOTE_CHARS`` characters and its length."""
+    if len(text) <= QUOTE_CHARS:
+        return repr(text)
+    return f"{text[:QUOTE_CHARS]!r}... ({len(text)} characters)"
+
+
 def _int(flag: str, lo: int, hi: int | None = None):
     """The argparse ``type`` of an integer option with values in [lo, hi]: a
     value is checked when it is parsed, before any instance is read."""
     def convert(text: str) -> int:
+        negative = text[:1] == "-"
+        digits = text[1:] if text[:1] in ("+", "-") else text
+        bound = lo if negative else hi
+        if bound is not None and digits.isascii() and digits.isdigit():
+            # Too long to quote and past the bound: refused by its digit count,
+            # before int() reads it (int() refuses more than 4,300 digits).
+            count = len(digits.lstrip("0"))
+            if count > max(QUOTE_CHARS, len(str(abs(bound)))):
+                side, kind = ("least", "negative value") if negative else ("most", "value")
+                raise CliError(f"{flag} must be at {side} {bound}, got a {count}-digit {kind}")
         try:
             value = int(text)
         except ValueError:
-            raise CliError(f"{flag} wants an integer, got {text!r}")
+            raise CliError(f"{flag} wants an integer, got {_quote(text)}")
         if value < lo:
             raise CliError(f"{flag} must be at least {lo}, got {value}")
         if hi is not None and value > hi:
@@ -105,7 +126,7 @@ def _partition(text: str) -> str | int:
         return text
     if text.isdecimal():
         return _int("--partition", 0, instances.MAX_LOAD_VERTICES)(text)
-    raise CliError(f"--partition wants auto, singletons or a radius >= 0, got {text!r}")
+    raise CliError(f"--partition wants auto, singletons or a radius >= 0, got {_quote(text)}")
 
 
 def _order(text: str) -> list[int] | None:
@@ -118,20 +139,21 @@ def _order(text: str) -> list[int] | None:
     except ValueError:
         order = None
     if not isinstance(order, list) or any(type(v) is not int for v in order):
-        raise CliError(f"bad vertex order {text!r}: --order wants index or a JSON list of integers")
+        raise CliError(f"bad vertex order {_quote(text)}: --order wants index or a JSON list of integers")
     return order
 
 
 def _parse_eps(text: str) -> Fraction:
     # Fraction expands an exponent in full: 1e99999999 alone would take minutes.
     if sum(map(str.isdecimal, text.upper().partition("E")[2])) > 4:
-        raise CliError(f"--eps takes an exponent of at most 4 digits, got {text!r}")
+        raise CliError(f"--eps takes an exponent of at most 4 digits, got {_quote(text)}")
     try:
         eps = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"bad fraction {text!r}: {exc}")
+    except (ValueError, ZeroDivisionError):
+        # Either error's own text can repeat the value in full.
+        raise CliError(f"--eps wants a fraction, got {_quote(text)}")
     if eps <= 0:
-        raise CliError(f"--eps must be positive, got {text!r}")
+        raise CliError(f"--eps must be positive, got {_quote(text)}")
     return eps
 
 
@@ -153,7 +175,8 @@ def load_instance_from_config(cfg: dict):
         graph, rule, _ = instances.from_cnf(cnf)
     elif kind == "json":
         try:
-            graph, rule = instances.load_instance(cfg["path"])
+            with open(cfg["path"], encoding="utf-8") as fh:
+                graph, rule = instances.instance_from_json(fh.read())
         except (OSError, ValueError) as exc:
             raise CliError(f"instance load error: {exc}")
     elif kind == "torus":
@@ -174,7 +197,7 @@ def load_instance_from_config(cfg: dict):
         bundle = instances.bundled_instances()
         name = cfg.get("name")
         if name not in bundle:
-            raise CliError(f"unknown bundled instance {name!r}; have {sorted(bundle)}")
+            raise CliError(f"unknown bundled instance {_quote(str(name))}; have {sorted(bundle)}")
         graph, rule = bundle[name]
     else:
         raise CliError(f"unknown instance kind {cfg.get('kind')!r}")
@@ -218,7 +241,7 @@ def _load_run_instance(args):
         cfg = {"kind": "generator", "clauses": clauses, "delta": delta, "seed": args.seed}
     graph, rule = load_instance_from_config(cfg)
     for x in rule.support:
-        if rule.complement_size(x) == rule.full_size(x):
+        if len(rule.forbidden[x]) == rule.b ** rule.word_lengths[x]:
             raise CliError(f"vertex {x} allows no assignment; the instance is unsatisfiable")
     return graph, rule
 
@@ -371,7 +394,7 @@ def _parse_deltas(text: str) -> list[int]:
     try:
         deltas = [int(t) for t in text.split(",")]
     except ValueError:
-        raise CliError(f"--deltas wants comma-separated integers, got {text!r}")
+        raise CliError(f"--deltas wants comma-separated integers, got {_quote(text)}")
     if any(d < 2 for d in deltas):
         raise CliError("tree bounds require delta >= 2")
     if max(deltas) > MAX_COUNT_DELTA:

@@ -100,7 +100,7 @@ def labelled_tree_bound(delta: int, n: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# The fixed-point iteration evaluated at the critical abscissa
+# The fixed-point iteration evaluated at rho = tight_threshold(delta)
 # ---------------------------------------------------------------------------
 
 

@@ -104,23 +104,9 @@ class RandomTape:
 
     def __reduce__(self):
         # A keyed hasher does not pickle; rebuild the tape from its definition.
-        if self.is_finite:
+        if self.digits is not None:
             return RandomTape.finite, (self.b, self.digits)
         return RandomTape.stream, (self.b, self.seed)
-
-    @property
-    def is_finite(self) -> bool:
-        return self.digits is not None
-
-    @property
-    def width(self) -> int | None:
-        if self.digits is None:
-            return None
-        return len(self.digits[0]) if self.digits else 0
-
-    @property
-    def part_count(self) -> int | None:
-        return len(self.digits) if self.digits is not None else None
 
     def digit(self, part: int, pos: int) -> int:
         if self.digits is not None:
@@ -180,13 +166,12 @@ class RandomTape:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RandomTape):
             return NotImplemented
-        if self.is_finite and other.is_finite:
-            return self.b == other.b and self.digits == other.digits
-        return self.b == other.b and self.seed == other.seed
+        return (self.b, self.digits, self.seed) == (other.b, other.digits, other.seed)
 
     def __repr__(self) -> str:
-        if self.is_finite:
-            return f"RandomTape(finite {self.part_count}x{self.width}, b={self.b})"
+        if self.digits is not None:
+            width = len(self.digits[0]) if self.digits else 0
+            return f"RandomTape(finite {len(self.digits)}x{width}, b={self.b})"
         return f"RandomTape(stream seed={self.seed}, b={self.b})"
 
 

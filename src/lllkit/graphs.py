@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from fractions import Fraction
 from typing import Iterable, KeysView, NamedTuple, Sequence
 
 Word = tuple[int, ...]
@@ -175,18 +174,6 @@ class LocalRule:
     def vertex_count(self) -> int:
         return len(self.forbidden)
 
-    def full_size(self, x: int) -> int:
-        return self.b ** self.word_lengths[x]
-
-    def is_full(self, x: int) -> bool:
-        return not self.forbidden[x]
-
-    def complement_size(self, x: int) -> int:
-        return len(self.forbidden[x])
-
-    def failure_prob(self, x: int) -> Fraction:
-        return Fraction(self.complement_size(x), self.full_size(x))
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, LocalRule)
@@ -199,22 +186,14 @@ class LocalRule:
         return f"LocalRule(b={self.b}, {self.vertex_count} vertices)"
 
 
-def restriction_word(graph: VariableGraph, f: Sequence[int], x: int) -> Word:
-    """The word read by constraint x under assignment f (in var(x) order)."""
-    return tuple(f[v] for v in graph.var(x))
-
-
 def violating_set(graph: VariableGraph, rule: LocalRule, f: Sequence[int]) -> set[int]:
-    """Vertices whose restriction of f is forbidden.
+    """Vertices whose restriction of f, the word f gives var(x) in order, is
+    forbidden.
 
     Only support vertices can be violated; everything else is allowed by
     definition.
     """
-    return {
-        x
-        for x in rule.support
-        if restriction_word(graph, f, x) in rule.forbidden[x]
-    }
+    return {x for x in rule.support if tuple(f[v] for v in graph.var(x)) in rule.forbidden[x]}
 
 
 class RelGraph:
@@ -227,13 +206,6 @@ class RelGraph:
 
     def __init__(self, nbrs: Iterable[Iterable[int]]):
         self.nbrs: tuple[Word, ...] = tuple(map(tuple, nbrs))
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.nbrs)
-
-    def label(self, x: int, y: int) -> int:
-        return self.nbrs[x].index(y)
 
     def adjacent(self, x: int, y: int) -> bool:
         return y in self.nbrs[x]

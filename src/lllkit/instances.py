@@ -495,11 +495,6 @@ def instance_from_json(text: str) -> tuple[VariableGraph, LocalRule]:
     return graph, rule
 
 
-def load_instance(path) -> tuple[VariableGraph, LocalRule]:
-    with open(path, encoding="utf-8") as fh:
-        return instance_from_json(fh.read())
-
-
 # ---------------------------------------------------------------------------
 # Bundled instances used by the verification suites and the CLI
 # ---------------------------------------------------------------------------

@@ -133,7 +133,7 @@ class DecoratedLandscape:
                 raise InternalConsistencyError(f"prev word at {v} has wrong length")
             if word and (min(word) < 0 or max(word) >= b):
                 raise InternalConsistencyError(f"prev word at {v} outside alphabet")
-            if not self.rule.is_full(base) and word not in self.rule.forbidden[base]:
+            if self.rule.forbidden[base] and word not in self.rule.forbidden[base]:
                 raise InternalConsistencyError(f"prev word at {v} is not forbidden")
 
     # -- shape helpers -----------------------------------------------------

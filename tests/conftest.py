@@ -177,7 +177,7 @@ def _compositions(total: int, parts: int):
 
 
 def q_values_exact(delta: int, steps: int) -> list[Fraction]:
-    """Exact values Q_0(rho), ..., Q_steps(rho) at rho = critical abscissa,
+    """Exact values Q_0(rho), ..., Q_steps(rho) at rho = tight_threshold(delta),
     with Q_0(rho) = rho and Q_{i+1} = rho (1 + Q_i)^delta.
 
     Denominator bit counts grow like delta^i, so this is only feasible for

@@ -651,6 +651,27 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--bundled", "chain", "--cap", "9" * 5000],  # past int()'s 4,300-digit limit
+        ["solve", "--bundled", "chain", "--cap", "-" + "9" * 5000],
+        ["solve", "--bundled", "chain", "--seed", "9" * 5000],
+        ["solve", "--bundled", "chain", "--seed", "-" + "9" * 5000],
+        ["tail", "--bundled", "chain", "--jobs", "9" * 5000],
+        ["count", "--budget", "9" * 5000],
+        ["solve", "--bundled", "chain", "--partition", "9" * 5000],
+        ["solve", "--bundled", "chain", "--partition", "x" * 5000],
+        ["solve", "--bundled", "chain", "--order", "x" * 5000],
+        ["count", "--deltas", "x" * 5000],
+        ["solve", "--bundled", "chain", "--eps", "x" * 5000],
+        ["solve", "--bundled", "x" * 5000],
+    ])
+    def test_long_value_quoted_in_short_line(self, argv, capsys):
+        """A 5,000-character value is refused on one line of under 200 bytes."""
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert len(err.encode()) < 200, err
+
     @pytest.mark.parametrize("flag, cap", [
         ("--seeds", cli.MAX_TAIL_SEEDS), ("--n-max", cli.MAX_TAIL_N), ("--jobs", cli.MAX_JOBS),
     ])

@@ -58,7 +58,7 @@ class TestRandomTape:
     def test_finite_lookup_and_exhaustion(self):
         tape = RandomTape.finite(2, [[0, 1], [1, 1]])
         assert tape.digit(0, 1) == 1
-        assert tape.width == 2
+        assert len(tape.digits[0]) == 2
         with pytest.raises(TapeExhausted):
             tape.digit(0, 2)
         with pytest.raises(TapeExhausted):

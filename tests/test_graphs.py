@@ -88,7 +88,7 @@ class TestBuildRel:
         rel = build_rel(g)
         # cl(v) = (c0, c1), so at c0 the tie at v resolves to c0 before c1
         assert rel.nbrs[0] == (0, 1)
-        assert rel.label(0, 0) == 0 and rel.label(0, 1) == 1
+        assert rel.nbrs[0].index(0) == 0 and rel.nbrs[0].index(1) == 1
 
     def test_label_order_with_reversed_cl(self):
         m = 2
@@ -110,7 +110,7 @@ class TestBuildRel:
         # at c1: c0 and c1 share v01 (position 0), tie broken by cl(v01) = (c0, c1);
         # c2 shares v12 (position 1)
         assert rel.nbrs[1] == (0, 1, 2)
-        assert [rel.label(1, y) for y in (0, 1, 2)] == [0, 1, 2]
+        assert [rel.nbrs[1].index(y) for y in (0, 1, 2)] == [0, 1, 2]
 
     def test_symmetric_and_label_injective(self, rng):
         for _ in range(30):
@@ -136,15 +136,15 @@ class TestFailureProb:
         g = clause_graph([[0, 1, 2]], 3)
         words = {(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)} - {(0, 0, 0)}
         rule = LocalRule.for_graph(g, 2, [words] + [{()}] * 3)
-        assert rule.failure_prob(0) == Fraction(1, 8)
+        assert Fraction(len(rule.forbidden[0]), rule.b ** rule.word_lengths[0]) == Fraction(1, 8)
 
     def test_full_and_empty(self):
         g = VariableGraph([(1, 2), (), ()])
         full = {(a, b) for a in (0, 1) for b in (0, 1)}
         rule = LocalRule.for_graph(g, 2, [full, {()}, {()}])
-        assert rule.failure_prob(0) == 0
+        assert Fraction(len(rule.forbidden[0]), rule.b ** rule.word_lengths[0]) == 0
         rule2 = LocalRule.for_graph(g, 2, [set(), {()}, {()}])
-        assert rule2.failure_prob(0) == 1
+        assert Fraction(len(rule2.forbidden[0]), rule2.b ** rule2.word_lengths[0]) == 1
 
     def test_range_and_support_characterization(self, rng):
         from lllkit.instances import random_instance
@@ -153,7 +153,7 @@ class TestFailureProb:
             g, rule = random_instance(rng, mixed_width=True)
             support = set(rule.support)
             for x in range(g.vertex_count):
-                p = rule.failure_prob(x)
+                p = Fraction(len(rule.forbidden[x]), rule.b ** rule.word_lengths[x])
                 assert 0 <= p <= 1
                 assert (p == 0) == (x not in support)
 

@@ -145,7 +145,7 @@ class TestTorus:
     def test_single_color_always_satisfied(self):
         spec = TorusSpec(1, 5, ((0,), (2,)), 1)
         graph, rule = torus_instance(spec)
-        assert all(rule.failure_prob(x) == 0 for x in range(graph.vertex_count))
+        assert all(Fraction(len(rule.forbidden[x]), rule.b ** rule.word_lengths[x]) == 0 for x in range(graph.vertex_count))
 
     def test_more_colors_than_translates_rejected(self):
         with pytest.raises(ValueError, match="surjection"):
@@ -158,7 +158,7 @@ class TestTorus:
     def test_var_sizes_and_uniform_failure(self):
         spec = TorusSpec(2, 8, default_translates(2, 10), 2)
         graph, rule = torus_instance(spec)
-        probs = {rule.failure_prob(x) for x in range(graph.vertex_count)}
+        probs = {Fraction(len(rule.forbidden[x]), rule.b ** rule.word_lengths[x]) for x in range(graph.vertex_count)}
         assert probs == {Fraction(2, 1024)}
         assert {len(graph.var(x)) for x in range(graph.vertex_count)} == {10}
 
@@ -299,7 +299,7 @@ class TestGenerator:
         for _ in range(300):
             graph, rule = random_instance(rng, mixed_width=mixed_width)
             for x in rule.support:
-                assert 0 < rule.complement_size(x) < rule.full_size(x)
+                assert 0 < len(rule.forbidden[x]) < rule.b ** rule.word_lengths[x]
             assert rule.support
 
     def test_bad_parameters_rejected(self):

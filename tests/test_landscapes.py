@@ -282,8 +282,8 @@ class TestRestrict:
         new_of = {old: new for new, old in enumerate(mapping)}
         for old_clause in (0, 1):
             new = new_of[old_clause]
-            assert restricted.rule.is_full(new)
-        assert not restricted.rule.is_full(new_of[2])
+            assert not restricted.rule.forbidden[new]
+        assert restricted.rule.forbidden[new_of[2]]
 
     def test_empty_support_forest_vertices_dropped(self):
         ls = four_cycle_landscape()

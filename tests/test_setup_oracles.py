@@ -322,7 +322,7 @@ def per_vertex_condition(graph, rule):
     if delta == 0:
         return ConditionReport("tight", 0, Fraction(1), None, True)
     lo = tight_threshold(delta)
-    probs = [rule.failure_prob(x) for x in range(graph.vertex_count)]
+    probs = [Fraction(len(rule.forbidden[x]), rule.b ** rule.word_lengths[x]) for x in range(graph.vertex_count)]
     margins = [lo - p for p in probs if p]
     all_pass = all(p < lo for p in probs if p)
     return ConditionReport("tight", delta, lo, min(margins, default=None), all_pass)

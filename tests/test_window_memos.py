@@ -283,7 +283,7 @@ def count_stream_cells(monkeypatch):
 
     def counting_draw(tape, cells):
         cells = cells if isinstance(cells, Cells) else list(cells)
-        if not tape.is_finite:
+        if tape.digits is None:
             drawn.append(len(cells))
         return real_draw(tape, cells)
 

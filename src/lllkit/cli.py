@@ -64,27 +64,33 @@ def _quote(text: str) -> str:
     return f"{text[:QUOTE_CHARS]!r}... ({len(text)} characters)"
 
 
-def _int(flag: str, lo: int, hi: int | None = None):
+def _digit_count(text: str) -> int:
+    """The significant digits of ``text`` if it is ASCII digits, as int()
+    reads them (blanks around, a sign, underscores), else 0.  A value too
+    long to quote is refused by this count before int() reads it (int()
+    refuses more than 4,300 digits)."""
+    digits = text.strip()
+    digits = (digits[1:] if digits[:1] in ("+", "-") else digits).replace("_", "")
+    return len(digits.lstrip("0")) if digits.isascii() and digits.isdigit() else 0
+
+
+def _int(flag: str, lo: int, hi: int):
     """The argparse ``type`` of an integer option with values in [lo, hi]: a
     value is checked when it is parsed, before any instance is read."""
     def convert(text: str) -> int:
-        negative = text[:1] == "-"
-        digits = text[1:] if text[:1] in ("+", "-") else text
+        negative = text.strip()[:1] == "-"
         bound = lo if negative else hi
-        if bound is not None and digits.isascii() and digits.isdigit():
-            # Too long to quote and past the bound: refused by its digit count,
-            # before int() reads it (int() refuses more than 4,300 digits).
-            count = len(digits.lstrip("0"))
-            if count > max(QUOTE_CHARS, len(str(abs(bound)))):
-                side, kind = ("least", "negative value") if negative else ("most", "value")
-                raise CliError(f"{flag} must be at {side} {bound}, got a {count}-digit {kind}")
+        count = _digit_count(text)
+        if count > max(QUOTE_CHARS, len(str(abs(bound)))):
+            side, kind = ("least", "negative value") if negative else ("most", "value")
+            raise CliError(f"{flag} must be at {side} {bound}, got a {count}-digit {kind}")
         try:
             value = int(text)
         except ValueError:
             raise CliError(f"{flag} wants an integer, got {_quote(text)}")
         if value < lo:
             raise CliError(f"{flag} must be at least {lo}, got {value}")
-        if hi is not None and value > hi:
+        if value > hi:
             raise CliError(f"{flag} must be at most {hi}, got {value}")
         return value
     return convert
@@ -95,12 +101,22 @@ def _int(flag: str, lo: int, hi: int | None = None):
 _seed = _int("--seed", -(1 << 63), (1 << 63) - 1)
 
 
+def _int_fields(flag: str, text: str) -> list[str]:
+    """The comma-separated fields of ``text``; one of more than
+    ``QUOTE_CHARS`` digits is refused by its count."""
+    fields = text.split(",")
+    count = max(map(_digit_count, fields))
+    if count > QUOTE_CHARS:
+        raise CliError(f"{flag} takes integers of at most {QUOTE_CHARS} digits, got a {count}-digit one")
+    return fields
+
+
 def _ints(flag: str, fields: str):
     """The argparse ``type`` of an option that takes comma-separated integers
     named by ``fields``, such as ``d,m,translates,colors``."""
     def convert(text: str) -> tuple[int, ...]:
         try:
-            values = tuple(int(t) for t in text.split(","))
+            values = tuple(int(t) for t in _int_fields(flag, text))
         except ValueError:
             values = ()
         if len(values) != fields.count(",") + 1:
@@ -141,20 +157,6 @@ def _order(text: str) -> list[int] | None:
     if not isinstance(order, list) or any(type(v) is not int for v in order):
         raise CliError(f"bad vertex order {_quote(text)}: --order wants index or a JSON list of integers")
     return order
-
-
-def _parse_eps(text: str) -> Fraction:
-    # Fraction expands an exponent in full: 1e99999999 alone would take minutes.
-    if sum(map(str.isdecimal, text.upper().partition("E")[2])) > 4:
-        raise CliError(f"--eps takes an exponent of at most 4 digits, got {_quote(text)}")
-    try:
-        eps = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        # Either error's own text can repeat the value in full.
-        raise CliError(f"--eps wants a fraction, got {_quote(text)}")
-    if eps <= 0:
-        raise CliError(f"--eps must be positive, got {_quote(text)}")
-    return eps
 
 
 def load_instance_from_config(cfg: dict):
@@ -211,10 +213,7 @@ def build_system(graph, rule, partition_cfg, eps: Fraction, order=None):
     if partition_cfg == "singletons":
         partition = Partition.singletons(graph.vertex_count)
     elif partition_cfg == "auto":
-        try:
-            window_n = landscapes.default_window_params(graph.sym_adj, eps)
-        except ValueError as exc:
-            raise CliError(f"--partition auto: {exc}; use a larger --eps")
+        window_n = landscapes.default_window_params(graph.sym_adj, eps)
         partition = sparse_partition(graph.sym_adj, 3 * window_n)
     else:
         partition = sparse_partition(graph.sym_adj, int(partition_cfg))
@@ -274,7 +273,7 @@ def cmd_solve(args) -> int:
         if not args.force:
             raise CliError(failed + "; pass --force to run anyway")
     f0 = _parse_f0(args.f0, graph.vertex_count, rule.b)
-    system, _ = build_system(graph, rule, args.partition, args.eps, args.order)
+    system, _ = build_system(graph, rule, args.partition, landscapes.EPS, args.order)
     if failed:
         # Only once every input is accepted, so a failing exit writes one line.
         print(f"warning: {failed}; proceeding under --force", file=sys.stderr)
@@ -392,7 +391,7 @@ LANDSCAPE_COUNT_POINTS = (
 
 def _parse_deltas(text: str) -> list[int]:
     try:
-        deltas = [int(t) for t in text.split(",")]
+        deltas = [int(t) for t in _int_fields("--deltas", text)]
     except ValueError:
         raise CliError(f"--deltas wants comma-separated integers, got {_quote(text)}")
     if any(d < 2 for d in deltas):
@@ -408,12 +407,10 @@ def cmd_count(args) -> int:
         raise CliError(f"the sum of the deltas times --n-max squared is {table}, more than {MAX_COUNT_TABLE}")
     reports = counting.tree_count_reports(args.deltas, args.n_max)
     if args.landscapes:
-        reports += counting.landscape_count_reports(LANDSCAPE_COUNT_POINTS, budget=args.budget)
+        reports += counting.landscape_count_reports(LANDSCAPE_COUNT_POINTS)
     rows = ["kind,params,count,bound,pass"]
     for rep in reports:
         params_str = ";".join(f"{k}={v}" for k, v in rep.params.items())
-        if not rep.complete:
-            params_str += ";partial"
         rows.append(
             f"{rep.kind},{params_str},{_exact_str(rep.count)},{_exact_str(rep.bound)},{rep.passed}"
         )
@@ -473,7 +470,7 @@ def _svg_line_chart(points: list[tuple[float, float]], title: str) -> str:
 
 def cmd_tail(args) -> int:
     graph, rule = _load_run_instance(args)
-    system, _ = build_system(graph, rule, args.partition, args.eps, args.order)
+    system, _ = build_system(graph, rule, args.partition, landscapes.EPS, args.order)
     grid = list(range(0, args.n_max + 1))
     seeds = [args.seed + i for i in range(args.seeds)]
     est = counting.tail_estimate(
@@ -512,6 +509,11 @@ class _Parser(argparse.ArgumentParser):
     """Reports a usage error as one ``error:`` line (subparsers inherit the class)."""
 
     def error(self, message: str):
+        # argparse repeats a refused argument in full: a long one is quoted
+        # after the kind of error, as a refused value is.
+        if len(message) > 3 * QUOTE_CHARS:
+            kind, _, rest = message.partition(": ")
+            message = f"{kind}: {_quote(rest)}"
         raise CliError(message)
 
 
@@ -525,7 +527,6 @@ def _add_run_args(sub) -> None:
     source.add_argument("--generate", type=_generate, help="random 3-SAT spec clauses,delta")
     sub.add_argument("--seed", type=_seed, default=0)
     sub.add_argument("--cap", type=_int("--cap", 0, MAX_CAP), default=1000)
-    sub.add_argument("--eps", type=_parse_eps, default="1/2")
     sub.add_argument("--partition", type=_partition, default="auto", help="auto | singletons | <radius>")
     sub.add_argument("--order", type=_order, default="index", help="index | JSON permutation of the vertices")
 
@@ -559,7 +560,6 @@ def make_parser() -> argparse.ArgumentParser:
     count.add_argument("--deltas", type=_parse_deltas, default="2,3,4")
     count.add_argument("--n-max", type=_int("--n-max", 0, MAX_COUNT_N), default=10)
     count.add_argument("--landscapes", action="store_true", help="include tiny landscape enumerations")
-    count.add_argument("--budget", type=_int("--budget", 0), default=2_000_000)
     count.add_argument("--out", help="write the CSV here")
     count.set_defaults(func=cmd_count)
 
@@ -582,9 +582,10 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     option before the subcommand other than --config and --help is refused
     by name, before argparse takes the value after it for the subcommand.
     """
-    config, rest = _config_parser().parse_known_args(argv)
+    parser = _config_parser()
+    config, rest = parser.parse_known_args(argv)
     if rest and rest[0].startswith("-") and rest[0] not in ("-h", "--help"):
-        raise CliError(f"unrecognized arguments: {rest[0]}")
+        parser.error(f"unrecognized arguments: {rest[0]}")
     path = config.config
     if path is None:
         return argv

@@ -185,13 +185,10 @@ def tree_count_reports(deltas: Iterable[int], n_max: int) -> list[CountReport]:
     return reports
 
 
-def landscape_count_reports(
-    points: Iterable[tuple[int, int, int, int, int, int, int]],
-    budget: int = 2_000_000,
-) -> list[CountReport]:
+def landscape_count_reports(points: Iterable[tuple[int, int, int, int, int, int, int]]) -> list[CountReport]:
     reports = []
     for d, delta, beta, n1, n2, p, b in points:
-        result = enumerate_small_landscapes(d, delta, beta, n1, n2, p, b, budget=budget)
+        result = enumerate_small_landscapes(d, delta, beta, n1, n2, p, b)
         bound = landscape_class_bound(d, delta, beta, n1, n2, p, b)
         reports.append(
             CountReport(

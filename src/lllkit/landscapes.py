@@ -520,46 +520,7 @@ class WindowError(ValueError):
     """The growth precondition failed at the weight's argmax."""
 
 
-MAX_WINDOW_N = 10**6  # larger window parameters are refused, not computed
 EPS = Fraction(1, 2)  # the growth rate 1 + EPS at which encode_tape's windows stall
-
-
-def _float_log1p(eps: Fraction) -> float | None:
-    """ln(1 + eps) in floats, or None unless eps converts to a normal float,
-    where the result carries a relative error of a few units in the last place."""
-    if abs(eps.numerator.bit_length() - eps.denominator.bit_length()) < 1000:
-        return math.log1p(eps)
-    return None
-
-
-def _power_exceeds(base: Fraction, rate: float | None, m: int, k: int) -> bool:
-    """Whether base^m > k, for base > 1, ``rate = _float_log1p(base - 1)``
-    and integers m, k >= 0.
-
-    Decided by comparing m ln(base) with ln(k) in floats when they differ by
-    far more than their rounding error.  Only a near tie takes the exact
-    power, whose size is about m times the bits of base.
-    """
-    if k < 1:
-        return True
-    if rate is not None:
-        lhs, rhs = m * rate, math.log(k)
-        if abs(lhs - rhs) > 1e-12 * (lhs + rhs):
-            return lhs > rhs
-    return base ** m > k
-
-
-def _ceil_power(base: Fraction, rate: float | None, n: int, cap: int) -> int:
-    """ceil(base^n) for base > 1 and n >= 0, or cap + 1 if base^n > cap >= 0."""
-    if _power_exceeds(base, rate, n, cap):
-        return cap + 1
-    # Start from the float estimate of base^n <= cap, then settle it.
-    k = 1 if rate is None else min(max(math.ceil(math.exp(n * rate)), 1), cap)
-    while _power_exceeds(base, rate, n, k):
-        k += 1
-    while k > 1 and not _power_exceeds(base, rate, n, k - 1):
-        k -= 1
-    return k
 
 
 def default_window_params(adj: Sequence[Sequence[int]], eps: Fraction = EPS) -> int:
@@ -567,22 +528,17 @@ def default_window_params(adj: Sequence[Sequence[int]], eps: Fraction = EPS) -> 
 
     Requires eps > 0.  Then it exists on every finite graph: once
     (1 + eps)^n exceeds the vertex count every ball is small enough.
-    ``adj`` must be symmetric.  Raises ``ValueError`` when n would exceed
-    ``MAX_WINDOW_N`` (estimated in floats).  Powers of 1 + eps are compared
-    with vertex counts through ``_power_exceeds``, so a long denominator
-    costs an exact power only on a near tie.
+    ``adj`` must be symmetric.  The power (1 + eps)^n is kept exact; at
+    ``EPS`` and within the load caps n is at most 33.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    base, rate = 1 + eps, _float_log1p(eps)
+    base = 1 + eps
     components = _components(adj)
-    n = 1
+    n, power = 1, base
     while True:
-        if n > MAX_WINDOW_N:
-            raise ValueError(f"window parameter n would exceed {MAX_WINDOW_N}")
-        # A ball fails exactly when it has need vertices; need = len(adj) + 1
-        # when none can.
-        need = _ceil_power(base, rate, n, len(adj))
+        # A ball fails exactly when it has need = ceil((1 + eps)^n) vertices.
+        need = math.ceil(power)
         # A component smaller than the bound holds no failing ball; it stays
         # out of every later search, as the bound only grows.
         components = [(members, reach) for members, reach in components if len(members) >= need]
@@ -595,20 +551,12 @@ def default_window_params(adj: Sequence[Sequence[int]], eps: Fraction = EPS) -> 
             return n
         members, reach = failing
         if reach > 3 * n:
-            n += 1
+            n, power = n + 1, power * base
             continue
         # B(least vertex, 3n) is the whole failing component, so it fails
-        # for every larger n while base^n <= the component's size.  Jump
-        # past those: estimate the last one in floats, then settle it.
-        size = len(members)
-        if not rate or math.log(size) / rate >= MAX_WINDOW_N:
-            raise ValueError(f"window parameter n would exceed {MAX_WINDOW_N}")
-        m = max(n, math.floor(math.log(size) / rate))
-        while _power_exceeds(base, rate, m, size):
-            m -= 1
-        n = m + 1
-        while not _power_exceeds(base, rate, n, size):
-            n += 1
+        # for every larger n while (1 + eps)^n <= the component's size.
+        while power <= len(members):
+            n, power = n + 1, power * base
 
 
 Ball = tuple[tuple[int, int], ...]  # (vertex, distance) pairs in breadth-first order
@@ -643,7 +591,8 @@ def find_window(adj: Sequence[Sequence[int]], weights: Sequence[int], eps: Fract
     balls = _balls(adj)
     members = balls.get((best, n)) or _ball_pairs(adj, best, radius_max)
     base = 1 + eps
-    if not _power_exceeds(base, _float_log1p(eps), n, len(members)):
+    num, den = base.numerator, base.denominator
+    if num ** n <= len(members) * den ** n:
         raise WindowError(
             f"growth precondition fails: |B({best}, {radius_max})| = {len(members)} "
             f">= (1 + {eps})^{n}"
@@ -655,7 +604,6 @@ def find_window(adj: Sequence[Sequence[int]], weights: Sequence[int], eps: Fract
         sums[d] += weights[x]
     for r in range(1, top + 1):
         sums[r] += sums[r - 1]
-    num, den = base.numerator, base.denominator
     for r in range(3, top + 1):
         if sums[r] * den < num * sums[r - 3]:
             return Window(best, r, frozenset([x for x, d in members if d <= r]))

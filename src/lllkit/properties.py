@@ -64,7 +64,7 @@ def random_abstract_landscape(rng: random.Random) -> DecoratedLandscape:
     """A random valid landscape not derived from any run: roots at
     arbitrary levels, gaps between occupied levels, several trees."""
     graph, rule = random_instance(rng)
-    rel = graphs.build_rel(graph)
+    rel = graph.rel
     support = list(rule.support)
     max_level = rng.randint(1, 5)
     verts = []

@@ -1,10 +1,6 @@
 import itertools
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -452,27 +448,6 @@ class TestFindWindow:
     def test_zero_weight_rejected(self):
         with pytest.raises(ValueError, match="zero"):
             find_window(self.path_adj(5), [0] * 5, Fraction(1, 2), 2)
-
-    @pytest.mark.parametrize("eps", ["1/389800", "0.0000026" + "0" * 300 + "1"], ids=["1/389800", "1024-bit"])
-    def test_small_eps_encodes(self, eps):
-        # n is about 10^6; the exact power (1 + eps)^n in the growth
-        # precondition once took about 9 s at 1/389800 (2 vCPU) and
-        # minutes at the eps with a 1,024-bit denominator.  encode_tape
-        # then finds its window at growth 1 + EPS with that n.
-        script = f"""
-from fractions import Fraction
-from lllkit import RandomTape, bundled_instances, decode_tape, encode_tape, run_k
-from lllkit.cli import build_system
-eps = Fraction("{eps}")
-system, n = build_system(*bundled_instances()["chain"], "auto", eps)
-tape = RandomTape.finite_random(system.b, system.p, 3, seed=0)
-trace = run_k(system, [0] * system.graph.vertex_count, 3, tape)
-code = encode_tape(trace, n)
-assert code.witness is not None and decode_tape(code, system.p, 3) == tape
-"""
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=10, env=env)
-        assert proc.returncode == 0, proc.stderr
 
 
 class TestTapeCode:

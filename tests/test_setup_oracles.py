@@ -46,7 +46,6 @@ from lllkit import (
 )
 from lllkit.cli import build_system, main
 from lllkit.graphs import _components
-from lllkit.landscapes import _ceil_power, _float_log1p, _power_exceeds
 from lllkit.instances import (
     default_translates,
     random_instance,
@@ -214,52 +213,6 @@ class TestWindowParamsJump:
         adj = named_graphs()[name]
         for eps in self.SMALL_EPSILONS:
             assert default_window_params(adj, eps) == stepping_window_params(adj, eps)
-
-    @pytest.mark.parametrize("eps", [Fraction(1, 6000), Fraction(1, 20000)])
-    def test_small_eps_is_least(self, eps):
-        """Minimality without the plain loop: below radius 3n the largest
-        ball is the whole largest component, which (1 + eps)^(n - 1) does not
-        exceed, and every shorter radius fails directly."""
-        adj = named_graphs()["chain"]
-        n = default_window_params(adj, eps)
-        largest = lambda r: max(len(ball(adj, x, r)) for x in range(len(adj)))
-        component = largest(len(adj))
-        assert largest(3 * n) < (1 + eps) ** n
-        assert largest(3 * (n - 1)) == component >= (1 + eps) ** (n - 1)
-        diameter = max(d for x in range(len(adj)) for d in _bfs_distances(adj, [x]) if d != math.inf)
-        for m in range(1, math.ceil(diameter / 3) + 1):
-            assert largest(3 * m) >= (1 + eps) ** m
-
-
-class TestPowerComparisons:
-    """The float-decided comparisons of (1 + eps)^m with a vertex count
-    against exact powers, on exact ties, near ties and long denominators."""
-
-    BASES = (Fraction(2), Fraction(3), Fraction(3, 2), Fraction(1001, 1000),
-             Fraction(2**60 + 1, 2**60), 1 + Fraction(1, 2**1100), 1 + Fraction(2**1100))
-
-    def test_power_exceeds_matches_exact(self):
-        rng = random.Random(20261018)
-        bases = list(self.BASES) + [1 + Fraction(rng.randint(1, 10**9), rng.randint(1, 10**12))
-                                    for _ in range(30)]
-        for base in bases:
-            rate = _float_log1p(base - 1)
-            for m in range(0, 40):
-                power = base ** m
-                near = {1, 2, 3, 100, 10**6} | {max(1, math.floor(power) + d) for d in (-1, 0, 1)}
-                for k in near:
-                    if k <= 10**9:
-                        assert _power_exceeds(base, rate, m, k) == (power > k), (base, m, k)
-                        want = min(math.ceil(power), k + 1)
-                        assert _ceil_power(base, rate, m, k) == want, (base, m, k)
-
-    def test_long_denominator_jump_is_least(self):
-        eps = Fraction("0.0000026" + "0" * 300 + "1")
-        adj = named_graphs()["chain"]
-        n = default_window_params(adj, eps)
-        size = max(len(ball(adj, x, len(adj))) for x in range(len(adj)))
-        rate = math.log1p(eps)
-        assert (n - 1) * rate <= math.log(size) < n * rate
 
 
 def sorted_build_rel(graph):

@@ -1,12 +1,10 @@
 """The tape code's window geometry: ``find_window`` against its full-radius
-reference, its memory at a window parameter near 10^6, and what a graph
-keeps (one ball per centre, one restricted canvas per window) against runs
-on a fresh graph; and the tape memo ``verify``'s round trips share, against
-tapes drawn cold."""
+reference, and what a graph keeps (one ball per centre, one restricted
+canvas per window) against runs on a fresh graph; and the tape memo
+``verify``'s round trips share, against tapes drawn cold."""
 
 import pickle
 import random
-import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -31,7 +29,7 @@ from lllkit import cli
 from lllkit.cli import build_system, main
 from lllkit.engine import Cells
 from lllkit.graphs import SymAdj
-from lllkit.landscapes import Window, WindowError, _float_log1p, _power_exceeds
+from lllkit.landscapes import Window, WindowError
 from lllkit.properties import Run, fuzz_runs
 from conftest import _bfs_distances, prefix, random_symmetric_adjacency
 
@@ -45,7 +43,7 @@ def reference_find_window(adj, weights, eps, n):
     dist = _bfs_distances(adj, [best])
     radius_max = 3 * n
     ball_size = sum(1 for d in dist if d <= radius_max)
-    if not _power_exceeds(1 + eps, _float_log1p(eps), n, ball_size):
+    if (1 + eps) ** n <= ball_size:
         raise WindowError(
             f"growth precondition fails: |B({best}, {radius_max})| = {ball_size} "
             f">= (1 + {eps})^{n}"
@@ -118,21 +116,6 @@ class TestFindWindowReference:
                 kinds.append("window" if isinstance(got, Window) else got[1].split()[0])
         assert len(kinds) == 7 * 400
         assert {"window", "growth", "no", "weight"} <= set(kinds)
-
-    def test_small_eps_peaks_below_a_mebibyte(self):
-        # n = 999,819 at eps = 1/389800; a scan over all 3n + 1 radii
-        # allocates a list of 3 million sums
-        graph, _ = bundled_instances()["chain"]
-        adj = graph.sym_adj
-        weights = [1] * graph.vertex_count
-        tracemalloc.start()
-        try:
-            window = find_window(adj, weights, Fraction(1, 389800), 999_819)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20, peak
-        assert window == reference_find_window(adj, weights, Fraction(1, 389800), 999_819)
 
 
 def bundled_traces(seeds):

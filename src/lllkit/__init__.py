@@ -64,7 +64,6 @@ from .landscapes import (
 )
 from .counting import (
     CountReport,
-    EnumResult,
     TailEstimate,
     count_labelled_trees,
     enumerate_small_landscapes,

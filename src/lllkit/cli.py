@@ -603,7 +603,8 @@ def _apply_config_file(argv: list[str]) -> list[str]:
             if value:
                 injected.append(flag)
         else:
-            injected.append(f"{flag}={value}")
+            # A value reaches argparse as the file wrote it: null as null, not None.
+            injected.append(f"{flag}={value if isinstance(value, str) else json.dumps(value)}")
     return rest[:1] + injected + rest[1:]
 
 

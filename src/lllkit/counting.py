@@ -169,7 +169,6 @@ class CountReport(NamedTuple):
     count: int
     bound: Fraction
     passed: bool
-    complete: bool = True
 
 
 def tree_count_reports(deltas: Iterable[int], n_max: int) -> list[CountReport]:
@@ -188,16 +187,15 @@ def tree_count_reports(deltas: Iterable[int], n_max: int) -> list[CountReport]:
 def landscape_count_reports(points: Iterable[tuple[int, int, int, int, int, int, int]]) -> list[CountReport]:
     reports = []
     for d, delta, beta, n1, n2, p, b in points:
-        result = enumerate_small_landscapes(d, delta, beta, n1, n2, p, b)
+        count = len(enumerate_small_landscapes(d, delta, beta, n1, n2, p, b))
         bound = landscape_class_bound(d, delta, beta, n1, n2, p, b)
         reports.append(
             CountReport(
                 "landscape",
                 {"D": d, "delta": delta, "beta": beta, "N1": n1, "N2": n2, "p": p, "b": b},
-                result.count,
+                count,
                 bound,
-                result.count <= bound and result.complete,
-                complete=result.complete,
+                count <= bound,
             )
         )
     return reports
@@ -206,12 +204,6 @@ def landscape_count_reports(points: Iterable[tuple[int, int, int, int, int, int,
 # ---------------------------------------------------------------------------
 # Exhaustive enumeration of tiny grounded decorated landscapes
 # ---------------------------------------------------------------------------
-
-
-class EnumResult(NamedTuple):
-    count: int
-    complete: bool
-    examined: int
 
 
 def _ordered_sublists(items: Sequence[int], max_len: int):
@@ -307,16 +299,12 @@ def enumerate_small_landscapes(
     n2: int,
     p: int,
     b: int,
-    budget: int = 2_000_000,
-) -> EnumResult:
-    """Count iso-classes of grounded decorated landscapes of the given type
-    by exhaustive generation and canonical-form deduplication.
-
-    Vertex counts 1..n1 are all included.  The budget caps the number of
-    generated decorated objects; on overrun the partial count is flagged.
+) -> set[tuple]:
+    """The canonical keys (``_canonical_key``) of the iso-classes of grounded
+    decorated landscapes of the given type, found by exhaustive generation;
+    their number is the class count.  Vertex counts 1..n1 are all included.
     """
     seen: set = set()
-    examined = 0
     for size in range(1, n1 + 1):
         for graph in _graph_candidates(size, d):
             if any(len(row) > delta for row in graph.rel.nbrs):
@@ -345,13 +333,10 @@ def enumerate_small_landscapes(
                         prev = dict(zip(keys, prev_choice))
                         for final in itertools.product(range(b), repeat=size):
                             for parts in itertools.product(range(p), repeat=size):
-                                examined += 1
-                                if examined > budget:
-                                    return EnumResult(len(seen), False, examined)
                                 seen.add(
                                     _canonical_key(graph, rule, verts, parent, prev, final, parts)
                                 )
-    return EnumResult(len(seen), True, examined)
+    return seen
 
 
 # ---------------------------------------------------------------------------

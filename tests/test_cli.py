@@ -334,14 +334,19 @@ class TestConfigFile:
         (["--config", "cfg.json", "solve", "--torus", "2,16,8,2"], "--torus"),
         (["--config", "cfg.json", "tail", "--torus", "1,24,8,2", "--seeds", "5", "--n-max", "2"], "--torus"),
         (["--config", "bad_seed.json", "solve", "--bundled", "disjoint", "--seed", "3"], "--seed"),
-    ], ids=["abbreviated", "solve-second-source", "tail-second-source", "overridden-bad-entry"])
+        (["--config", "null.json", "solve", "--bundled", "disjoint"], "got 'null'"),
+        (["tail", "--bundled", "disjoint", "--jo", "2", "--seeds", "5"], "--jo"),
+    ], ids=["abbreviated", "solve-second-source", "tail-second-source", "overridden-bad-entry", "null-entry",
+            "abbreviated-subcommand-option"])
     def test_config_refused_on_one_line(self, argv, named, tmp_path, monkeypatch, capsys):
-        """An abbreviated --config, a source on top of the file's, and a bad entry
-        that a flag overrides each exit 2 with one line, having run nothing.
-        The line names the option at fault, not the value after it."""
+        """An abbreviated --config or subcommand option, a source on top of the
+        file's, a bad entry that a flag overrides and a null entry each exit 2
+        with one line, having run nothing.  The line names the option at
+        fault, not the value after it, and quotes a value as the file wrote it."""
         monkeypatch.chdir(tmp_path)
         (tmp_path / "cfg.json").write_text('{"bundled": "disjoint"}')
         (tmp_path / "bad_seed.json").write_text('{"seed": "x"}')
+        (tmp_path / "null.json").write_text('{"partition": null}')
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
@@ -370,7 +375,7 @@ class TestInputValidation:
         ["tail", "--bundled", "chain", "--seeds", "2", "--cap", "-1"],
         ["tail", "--bundled", "chain", "--seeds", "2", "--n-max", "-1"],
         ["count", "--n-max", "-1"],
-        ["count", "--budget", "-5"],
+        ["tail", "--bundled", "chain", "--seeds", str(cli.MAX_TAIL_SEEDS + 1)],
         ["count", "--deltas", "2,x"],
         ["verify", "--tapes", "-1", "--runs", "-1"],
         ["verify", "--tapes", "1", "--runs", "-1"],
@@ -552,8 +557,8 @@ class TestMalformedInput:
             ["solve", "--generate", "5,0"],
             ["solve", "--generate", "x,3"],
             ["solve", "--bundled", "nope"],
-            ["solve", "--bundled", "chain", "--eps", "1/0"],
-            ["solve", "--bundled", "chain", "--eps", "nan"],
+            ["solve", "--bundled", "chain", "--cap", "1/0"],
+            ["solve", "--bundled", "chain", "--seed", "nan"],
             ["solve", "--bundled", "chain", "--partition", "1.5"],
             ["solve", "--bundled", "chain", "--order", "[0]"],
             ["solve", "--bundled", "chain", "--order", "null"],
@@ -622,12 +627,12 @@ class TestMalformedInput:
         ["solve", "--bundled", "chain", "--seed", "9" * 5000],
         ["solve", "--bundled", "chain", "--seed", "-" + "9" * 5000],
         ["tail", "--bundled", "chain", "--jobs", "9" * 5000],
-        ["count", "--budget", "9" * 5000],
+        ["count", "--n-max", "9" * 5000],
         ["solve", "--bundled", "chain", "--partition", "9" * 5000],
         ["solve", "--bundled", "chain", "--partition", "x" * 5000],
         ["solve", "--bundled", "chain", "--order", "x" * 5000],
         ["count", "--deltas", "x" * 5000],
-        ["solve", "--bundled", "chain", "--eps", "x" * 5000],
+        ["solve", "--bundled", "chain", "--seed", "x" * 5000],
         ["solve", "--bundled", "x" * 5000],
         ["solve", "--bundled", "chain", "--bogus", "x" * 5000],
         ["verify", "--seed", "1", "w" * 5000],
@@ -715,6 +720,9 @@ class TestMalformedInput:
         monkeypatch.setattr(cli, "load_instance_from_config", refuse)
         assert main([command, "--generate", "50000,3", "--seed", "2", "--partition", "foo"]) == 2
         assert capsys.readouterr().err == "error: --partition wants auto, singletons or a radius >= 0, got 'foo'\n"
+        assert main([command, "--bundled", "chain", "--partition", "9" * 5000]) == 2  # past int()'s limit
+        cap = instances.MAX_LOAD_VERTICES
+        assert capsys.readouterr().err == f"error: --partition must be at most {cap}, got a 5000-digit value\n"
         assert main([command, "--bundled", "chain", "--order", "[0.5]"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: bad vertex order '[0.5]'") and err.count("\n") == 1, err

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import multiprocessing
 import pickle
 import random
 import statistics
@@ -15,14 +16,17 @@ from lllkit import (
     RunTrace,
     TapeExhausted,
     VariableGraph,
+    bundled_instances,
     pad_uniform,
     run_k,
     run_until_satisfied,
     used_unused,
     violating_set,
 )
+from lllkit.cli import build_system
 from lllkit.engine import Cells
 from lllkit.instances import TorusSpec, default_translates, random_instance, torus_instance
+from lllkit.landscapes import EPS
 from lllkit import counting, properties
 from lllkit.properties import random_system
 from conftest import RunState, classic_parallel_mta, counters, prefix, step
@@ -648,15 +652,30 @@ class TestSharedStart:
         assert system.start(other)[0] == violating_set(system.graph, system.rule, other)
         assert system.start(tuple([0] * n))[1] is not start[1]
 
-    def test_tail_pool_matches_map(self):
-        graph, rule = torus_instance(TorusSpec(2, 8, default_translates(2, 10), 2))
-        f, grid = [0] * graph.vertex_count, range(6)
+    @pytest.mark.parametrize("source, partition, seeds", [
+        ((2, 8, 10, 2), "singletons", range(40)),
+        ((1, 24, 8, 4), "singletons", range(4, 24)),  # b = 4: a digit is the digest's last byte, masked
+        ((1, 30, 8, 3), "singletons", range(4, 24)),  # b = 3: digits go through the rejection test
+        ("torus", "auto", range(3, 63)),  # the bundled torus, whose sym_adj keeps its components
+    ], ids=["torus-b2", "torus-b4", "torus-b3", "bundled-torus-auto"])
+    def test_tail_pool_matches_map(self, source, partition, seeds, monkeypatch):
+        """Workers that receive the system and its start plan pickled give the
+        in-process estimate; the grid reaches the cap, so every run's top is compared."""
+        if isinstance(source, str):
+            graph, rule = bundled_instances()[source]
+        else:
+            d, m, count, colors = source
+            graph, rule = torus_instance(TorusSpec(d, m, default_translates(d, count), colors))
+        f, grid = [0] * graph.vertex_count, range(201)
+        # A forked worker inherits the system; a forkserver worker unpickles it, as spawn does.
+        monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("forkserver").Pool)
         estimates = []
         for run_map in (map, counting.process_map(2)):
-            system = MtaSystem.build(graph, rule, Partition.singletons(graph.vertex_count))
-            estimates.append(counting.tail_estimate(system, f, range(40), grid, 200, run_map=run_map))
+            system, _ = build_system(graph, rule, partition, EPS)
+            estimates.append(counting.tail_estimate(system, f, seeds, grid, 200, run_map=run_map))
+        assert partition != "auto" or "components" in vars(graph.sym_adj)
         assert estimates[0] == estimates[1]
-        assert 0 < estimates[0].exceed_counts[1] < 40
+        assert 0 < estimates[0].exceed_counts[1] < len(seeds)
 
 
 class TestClassicPinned:

@@ -8,7 +8,6 @@ import pytest
 from lllkit import (
     ConditionReport,
     CountReport,
-    EnumResult,
     InstanceParams,
     LandscapeType,
     RunTrace,
@@ -26,8 +25,7 @@ FIELDS = {
     LandscapeType: ("d", "delta", "beta", "n1", "n2", "p"),
     Window: ("center", "radius", "vertices"),
     TapeCode: ("part_ids", "payload", "witness", "b"),
-    CountReport: ("kind", "params", "count", "bound", "passed", "complete"),
-    EnumResult: ("count", "complete", "examined"),
+    CountReport: ("kind", "params", "count", "bound", "passed"),
     TailEstimate: ("n_grid", "trials", "exceed_counts", "phat", "ci_half", "slope", "slope_se",
                    "cap_exceeded"),
     TorusSpec: ("dimension", "side", "translates", "colors"),
@@ -40,7 +38,6 @@ def test_field_order(cls):
 
 
 def test_defaults_and_repr():
-    assert CountReport("tree", {}, 1, 2, True).complete is True
     assert repr(InstanceParams(1, 2, 3, False)) == "InstanceParams(d=1, delta=2, beta=3, trivially_satisfiable=False)"
     assert LandscapeType(1, 2, 1, 3, 2, 1).fits_within(LandscapeType(1, 3, 1, 3, 2, 2))
 

@@ -38,7 +38,6 @@ KEPT_PARAMS = {
     "instances.chain_sat_instance.n_clauses": "sizes the bundled chain family; the tests build other lengths",
     "instances.chain_sat_instance.seed": "draws the chain family's sign patterns; the tests pin other seeds",
     "properties.fuzz_runs.k_max": "acceptance 03 and the grounding tests draw runs of up to 6 rounds",
-    "counting.enumerate_small_landscapes.budget": "the enumeration's guard; test_counting.py sets 50, and ROADMAP item 5 will call it",
 }
 
 

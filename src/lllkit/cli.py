@@ -473,14 +473,17 @@ def cmd_tail(args) -> int:
     system, _ = build_system(graph, rule, args.partition, landscapes.EPS, args.order)
     grid = list(range(0, args.n_max + 1))
     seeds = [args.seed + i for i in range(args.seeds)]
-    est = counting.tail_estimate(
-        system,
-        [0] * graph.vertex_count,
-        seeds,
-        grid,
-        args.cap,
-        run_map=map if args.jobs == 1 else counting.process_map(args.jobs),
-    )
+    try:
+        est = counting.tail_estimate(
+            system,
+            [0] * graph.vertex_count,
+            seeds,
+            grid,
+            args.cap,
+            run_map=map if args.jobs == 1 else counting.process_map(args.jobs),
+        )
+    except OSError as exc:  # the OS refused a worker: a fork, a pipe, memory
+        raise CliError(f"cannot start the worker pool of --jobs {args.jobs}: {exc}")
     rows = ["N,trials,exceedances,phat,ci"]
     for n, c, p, ci in zip(est.n_grid, est.exceed_counts, est.phat, est.ci_half):
         rows.append(f"{n},{est.trials},{c},{p!r},{ci!r}")

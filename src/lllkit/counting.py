@@ -424,6 +424,7 @@ def process_map(jobs: int) -> Callable:
 
     ``fn`` reaches each worker once, through the pool initializer; the
     tasks carry only the items, in chunks, and results keep item order.
+    No more workers start than there are chunks.
     """
 
     def run_map(fn: Callable, items: Iterable) -> list:
@@ -431,7 +432,8 @@ def process_map(jobs: int) -> Callable:
 
         items = list(items)
         chunksize = max(1, -(-len(items) // (4 * jobs)))
-        pool = multiprocessing.Pool(jobs, initializer=_install_worker_fn, initargs=(fn,))
+        workers = max(1, min(jobs, -(-len(items) // chunksize)))
+        pool = multiprocessing.Pool(workers, initializer=_install_worker_fn, initargs=(fn,))
         try:
             return list(pool.imap(_call_worker_fn, items, chunksize))
         finally:

@@ -11,11 +11,12 @@ from, and runs from that f with any tape share the plan.
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 import json
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
+
+from _blake2 import blake2b  # the object hashlib.blake2b is, without hashlib's OpenSSL
 
 from .graphs import (
     LocalRule,
@@ -59,7 +60,7 @@ class RandomTape:
         self._hasher = None
         if seed is not None:
             key = seed.to_bytes(16, "big", signed=True)
-            self._hasher = hashlib.blake2b(key=key, digest_size=8)
+            self._hasher = blake2b(key=key, digest_size=8)
         if digits is not None:
             if len(set(map(len, digits))) > 1:
                 raise ValueError("finite tape streams must share one width")
@@ -331,6 +332,8 @@ class RunTrace:
         return [a for a, _ in self.states()]
 
     def to_jsonl(self) -> str:
+        import hashlib  # only a trace file needs sha256; kept off the import path
+
         lines = []
         after = itertools.islice(self.states(), 1, None)
         for j, (res, (_, counters)) in enumerate(zip(self.resampled, after)):

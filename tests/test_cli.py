@@ -1,5 +1,7 @@
 import contextlib
+import errno
 import json
+import multiprocessing
 import os
 import random
 import subprocess
@@ -298,6 +300,23 @@ class TestTail:
         assert main(args + ["--jobs", "2", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_no_more_workers_than_chunks(self, monkeypatch, capsys):
+        """Three seeds at --jobs 8 start three workers, not eight, and print
+        the --jobs 1 bytes."""
+        pool, started = multiprocessing.Pool, []
+
+        def recording_pool(processes, *args, **kwargs):
+            started.append(processes)
+            return pool(processes, *args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing, "Pool", recording_pool)
+        args = ["tail", "--bundled", "disjoint", "--seeds", "3", "--seed", "1"]
+        assert main(args) == 0
+        serial = capsys.readouterr().out
+        assert main(args + ["--jobs", "8"]) == 0
+        assert capsys.readouterr().out == serial
+        assert started == [3]
+
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path, capsys):
@@ -427,13 +446,32 @@ class TestInputValidation:
 class TestImportPath:
     def test_cli_imports_no_unused_modules(self):
         """Start-up leaves out modules no command needs before it runs."""
-        unused = ("dataclasses", "inspect", "statistics", "string")
+        unused = ("dataclasses", "inspect", "statistics", "string", "hashlib", "_hashlib")
         script = f"import sys; sys.path.insert(0, sys.argv[1]); import lllkit.cli; " \
                  f"print([m for m in {unused} if m in sys.modules])"
         proc = subprocess.run([sys.executable, "-S", "-c", script, str(SRC)],
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+    def test_commands_run_without_openssl(self):
+        """No command loads OpenSSL's ``_hashlib`` while it runs: a tape and
+        its hasher are built only then, which the import check cannot see."""
+        runs = [
+            ["solve", "--bundled", "chain"],
+            ["tail", "--bundled", "disjoint", "--seeds", "4", "--jobs", "2"],
+            ["verify", "--tapes", "2", "--runs", "2"],
+            ["count", "--deltas", "2", "--n-max", "3"],
+        ]
+        script = "import contextlib, io, sys; sys.path.insert(0, sys.argv[1]); import lllkit.cli\n" \
+                 f"for argv in {runs}:\n" \
+                 "    with contextlib.redirect_stdout(io.StringIO()):\n" \
+                 "        assert lllkit.cli.main(argv) == 0, argv\n" \
+                 "print('_hashlib' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-S", "-c", script, str(SRC)],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 class TestNorthStarTorus:
@@ -828,6 +866,19 @@ class TestMalformedInput:
         captured = capsys.readouterr()
         err = captured.err
         assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1, err
+        assert captured.out == ""
+
+    def test_pool_that_cannot_start_on_one_line(self, monkeypatch, capsys):
+        """A refused fork is one line that names --jobs and the OS message."""
+        def refused_fork(*args, **kwargs):
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(multiprocessing, "Pool", refused_fork)
+        assert main(["tail", "--bundled", "disjoint", "--seeds", "4", "--jobs", "2"]) == 2
+        captured = capsys.readouterr()
+        err = captured.err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "--jobs 2" in err and os.strerror(errno.EAGAIN) in err
         assert captured.out == ""
 
     def test_word_digit_outside_the_digit_set(self, tmp_path, capsys):

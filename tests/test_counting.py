@@ -209,3 +209,4 @@ class TestTailEstimate:
         assert (tail_estimate(system, f0, seeds, [0, 1, 2], 100, run_map=process_map(2))
                 == tail_estimate(system, f0, seeds, [0, 1, 2], 100))
         assert process_map(2)(abs, [-3, 1, -2]) == [3, 1, 2]
+        assert process_map(2)(abs, []) == []  # one worker, never zero

@@ -365,7 +365,7 @@ def cmd_verify(args) -> int:
 MAX_COUNT_N = 60
 MAX_COUNT_DELTA = 1000
 MAX_COUNT_TABLE = 500_000  # the sum over --deltas of delta * n_max^2
-# tail's caps are checked before any seed list, grid, instance or pool is built.
+# tail's caps are checked before any seed list, grid, instance or worker is built.
 MAX_TAIL_SEEDS = 10**6
 MAX_TAIL_N = 10**4
 MAX_JOBS = 64
@@ -482,8 +482,8 @@ def cmd_tail(args) -> int:
             args.cap,
             run_map=map if args.jobs == 1 else counting.process_map(args.jobs),
         )
-    except OSError as exc:  # the OS refused a worker: a fork, a pipe, memory
-        raise CliError(f"cannot start the worker pool of --jobs {args.jobs}: {exc}")
+    except OSError as exc:  # the OS refused a fork or a pipe, or a worker died
+        raise CliError(f"the workers of --jobs {args.jobs} failed: {exc}")
     rows = ["N,trials,exceedances,phat,ci"]
     for n, c, p, ci in zip(est.n_grid, est.exceed_counts, est.phat, est.ci_half):
         rows.append(f"{n},{est.trials},{c},{p!r},{ci!r}")

@@ -10,9 +10,10 @@ inequalities are evaluated in exact integers/rationals.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
+import marshal
 import math
+import os
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -395,8 +396,8 @@ def tail_estimate(
     if not seeds:
         raise ValueError("at least one seed is required")
     f = tuple(f)
-    system.start(f)  # every seed shares round 1; pool workers receive it with the system
-    tops = list(run_map(functools.partial(_tail_worker, system, f, step_cap), seeds))
+    system.start(f)  # every seed shares round 1; forked workers inherit it
+    tops = list(run_map(lambda seed: _tail_worker(system, f, step_cap, seed), seeds))
     grid = tuple(n_grid)
     tops.sort()  # the runs above n are those past the last top <= n
     exceed = tuple(len(tops) - bisect.bisect_right(tops, n) for n in grid)
@@ -420,36 +421,60 @@ def _tail_worker(system: MtaSystem, f: tuple[int, ...], step_cap: int, seed: int
 
 
 def process_map(jobs: int) -> Callable:
-    """A ``run_map`` for ``tail_estimate`` over ``jobs`` worker processes.
+    """A ``run_map`` for ``tail_estimate`` over ``jobs`` processes, or ``map``
+    where ``os.fork`` does not exist.
 
-    ``fn`` reaches each worker once, through the pool initializer; the
-    tasks carry only the items, in chunks, and results keep item order.
-    No more workers start than there are chunks.
+    The parent forks a child for each of ``min(jobs, len(items))``
+    contiguous shares of the items but the last, maps the last itself, then
+    reads every child's marshalled results to EOF before it reaps them, so
+    results keep item order.  A child that dies, fails or sends short
+    results raises ``ChildProcessError``; no child outlives the map.
     """
+    if not hasattr(os, "fork"):
+        return map
 
     def run_map(fn: Callable, items: Iterable) -> list:
-        import multiprocessing
-
         items = list(items)
-        chunksize = max(1, -(-len(items) // (4 * jobs)))
-        workers = max(1, min(jobs, -(-len(items) // chunksize)))
-        pool = multiprocessing.Pool(workers, initializer=_install_worker_fn, initargs=(fn,))
+        shares = max(1, min(jobs, len(items)))
+        cuts = [len(items) * k // shares for k in range(shares + 1)]
+        pipes: list = []  # each child's (read end, write end); closing twice is harmless
+        pids: list[int] = []  # the children not yet reaped, in item order
         try:
-            return list(pool.imap(_call_worker_fn, items, chunksize))
+            for lo, hi in zip(cuts, cuts[1:-1]):
+                r, w = os.pipe()
+                r, w = open(r, "rb"), open(w, "wb")
+                pipes.append((r, w))
+                pid = os.fork()
+                if pid == 0:  # the child, which never returns into the caller
+                    code = 1
+                    try:
+                        r.close()
+                        w.write(marshal.dumps(list(map(fn, items[lo:hi]))))
+                        w.close()
+                        code = 0
+                    finally:
+                        os._exit(code)
+                w.close()
+                pids.append(pid)
+            last = list(map(fn, items[cuts[-2]:]))
+            replies = [r.read() for r, _ in pipes]
+            results = []
+            for reply, lo, hi in zip(replies, cuts, cuts[1:]):
+                pid, status = os.waitpid(pids[0], 0)
+                del pids[0]
+                code = os.waitstatus_to_exitcode(status)
+                share = marshal.loads(reply) if reply and not code else []
+                if len(share) != hi - lo:
+                    how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                    raise ChildProcessError(f"worker {pid} {how} after sending {len(share)} of {hi - lo} results")
+                results += share
+            return results + last
         finally:
-            pool.close()
-            pool.join()
+            for r, w in pipes:
+                r.close()
+                w.close()
+            for pid in pids:
+                os.kill(pid, 9)  # SIGKILL
+                os.waitpid(pid, 0)
 
     return run_map
-
-
-_worker_fn: Callable | None = None  # set in each pool worker by process_map
-
-
-def _install_worker_fn(fn: Callable) -> None:
-    global _worker_fn
-    _worker_fn = fn
-
-
-def _call_worker_fn(item):
-    return _worker_fn(item)

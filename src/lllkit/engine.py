@@ -103,12 +103,6 @@ class RandomTape:
             drawn = memo[key] = drawn + (bytes(fresh) if b <= 256 else tuple(fresh))
         return cls(b, digits=tuple(tuple(drawn[i * width:(i + 1) * width]) for i in range(parts)))
 
-    def __reduce__(self):
-        # A keyed hasher does not pickle; rebuild the tape from its definition.
-        if self.digits is not None:
-            return RandomTape.finite, (self.b, self.digits)
-        return RandomTape.stream, (self.b, self.seed)
-
     def digit(self, part: int, pos: int) -> int:
         if self.digits is not None:
             if part >= len(self.digits) or pos >= len(self.digits[part]):
@@ -183,14 +177,11 @@ class Cells(tuple):
     """A round plan's (part, position) tape cells: a tuple that keeps the
     attempt-0 hash messages of its cells, encoded on the first stream draw
     and alive as long as it is, so every run sharing the plan encodes them
-    once.  It pickles as its cells only."""
+    once."""
 
     @functools.cached_property
     def messages(self) -> tuple[bytes, ...]:
         return tuple(map(_ATTEMPT_0.__mod__, self))
-
-    def __reduce__(self):
-        return Cells, (tuple(self),)
 
 
 class RoundPlan(NamedTuple):
@@ -244,15 +235,15 @@ class MtaSystem:
         """The resample loop's tables, built on the first run, not in ``build``.
 
         ``readers[x]``, for each support vertex x, maps an assignment to the
-        word x reads.  Every reader pickles, so a system that has run still
-        does.  ``rank`` maps a vertex to its position in the order; it is
-        None for the identity order.
+        word x reads.  ``rank`` maps a vertex to its position in the order;
+        it is None for the identity order.
         """
         if self._tables is None:
             readers: dict[int, Reader] = {}
             for x in self.rule.support:
                 var = self.graph.var(x)
-                readers[x] = itemgetter(*var) if len(var) > 1 else _OneOrNoVariable(var)
+                # itemgetter returns no tuple for a word of length 0 or 1
+                readers[x] = itemgetter(*var) if len(var) > 1 else lambda f, var=var: tuple(f[v] for v in var)
             rank = None
             if self.order != tuple(range(len(self.order))):
                 rank = [0] * len(self.order)
@@ -281,17 +272,6 @@ class MtaSystem:
             plan = _plan_round(self, violated, (0,) * len(f)) if violated else None
             self._start = f, violated, plan
         return self._start[1], self._start[2]
-
-
-class _OneOrNoVariable:
-    """Reader of a word of length 0 or 1, where ``itemgetter`` would not
-    return a tuple."""
-
-    def __init__(self, var: Word):
-        self.var = var
-
-    def __call__(self, f: Sequence[int]) -> Word:
-        return tuple(f[v] for v in self.var)
 
 
 class RunTrace:

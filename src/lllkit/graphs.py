@@ -93,11 +93,8 @@ class VariableGraph:
     @functools.cached_property
     def canvases(self) -> dict:
         """The restrictions of this graph that ``landscapes.restrict`` keeps,
-        by sorted kept-vertex tuple.  Not pickled."""
+        by sorted kept-vertex tuple."""
         return {}
-
-    def __getstate__(self) -> dict:
-        return {key: value for key, value in self.__dict__.items() if key != "canvases"}
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -286,8 +283,7 @@ class SymAdj(tuple):
     tuple of sorted tuple rows that keeps what is derived from it, found on
     first use and alive as long as it is.  ``components`` are its
     ``_components``; ``balls`` holds the balls B(y, 3n) that
-    ``landscapes.find_window`` keeps, by (y, n).  It pickles as its rows
-    only."""
+    ``landscapes.find_window`` keeps, by (y, n)."""
 
     @functools.cached_property
     def components(self) -> tuple[tuple[Word, int], ...]:
@@ -296,9 +292,6 @@ class SymAdj(tuple):
     @functools.cached_property
     def balls(self) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
         return {}
-
-    def __reduce__(self):
-        return SymAdj, (tuple(self),)
 
 
 def _components(adj: Adjacency) -> tuple[tuple[Word, int], ...]:

@@ -1,9 +1,9 @@
 import contextlib
 import errno
 import json
-import multiprocessing
 import os
 import random
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -301,21 +301,52 @@ class TestTail:
         assert a.read_bytes() == b.read_bytes()
 
     def test_no_more_workers_than_chunks(self, monkeypatch, capsys):
-        """Three seeds at --jobs 8 start three workers, not eight, and print
-        the --jobs 1 bytes."""
-        pool, started = multiprocessing.Pool, []
+        """Three seeds at --jobs 8 fork two children, not seven, as the parent
+        runs the last seed itself, and print the --jobs 1 bytes."""
+        fork, forked = os.fork, []
 
-        def recording_pool(processes, *args, **kwargs):
-            started.append(processes)
-            return pool(processes, *args, **kwargs)
+        def recording_fork():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
 
-        monkeypatch.setattr(multiprocessing, "Pool", recording_pool)
+        monkeypatch.setattr(os, "fork", recording_fork)
         args = ["tail", "--bundled", "disjoint", "--seeds", "3", "--seed", "1"]
         assert main(args) == 0
         serial = capsys.readouterr().out
         assert main(args + ["--jobs", "8"]) == 0
         assert capsys.readouterr().out == serial
-        assert started == [3]
+        assert len(forked) == 2
+
+    @pytest.mark.parametrize("death, reason", [
+        ("killed", "was killed by signal 9"), ("raises", "exited with status 1"),
+    ])
+    def test_failed_worker_on_one_line(self, death, reason, monkeypatch, tmp_path, capsys):
+        """A worker that is killed or raises, on a seed outside the parent's
+        share, is one line that names --jobs; no worker returns into the
+        caller, and none is left running."""
+        parent, tail_worker = os.getpid(), counting._tail_worker
+
+        def failing_worker(system, f, step_cap, seed):
+            if seed == 1 and os.getpid() != parent:
+                if death == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise ValueError(seed)
+            return tail_worker(system, f, step_cap, seed)
+
+        monkeypatch.setattr(counting, "_tail_worker", failing_worker)
+        code = main(["tail", "--bundled", "disjoint", "--seeds", "4", "--seed", "1", "--jobs", "2"])
+        if os.getpid() != parent:  # a worker came back here
+            (tmp_path / "escaped").touch()
+            os._exit(0)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: the workers of --jobs 2 failed: worker ")
+        assert f" {reason} after sending 0 of 2 results\n" in captured.err and captured.err.count("\n") == 1
+        assert not (tmp_path / "escaped").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestConfigFile:
@@ -456,7 +487,8 @@ class TestImportPath:
 
     def test_commands_run_without_openssl(self):
         """No command loads OpenSSL's ``_hashlib`` while it runs: a tape and
-        its hasher are built only then, which the import check cannot see."""
+        its hasher are built only then, which the import check cannot see.
+        Nor does ``tail --jobs 2`` load ``multiprocessing``."""
         runs = [
             ["solve", "--bundled", "chain"],
             ["tail", "--bundled", "disjoint", "--seeds", "4", "--jobs", "2"],
@@ -467,11 +499,11 @@ class TestImportPath:
                  f"for argv in {runs}:\n" \
                  "    with contextlib.redirect_stdout(io.StringIO()):\n" \
                  "        assert lllkit.cli.main(argv) == 0, argv\n" \
-                 "print('_hashlib' in sys.modules)"
+                 "print('_hashlib' in sys.modules, 'multiprocessing' in sys.modules)"
         proc = subprocess.run([sys.executable, "-S", "-c", script, str(SRC)],
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False\n"
+        assert proc.stdout == "False False\n"
 
 
 class TestNorthStarTorus:
@@ -870,10 +902,10 @@ class TestMalformedInput:
 
     def test_pool_that_cannot_start_on_one_line(self, monkeypatch, capsys):
         """A refused fork is one line that names --jobs and the OS message."""
-        def refused_fork(*args, **kwargs):
+        def refused_fork():
             raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
-        monkeypatch.setattr(multiprocessing, "Pool", refused_fork)
+        monkeypatch.setattr(os, "fork", refused_fork)
         assert main(["tail", "--bundled", "disjoint", "--seeds", "4", "--jobs", "2"]) == 2
         captured = capsys.readouterr()
         err = captured.err

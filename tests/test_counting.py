@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import signal
+import time
 from fractions import Fraction
 
 import pytest
@@ -210,3 +213,48 @@ class TestTailEstimate:
                 == tail_estimate(system, f0, seeds, [0, 1, 2], 100))
         assert process_map(2)(abs, [-3, 1, -2]) == [3, 1, 2]
         assert process_map(2)(abs, []) == []  # one worker, never zero
+
+    def test_process_map_big_shares_keep_item_order(self):
+        # Each child's reply is far past a 64 KiB pipe buffer; the parent reads them all.
+        items = list(range(200_000))
+        assert process_map(3)(lambda x: x * x, items) == [x * x for x in items]
+
+    def test_process_map_without_fork_is_map(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        run_map = process_map(2)
+        assert run_map is map
+        assert list(run_map(lambda x: (os.getpid(), x), range(5))) == [(os.getpid(), x) for x in range(5)]
+
+    def test_killed_worker_raises(self):
+        """A child killed by a signal outside the parent's share raises, and
+        leaves no process behind."""
+        parent = os.getpid()
+
+        def fn(x):
+            if x == 1 and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return -x
+
+        with pytest.raises(ChildProcessError, match="killed by signal 9"):
+            process_map(2)(fn, range(4))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failure_in_the_parent_share_reaps_every_child(self):
+        """The parent's own share raises while its children still run; they
+        are killed and reaped before the exception leaves the map."""
+        parent = os.getpid()
+
+        def fn(x):
+            if os.getpid() != parent:
+                time.sleep(60)
+            elif x == 5:
+                raise KeyError(x)
+            return x
+
+        start = time.monotonic()
+        with pytest.raises(KeyError):
+            process_map(3)(fn, range(6))
+        assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)

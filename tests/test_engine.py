@@ -1,8 +1,6 @@
 import hashlib
 import itertools
 import math
-import multiprocessing
-import pickle
 import random
 import statistics
 
@@ -483,12 +481,6 @@ class TestDigitOracle:
             assert len(trace.assignments) == len(counters(trace)) == trace.k + 1
         assert seen > 10
 
-    def test_tapes_pickle(self):
-        for tape in (RandomTape.stream(3, -5), RandomTape.finite(2, [[0, 1], [1, 0]])):
-            copy = pickle.loads(pickle.dumps(tape))
-            assert copy == tape
-            assert copy.draw([(1, 0), (0, 1)]) == tape.draw([(1, 0), (0, 1)])
-
 
 def awkward_system(rng: random.Random) -> MtaSystem:
     """A random system with one-variable and zero-variable support vertices,
@@ -575,18 +567,6 @@ class TestLoopOracle:
             f0 = [rng.randrange(system.b) for _ in range(system.graph.vertex_count)]
             assert_run_matches_step(system, f0, 6, RandomTape.stream(system.b, rng.randrange(2**30)))
 
-    def test_pickled_system_after_a_run(self, rng):
-        for _ in range(10):
-            system = awkward_system(rng)
-            f0 = [rng.randrange(system.b) for _ in range(system.graph.vertex_count)]
-            tape = RandomTape.stream(system.b, rng.randrange(2**30))
-            first = run_until_satisfied(system, f0, tape, 20)
-            copy = pickle.loads(pickle.dumps(system))
-            again = run_until_satisfied(copy, f0, tape, 20)
-            assert again.status == first.status
-            assert again.assignments == first.assignments
-            assert again.to_jsonl() == first.to_jsonl()
-
 
 def fresh_copy(system: MtaSystem) -> MtaSystem:
     """The same system with nothing built or remembered."""
@@ -658,8 +638,8 @@ class TestSharedStart:
         ((1, 30, 8, 3), "singletons", range(4, 24)),  # b = 3: digits go through the rejection test
         ("torus", "auto", range(3, 63)),  # the bundled torus, whose sym_adj keeps its components
     ], ids=["torus-b2", "torus-b4", "torus-b3", "bundled-torus-auto"])
-    def test_tail_pool_matches_map(self, source, partition, seeds, monkeypatch):
-        """Workers that receive the system and its start plan pickled give the
+    def test_tail_pool_matches_map(self, source, partition, seeds):
+        """Forked workers, which inherit the system and its start plan, give the
         in-process estimate; the grid reaches the cap, so every run's top is compared."""
         if isinstance(source, str):
             graph, rule = bundled_instances()[source]
@@ -667,8 +647,6 @@ class TestSharedStart:
             d, m, count, colors = source
             graph, rule = torus_instance(TorusSpec(d, m, default_translates(d, count), colors))
         f, grid = [0] * graph.vertex_count, range(201)
-        # A forked worker inherits the system; a forkserver worker unpickles it, as spawn does.
-        monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("forkserver").Pool)
         estimates = []
         for run_map in (map, counting.process_map(2)):
             system, _ = build_system(graph, rule, partition, EPS)

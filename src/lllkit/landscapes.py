@@ -24,7 +24,6 @@ from .graphs import (
     SymAdj,
     VariableGraph,
     Word,
-    _components,
     _distances,
     ball,
     interior,
@@ -73,13 +72,14 @@ class LandscapeType(NamedTuple):
 
 
 class DecoratedLandscape:
-    """Forest on the canvas of a variable graph plus its decoration."""
+    """Forest on the canvas of a variable graph plus its decoration.  The
+    forest's vertices ``verts`` are the keys of ``prev``, which erases one
+    forbidden word at each of them."""
 
     def __init__(
         self,
         graph: VariableGraph,
         rule: LocalRule,
-        verts: Iterable[ForestVertex],
         parent: dict[ForestVertex, ForestVertex],
         prev: dict[ForestVertex, Word],
         final: Sequence[int],
@@ -88,9 +88,9 @@ class DecoratedLandscape:
         self.graph = graph
         self.rule = rule
         self.rel = graph.rel
-        self.verts = frozenset(verts)
         self.parent = dict(parent)
         self.prev = dict(prev)
+        self.verts = frozenset(self.prev)
         self.final = tuple(final)
         self.part_of = tuple(part_of)
         self.validate()
@@ -107,8 +107,8 @@ class DecoratedLandscape:
             base, level = v
             if not (0 <= base < n and level >= 0):
                 raise InternalConsistencyError(f"forest vertex {v} outside the canvas")
-        if set(self.parent) - self.verts or set(self.prev) != self.verts:
-            raise InternalConsistencyError("parent/prev maps disagree with the vertex set")
+        if set(self.parent) - self.verts:
+            raise InternalConsistencyError("parent map names a vertex outside the forest")
         for child, par in self.parent.items():
             if par not in self.verts:
                 raise InternalConsistencyError(f"parent {par} of {child} missing")
@@ -181,11 +181,10 @@ class DecoratedLandscape:
         p = 1 + max(self.part_of, default=-1)
         return LandscapeType(d, bounds.delta, bounds.beta, self.graph.vertex_count, len(self.verts), p)
 
-    def _replace(self, verts=None, parent=None, prev=None) -> "DecoratedLandscape":
+    def _replace(self, parent=None, prev=None) -> "DecoratedLandscape":
         return DecoratedLandscape(
             self.graph,
             self.rule,
-            self.verts if verts is None else verts,
             self.parent if parent is None else parent,
             self.prev if prev is None else prev,
             self.final,
@@ -239,7 +238,7 @@ def extract_landscape(trace: RunTrace) -> DecoratedLandscape:
                     )
                 parent[v] = min(sources)
     return DecoratedLandscape(
-        system.graph, system.rule, prev.keys(), parent, prev, trace.final,
+        system.graph, system.rule, parent, prev, trace.final,
         system.partition.part_of,
     )
 
@@ -332,16 +331,12 @@ def restrict(ls: DecoratedLandscape, vertices: Iterable[int]) -> tuple[Decorated
         return ls, keep
     canvas = _canvas(ls.graph, ls.rule, keep)
     new_id, kept_positions, graph = canvas.new_id, canvas.kept_positions, canvas.graph
-    verts = []
     prev = {}
-    for base, level in ls.verts:
+    for (base, level), word in ls.prev.items():
         i = new_id.get(base)
         if i is None or not kept_positions[i]:
             continue  # outside, or reads nothing here: carries no decoding information
-        v = (i, level)
-        verts.append(v)
-        word = ls.prev[(base, level)]
-        prev[v] = tuple(word[pos] for pos in kept_positions[i])
+        prev[i, level] = tuple(word[pos] for pos in kept_positions[i])
     parent = {}
     adjacent = graph.rel.adjacent
     for child, par in ls.parent.items():
@@ -352,7 +347,7 @@ def restrict(ls: DecoratedLandscape, vertices: Iterable[int]) -> tuple[Decorated
                 parent[c] = q
     final = tuple(ls.final[x] for x in keep)
     part_of = tuple(ls.part_of[x] for x in keep)
-    return DecoratedLandscape(graph, canvas.rule, verts, parent, prev, final, part_of), keep
+    return DecoratedLandscape(graph, canvas.rule, parent, prev, final, part_of), keep
 
 
 # ---------------------------------------------------------------------------
@@ -375,13 +370,12 @@ def is_landscape_pushable(ls: DecoratedLandscape) -> bool:
 def _push(ls: DecoratedLandscape, moved: Container[ForestVertex]) -> DecoratedLandscape:
     """Shift the forest vertices in ``moved`` down one level."""
     down = lambda v: (v[0], v[1] - 1) if v in moved else v
-    new_verts = {down(v) for v in ls.verts}
-    if len(new_verts) != len(ls.verts):
+    prev = {down(v): w for v, w in ls.prev.items()}
+    if len(prev) != len(ls.prev):
         raise InternalConsistencyError("push collided with an existing vertex")
     return ls._replace(
-        verts=new_verts,
         parent={down(c): down(p) for c, p in ls.parent.items()},
-        prev={down(v): w for v, w in ls.prev.items()},
+        prev=prev,
     )
 
 
@@ -523,18 +517,18 @@ class WindowError(ValueError):
 EPS = Fraction(1, 2)  # the growth rate 1 + EPS at which encode_tape's windows stall
 
 
-def default_window_params(adj: Sequence[Sequence[int]], eps: Fraction = EPS) -> int:
+def default_window_params(adj: SymAdj, eps: Fraction = EPS) -> int:
     """Smallest n >= 1 with max_x |B(x, 3n)| < (1 + eps)^n for this graph.
 
     Requires eps > 0.  Then it exists on every finite graph: once
     (1 + eps)^n exceeds the vertex count every ball is small enough.
-    ``adj`` must be symmetric.  The power (1 + eps)^n is kept exact; at
+    ``adj`` is the graph's ``SymAdj``.  The power (1 + eps)^n is kept exact; at
     ``EPS`` and within the load caps n is at most 33.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     base = 1 + eps
-    components = _components(adj)
+    components = adj.components
     n, power = 1, base
     while True:
         # A ball fails exactly when it has need = ceil((1 + eps)^n) vertices.
@@ -562,33 +556,27 @@ def default_window_params(adj: Sequence[Sequence[int]], eps: Fraction = EPS) -> 
 Ball = tuple[tuple[int, int], ...]  # (vertex, distance) pairs in breadth-first order
 
 
-def _balls(adj: Adjacency) -> dict[tuple[int, int], Ball]:
-    """The kept balls B(y, 3n) of ``adj`` by (y, n): a ``SymAdj`` keeps its
-    own; any other adjacency gets a fresh dict that nothing keeps."""
-    return adj.balls if isinstance(adj, SymAdj) else {}
-
-
 def _ball_pairs(adj: Adjacency, y: int, r: int) -> Ball:
     """B(y, r) with each vertex's distance from y, in breadth-first order."""
     return tuple(_distances(adj, [y], r).items())
 
 
-def find_window(adj: Sequence[Sequence[int]], weights: Sequence[int], eps: Fraction, n: int) -> Window:
+def find_window(adj: SymAdj, weights: Sequence[int], eps: Fraction, n: int) -> Window:
     """Ball around the argmax whose weight stalls: the least r in 3..3n with
     sum over B(y, r) < (1 + eps) * sum over B(y, r - 3).
 
     Requires |B(y, 3n)| < (1 + eps)^n at the argmax y; if no radius works
     the weight sum would have grown past that bound, so the scan cannot
-    fail under the precondition.  The work is O(|B(y, 3n)|): the ball comes
-    from ``_balls`` or a search that stops at radius 3n, and the scan stops
-    3 past the ball's eccentricity e, as every radius from e + 3 on compares
-    the same two sums.
+    fail under the precondition.  ``adj`` is the graph's ``SymAdj``.  The
+    work is O(|B(y, 3n)|): the ball comes from ``adj.balls`` or a search
+    that stops at radius 3n, and the scan stops 3 past the ball's
+    eccentricity e, as every radius from e + 3 on compares the same two sums.
     """
     if not any(weights):
         raise ValueError("weight function is identically zero")
     best = weights.index(max(weights))  # the least vertex of largest weight
     radius_max = 3 * n
-    balls = _balls(adj)
+    balls = adj.balls
     members = balls.get((best, n)) or _ball_pairs(adj, best, radius_max)
     base = 1 + eps
     num, den = base.numerator, base.denominator

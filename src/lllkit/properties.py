@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import random
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 from . import counting, engine, graphs, landscapes
 from .engine import MtaSystem, RandomTape, RunTrace
@@ -67,7 +67,6 @@ def random_abstract_landscape(rng: random.Random) -> DecoratedLandscape:
     rel = graph.rel
     support = list(rule.support)
     max_level = rng.randint(1, 5)
-    verts = []
     parent = {}
     by_level = {}
     for level in range(max_level + 1):
@@ -80,18 +79,14 @@ def random_abstract_landscape(rng: random.Random) -> DecoratedLandscape:
             chosen.append(x)
         by_level[level] = chosen
         for x in chosen:
-            v = (x, level)
-            verts.append(v)
             candidates = [y for y in by_level.get(level - 1, []) if rel.adjacent(y, x)]
             if candidates and rng.random() < 0.8:
-                parent[v] = (rng.choice(candidates), level - 1)
-    prev = {}
-    for v in verts:
-        x = v[0]
-        prev[v] = rng.choice(sorted(rule.forbidden[x]))
+                parent[x, level] = (rng.choice(candidates), level - 1)
+    # The words are drawn after all the levels, in level order: the grounding pins hash these landscapes.
+    prev = {(x, level): rng.choice(sorted(rule.forbidden[x])) for level, chosen in by_level.items() for x in chosen}
     final = tuple(rng.randrange(rule.b) for _ in range(graph.vertex_count))
     parts = tuple(range(graph.vertex_count))
-    return DecoratedLandscape(graph, rule, verts, parent, prev, final, parts)
+    return DecoratedLandscape(graph, rule, parent, prev, final, parts)
 
 
 def _property(check):
@@ -195,7 +190,7 @@ def fault_injection(cases: Iterable[tuple[str, int, Run]]):
 
 
 @_property
-def sparse_partitions(cases: Iterable[tuple[str, Sequence[Sequence[int]], int]]):
-    """sparse_partition(adj, r) is r-sparse.  A case is (name, adjacency, r)."""
+def sparse_partitions(cases: Iterable[tuple[str, graphs.SymAdj, int]]):
+    """sparse_partition(adj, r) is r-sparse.  A case is (name, a graph's ``SymAdj``, r)."""
     for name, adj, r in cases:
         yield None if graphs.is_sparse(adj, graphs.sparse_partition(adj, r), r) else {"instance": name, "r": r}

@@ -154,7 +154,7 @@ def _ground_one_level_up(ls):
     # every Seq(x) is unchanged, so tape codes still decode, but no root is at level 0
     g, ops = _ground(ls)
     lift = {v: (v[0], v[1] + 1) for v in g.verts}
-    return g._replace(verts=list(lift.values()), parent={lift[c]: lift[q] for c, q in g.parent.items()},
+    return g._replace(parent={lift[c]: lift[q] for c, q in g.parent.items()},
                       prev={lift[v]: w for v, w in g.prev.items()}), ops
 
 
@@ -447,6 +447,7 @@ class TestInputValidation:
         {"b": 2, "vertices": 1, "out_adj": [0], "allowed": [[""]]},
         {"b": 2, "vertices": 1, "out_adj": [[]], "allowed": ""},
         5,
+        {"b": 37, "vertices": 2, "out_adj": [[1], []], "allowed": [["0"], [""]]},  # above the 36 digits 0-9a-z
     ])
     def test_wrongly_typed_instance_json(self, instance, tmp_path, capsys):
         path = tmp_path / "typed.json"

@@ -20,6 +20,7 @@ from lllkit import (
     sparse_partition,
     violating_set,
 )
+from lllkit.graphs import SymAdj
 from conftest import _bfs_distances, graph_distance, random_symmetric_adjacency
 
 
@@ -199,7 +200,7 @@ class TestParams:
         rule = LocalRule.for_graph(g, 2, [words, words] + [{()}] * 6)
         got = params(g, rule)
         assert (got.d, got.delta, got.beta) == (3, 1, 1)
-        assert not got.trivially_satisfiable
+        assert rule.support
 
     def test_chain_delta_three(self):
         # three clauses, consecutive ones share one variable
@@ -212,7 +213,7 @@ class TestParams:
         g = VariableGraph([(1,), ()])
         rule = LocalRule.for_graph(g, 2, [{(0,), (1,)}, {()}])
         got = params(g, rule)
-        assert got.d == 0 and got.beta == 0 and got.trivially_satisfiable
+        assert got.d == 0 and got.beta == 0 and not rule.support
 
 
 class TestMetrics:
@@ -369,17 +370,17 @@ class TestDependencyGraphCache:
 
 class TestSparsePartition:
     def test_radius_zero_single_part(self):
-        adj = [(1,), (0, 2), (1,)]
+        adj = SymAdj([(1,), (0, 2), (1,)])
         part = sparse_partition(adj, 0)
         assert part.part_count == 1
 
     def test_edgeless_single_part(self):
-        adj = [(), (), ()]
+        adj = SymAdj([(), (), ()])
         part = sparse_partition(adj, 3)
         assert part.part_count == 1
 
     def test_six_cycle_windows(self):
-        adj = [tuple(sorted(((i - 1) % 6, (i + 1) % 6))) for i in range(6)]
+        adj = SymAdj(tuple(sorted(((i - 1) % 6, (i + 1) % 6))) for i in range(6))
         part = sparse_partition(adj, 2)
         for start in range(6):
             window = {start, (start + 1) % 6, (start + 2) % 6}
@@ -389,7 +390,7 @@ class TestSparsePartition:
     def test_sparseness_predicate_exhaustively(self, rng):
         def cases():
             for _ in range(25):
-                adj = random_symmetric_adjacency(rng, rng.randint(1, 14))
+                adj = SymAdj(random_symmetric_adjacency(rng, rng.randint(1, 14)))
                 yield "random", adj, rng.randint(0, 4)
 
         assert properties.sparse_partitions(cases()) == (25, None)
@@ -398,7 +399,7 @@ class TestSparsePartition:
         # parts <= max |B_H(x, 2)| where H joins points at distance <= 2r
         for _ in range(15):
             n = rng.randint(2, 12)
-            adj = random_symmetric_adjacency(rng, n)
+            adj = SymAdj(random_symmetric_adjacency(rng, n))
             r = rng.randint(1, 3)
             power = []
             for x in range(n):
@@ -412,7 +413,7 @@ class TestSparsePartition:
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            sparse_partition([(1,), (0,)], -2)
+            sparse_partition(SymAdj([(1,), (0,)]), -2)
 
 
 class TestPartition:

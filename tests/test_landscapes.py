@@ -40,6 +40,7 @@ from lllkit.landscapes import (
 )
 from lllkit import properties
 from lllkit.cli import build_system
+from lllkit.graphs import SymAdj
 from lllkit.instances import random_instance
 from lllkit.properties import Run, random_system
 from conftest import is_faithful_at, rebranchable_triples, restricted_landscapes, restricted_runs
@@ -53,7 +54,6 @@ def single_clause_landscape(final_v=1, prev_digit=0):
     return DecoratedLandscape(
         graph,
         rule,
-        [(0, 0)],
         {},
         {(0, 0): (prev_digit,)},
         (0, final_v),
@@ -72,7 +72,7 @@ def column_chain_landscape(levels):
         if b == a + 1:
             parent[(0, b)] = (0, a)
     return DecoratedLandscape(
-        graph, rule, verts, parent, {v: (0,) for v in verts}, (0, 1), (0, 1)
+        graph, rule, parent, {v: (0,) for v in verts}, (0, 1), (0, 1)
     )
 
 
@@ -90,7 +90,7 @@ def four_cycle_landscape():
     verts = [(0, 1), (1, 2), (3, 2), (2, 3)]
     parent = {(1, 2): (0, 1), (3, 2): (0, 1), (2, 3): (1, 2)}
     prev = {v: (0, 0) for v in verts}
-    return DecoratedLandscape(graph, rule, verts, parent, prev, (0,) * 8, tuple(range(8)))
+    return DecoratedLandscape(graph, rule, parent, prev, (0,) * 8, tuple(range(8)))
 
 
 def pairwise_separation_failure(rel, verts):
@@ -132,7 +132,7 @@ class TestLandscapeInvariants:
         rule = LocalRule.for_graph(graph, 2, [{(1,)}, {(1,)}, {()}])
         with pytest.raises(InternalConsistencyError, match="adjacent"):
             DecoratedLandscape(
-                graph, rule, [(0, 0), (1, 0)], {}, {(0, 0): (0,), (1, 0): (0,)},
+                graph, rule, {}, {(0, 0): (0,), (1, 0): (0,)},
                 (0, 0, 0), (0, 1, 2),
             )
 
@@ -144,7 +144,7 @@ class TestLandscapeInvariants:
         verts = [(0, 0), (1, 0), (2, 0)]
         prev = {(0, 0): (0, 0), (1, 0): (0,), (2, 0): (0,)}
         with pytest.raises(InternalConsistencyError) as exc:
-            DecoratedLandscape(graph, rule, verts, {}, prev, (0,) * 5, tuple(range(5)))
+            DecoratedLandscape(graph, rule, {}, prev, (0,) * 5, tuple(range(5)))
         assert str(exc.value) == pairwise_separation_failure(graph.rel, frozenset(verts))
         assert str(exc.value) == "level 0 holds dependency-adjacent bases 1, 0"
 
@@ -155,9 +155,9 @@ class TestLandscapeInvariants:
             support = list(rule.support)
             verts = frozenset((x, rng.randrange(2)) for x in rng.sample(support, rng.randint(0, len(support))))
             prev = {v: min(rule.forbidden[v[0]]) for v in verts}
-            want = pairwise_separation_failure(graph.rel, verts)
+            want = pairwise_separation_failure(graph.rel, frozenset(prev))  # the landscape's vertex set
             try:
-                DecoratedLandscape(graph, rule, verts, {}, prev, (0,) * graph.vertex_count,
+                DecoratedLandscape(graph, rule, {}, prev, (0,) * graph.vertex_count,
                                    tuple(range(graph.vertex_count)))
             except InternalConsistencyError as exc:
                 assert str(exc) == want
@@ -170,14 +170,14 @@ class TestLandscapeInvariants:
         graph = VariableGraph([(1,), ()])
         rule = LocalRule.for_graph(graph, 2, [{(1,)}, {()}])
         with pytest.raises(InternalConsistencyError, match="forbidden"):
-            DecoratedLandscape(graph, rule, [(0, 0)], {}, {(0, 0): (1,)}, (0, 0), (0, 1))
+            DecoratedLandscape(graph, rule, {}, {(0, 0): (1,)}, (0, 0), (0, 1))
 
     def test_parent_must_be_canvas_edge(self):
         graph = VariableGraph([(2,), (3,), (), ()])  # disjoint clauses
         rule = LocalRule.for_graph(graph, 2, [{(1,)}, {(1,)}, {()}, {()}])
         with pytest.raises(InternalConsistencyError, match="canvas"):
             DecoratedLandscape(
-                graph, rule, [(0, 0), (1, 1)], {(1, 1): (0, 0)},
+                graph, rule, {(1, 1): (0, 0)},
                 {(0, 0): (0,), (1, 1): (0,)}, (0, 0, 0, 0), (0, 1, 2, 3),
             )
 
@@ -227,7 +227,7 @@ class TestAsgnSeq:
     def test_empty(self):
         graph = VariableGraph([(1,), ()])
         rule = LocalRule.for_graph(graph, 2, [{(1,)}, {()}])
-        ls = DecoratedLandscape(graph, rule, [], {}, {}, (0, 0), (0, 1))
+        ls = DecoratedLandscape(graph, rule, {}, {}, (0, 0), (0, 1))
         assert asgn_seq(ls) == [(), ()]
 
     def test_single_vertex_hand_example(self):
@@ -322,7 +322,7 @@ class TestOperations:
         rule = LocalRule.for_graph(graph, 2, [{(1,)}, {(1,)}, {()}])
         verts = [(0, 0), (1, 1)]
         prev = {v: (0,) for v in verts}
-        ls = DecoratedLandscape(graph, rule, verts, {}, prev, (0, 0, 0), (0, 1, 2))
+        ls = DecoratedLandscape(graph, rule, {}, prev, (0, 0, 0), (0, 1, 2))
         assert len(ls.trees()) == 2
         pair = next(joinable_pairs(ls))
         assert pair == ((0, 0), (1, 1))
@@ -407,7 +407,7 @@ class TestGround:
 
 class TestFindWindow:
     def path_adj(self, n):
-        return [tuple(v for v in (i - 1, i + 1) if 0 <= v < n) for i in range(n)]
+        return SymAdj(tuple(v for v in (i - 1, i + 1) if 0 <= v < n) for i in range(n))
 
     def test_point_mass(self):
         adj = self.path_adj(30)
@@ -436,7 +436,7 @@ class TestFindWindow:
 
     def test_growth_precondition_diagnostic(self):
         # a star violates |B(y, 3)| < 1.5 for n = 1
-        adj = [tuple(range(1, 8))] + [(0,)] * 7
+        adj = SymAdj([tuple(range(1, 8))] + [(0,)] * 7)
         with pytest.raises(WindowError, match="growth precondition"):
             find_window(adj, [1] * 8, Fraction(1, 2), 1)
 
@@ -587,8 +587,7 @@ class TestDecodeCorruption:
         other = next(x for x, i in enumerate(witness.part_of) if i != part)
         part_of = list(witness.part_of)
         part_of[other] = part
-        twice = DecoratedLandscape(witness.graph, witness.rule, witness.verts, witness.parent,
-                                   witness.prev, witness.final, part_of)
+        twice = DecoratedLandscape(witness.graph, witness.rule, witness.parent, witness.prev, witness.final, part_of)
         self.rejects(TapeCode(code.part_ids, code.payload, twice, code.b), p, self.K, f"repeats part {part}")
 
     def test_witness_misses_a_recorded_part(self, codes):

@@ -20,8 +20,8 @@ from conftest import RunState
 
 FIELDS = {
     RunState: ("step", "assignment", "counters"),
-    InstanceParams: ("d", "delta", "beta", "trivially_satisfiable"),
-    ConditionReport: ("variant", "delta", "threshold_lo", "worst_margin", "all_pass"),
+    InstanceParams: ("d", "delta", "beta"),
+    ConditionReport: ("delta", "threshold_lo", "worst_margin", "all_pass"),
     LandscapeType: ("d", "delta", "beta", "n1", "n2", "p"),
     Window: ("center", "radius", "vertices"),
     TapeCode: ("part_ids", "payload", "witness", "b"),
@@ -38,7 +38,7 @@ def test_field_order(cls):
 
 
 def test_defaults_and_repr():
-    assert repr(InstanceParams(1, 2, 3, False)) == "InstanceParams(d=1, delta=2, beta=3, trivially_satisfiable=False)"
+    assert repr(InstanceParams(1, 2, 3)) == "InstanceParams(d=1, delta=2, beta=3)"
     assert LandscapeType(1, 2, 1, 3, 2, 1).fits_within(LandscapeType(1, 3, 1, 3, 2, 2))
 
 

@@ -45,7 +45,7 @@ from lllkit import (
     torus_instance,
 )
 from lllkit.cli import build_system, main
-from lllkit.graphs import _components
+from lllkit.graphs import SymAdj
 from lllkit.instances import (
     default_translates,
     random_instance,
@@ -101,7 +101,7 @@ def random_graphs(count=300, seed=20261018):
     rng = random.Random(seed)
     for _ in range(count):
         n = rng.randint(0, 20)
-        yield random_symmetric_adjacency(rng, n, rng.choice((0.05, 0.1, 0.2, 0.4)))
+        yield SymAdj(random_symmetric_adjacency(rng, n, rng.choice((0.05, 0.1, 0.2, 0.4))))
 
 
 def disjoint_union(adjs, rng):
@@ -116,7 +116,7 @@ def disjoint_union(adjs, rng):
         for x, row in enumerate(adj):
             union[label[offset + x]] = tuple(sorted(label[offset + y] for y in row))
         offset += len(adj)
-    return union
+    return SymAdj(union)
 
 
 def random_unions(count=60, seed=20261022):
@@ -127,7 +127,7 @@ def random_unions(count=60, seed=20261022):
 
 
 def path(n):
-    return [tuple(y for y in (x - 1, x + 1) if 0 <= y < n) for x in range(n)]
+    return SymAdj(tuple(y for y in (x - 1, x + 1) if 0 <= y < n) for x in range(n))
 
 
 @functools.cache
@@ -273,12 +273,12 @@ def per_vertex_condition(graph, rule):
     comparison and a margin computed for every vertex."""
     delta = params(graph, rule).delta
     if delta == 0:
-        return ConditionReport("tight", 0, Fraction(1), None, True)
+        return ConditionReport(0, Fraction(1), None, True)
     lo = tight_threshold(delta)
     probs = [Fraction(len(rule.forbidden[x]), rule.b ** rule.word_lengths[x]) for x in range(graph.vertex_count)]
     margins = [lo - p for p in probs if p]
     all_pass = all(p < lo for p in probs if p)
-    return ConditionReport("tight", delta, lo, min(margins, default=None), all_pass)
+    return ConditionReport(delta, lo, min(margins, default=None), all_pass)
 
 
 class TestConditionOracle:
@@ -603,13 +603,12 @@ def component_passes(monkeypatch):
 class TestComponentsKept:
     def test_random_graphs(self):
         for adj in random_graphs():
-            for form in (adj, tuple(adj)):
-                assert listed(_components(form)) == reference_components(adj), adj
+            assert listed(adj.components) == reference_components(adj), adj
 
     @pytest.mark.parametrize("name", NAMED)
     def test_named_graphs(self, name):
         adj = named_graphs()[name]
-        assert listed(_components(adj)) == reference_components(adj)
+        assert listed(adj.components) == reference_components(adj)
 
     def test_one_pass_per_auto_build(self, component_passes):
         graph, rule, _ = from_cnf(random_bounded_overlap_sat(2000, 3, 0))
@@ -624,30 +623,9 @@ class TestComponentsKept:
         a = VariableGraph(path(6)).sym_adj
         b = VariableGraph(disjoint_union([path(2), path(4)], random.Random(1))).sym_adj
         for adj in (a, a, b, b, a, b):
-            assert listed(_components(adj)) == reference_components(adj)
+            assert listed(adj.components) == reference_components(adj)
         assert component_passes == [a, b]
         assert component_passes[0] is a and component_passes[1] is b
-
-    def test_list_adjacency_is_never_kept(self, component_passes):
-        adj = [(1,), (0,), ()]
-        assert listed(_components(adj)) == [([0, 1], 1), ([2], 0)]
-        adj[1], adj[2] = (0, 2), (1,)  # join vertex 2 to the path
-        assert listed(_components(adj)) == [([0, 1, 2], 2)]
-        rows = ([1], [0], [])  # a tuple, but of lists that may change
-        assert listed(_components(rows)) == [([0, 1], 1), ([2], 0)]
-        rows[1].append(2)
-        rows[2].append(1)
-        assert listed(_components(rows)) == [([0, 1, 2], 2)]
-        plain = ((1,), (0,), ())  # a tuple of tuples, but no graph's sym_adj
-        assert listed(_components(plain)) == [([0, 1], 1), ([2], 0)]
-        assert listed(_components(plain)) == [([0, 1], 1), ([2], 0)]
-        assert len(component_passes) == 6
-
-    def test_window_and_partition_of_a_list_each_pass(self, component_passes):
-        adj = path(30)
-        n = default_window_params(adj, Fraction(1, 2))
-        assert sparse_partition(adj, 3 * n) == iterated_mis_partition(adj, 3 * n)
-        assert len(component_passes) == 2
 
 
 class TestSharedSignPatterns:
@@ -686,6 +664,6 @@ def test_generate_checks_the_condition_once(monkeypatch, capsys):
     assert len(calls) == 1
     printed = json.loads(capsys.readouterr().out)["condition"]
     graph, rule, _ = from_cnf(random_bounded_overlap_sat(2000, 3, 0))
-    report = real(graph, rule, "tight")
+    report = real(graph, rule)
     assert printed == {"variant": "tight", "delta": report.delta, "threshold": str(report.threshold_lo),
                        "worst_margin": str(report.worst_margin), "all_pass": True}

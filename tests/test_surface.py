@@ -155,3 +155,13 @@ def test_every_optional_parameter_is_passed_or_kept():
     stale = sorted(KEPT_PARAMS.keys() - unpassed)
     assert not stale, f"KEPT_PARAMS names {stale}, which are passed or no longer optional"
     assert all(reason and "\n" not in reason for reason in KEPT_PARAMS.values())
+
+
+def test_readme_library_sketch_runs(tmp_path, monkeypatch):
+    """The ``python`` block under README's ``## Library sketch`` runs as written."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## Library sketch\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    # Two 3-clauses sharing variable 3: delta 2, each fails with probability 1/8 < 1/4.
+    (tmp_path / "problem.cnf").write_text("p cnf 5 2\n1 -2 3 0\n-3 4 5 0\n", encoding="utf-8")
+    exec(compile(block, "README.md", "exec"), {})

@@ -85,7 +85,7 @@ def on_fresh_graph(trace):
 
 
 def fuzzed_adjacencies(count=400, seed=20261018):
-    """Random graphs, paths and sparse unions, as lists and as tuples."""
+    """Random graphs and paths, each a ``SymAdj``."""
     rng = random.Random(seed)
     for i in range(count):
         size = rng.randint(1, 30)
@@ -93,7 +93,7 @@ def fuzzed_adjacencies(count=400, seed=20261018):
             adj = [tuple(v for v in (x - 1, x + 1) if 0 <= v < size) for x in range(size)]
         else:
             adj = random_symmetric_adjacency(rng, size, rng.choice((0.05, 0.1, 0.3)))
-        yield rng, adj if i % 2 else tuple(adj)
+        yield rng, SymAdj(adj)
 
 
 class TestFindWindowReference:
@@ -152,25 +152,6 @@ class TestMemosMatchColdRuns:
 
 
 class TestWhatIsKept:
-    def test_list_adjacency_is_never_kept(self, monkeypatch):
-        searches = []
-        real_pairs = landscapes._ball_pairs
-        monkeypatch.setattr(landscapes, "_ball_pairs", lambda *args: searches.append(args[1]) or real_pairs(*args))
-        adj = [(1,), (0, 2), (1,), ()]
-        eps = Fraction(4)  # |B(y, 3)| < 5
-        assert find_window(adj, [0, 1, 0, 0], eps, 1).vertices == {0, 1, 2}
-        assert landscapes._balls(adj) == {}
-        adj[2], adj[3] = (1, 3), (2,)  # extend the path
-        assert find_window(adj, [0, 1, 0, 0], eps, 1).vertices == {0, 1, 2, 3}
-        rows = ([1], [0])  # a tuple, but of lists that may change
-        find_window(rows, [1, 1], eps, 1)
-        assert landscapes._balls(rows) == {}
-        plain = ((1,), (0,))  # a tuple of tuples, but no graph's sym_adj
-        find_window(plain, [1, 1], eps, 1)
-        find_window(plain, [1, 1], eps, 1)
-        assert landscapes._balls(plain) == {}
-        assert searches == [1, 1, 0, 0, 0]
-
     def test_entry_is_the_ball_of_radius_3n(self):
         size, centre, n = 60, 30, 2
         adj = SymAdj(tuple(v for v in (x - 1, x + 1) if 0 <= v < size) for x in range(size))
@@ -178,7 +159,7 @@ class TestWhatIsKept:
         weights[centre] = 1
         find_window(adj, weights, Fraction(3), n)  # |B(30, 6)| = 13 < 4^2
         balls = adj.balls
-        assert landscapes._balls(adj) is balls and list(balls) == [(centre, n)]
+        assert list(balls) == [(centre, n)]
         dist = _bfs_distances(adj, [centre])
         assert sorted(balls[centre, n]) == sorted((x, d) for x, d in enumerate(dist) if d <= 3 * n)
 
@@ -192,10 +173,10 @@ class TestWhatIsKept:
         graph, rule = bundled_instances()["chain"]
         free = LocalRule(rule.b, [frozenset()] * graph.vertex_count, rule.word_lengths)
         n = graph.vertex_count
-        landscapes_ = [DecoratedLandscape(graph, r, [], {}, {}, (0,) * n, tuple(range(n))) for r in (rule, free, rule)]
+        landscapes_ = [DecoratedLandscape(graph, r, {}, {}, (0,) * n, tuple(range(n))) for r in (rule, free, rule)]
         keep = range(n - 1)
         warm = [restrict(ls, keep) for ls in landscapes_]
-        fresh = [restrict(DecoratedLandscape(fresh_graph(graph), ls.rule, [], {}, {}, ls.final, ls.part_of), keep)
+        fresh = [restrict(DecoratedLandscape(fresh_graph(graph), ls.rule, {}, {}, ls.final, ls.part_of), keep)
                  for ls in landscapes_]
         assert warm == fresh and warm[0][0].rule != warm[1][0].rule
 

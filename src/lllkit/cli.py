@@ -129,11 +129,23 @@ def _ints(flag: str, fields: str):
 MAX_GENERATE_CLAUSES = 100_000
 
 
-def _generate(text: str) -> tuple[int, int]:
+def _source(kind: str, key: str = "path"):
+    """The argparse ``type`` of a source naming a file or a bundled instance.
+    Every source option parses to the config ``load_instance_from_config`` takes."""
+    return lambda text: {"kind": kind, key: text}
+
+
+def _torus(text: str) -> dict:
+    d, m, count, colors = _ints("--torus", "d,m,translates,colors")(text)
+    return {"kind": "torus", "dimension": d, "side": m, "count": count, "colors": colors}
+
+
+def _generate(text: str) -> dict:
+    """A generator config without its seed, which ``--seed`` adds."""
     clauses, delta = _ints("--generate", "clauses,delta")(text)
     if clauses > MAX_GENERATE_CLAUSES:
         raise CliError(f"--generate makes at most {MAX_GENERATE_CLAUSES} clauses, got {clauses}")
-    return clauses, delta
+    return {"kind": "generator", "clauses": clauses, "delta": delta}
 
 
 def _partition(text: str) -> str | int:
@@ -226,18 +238,9 @@ def build_system(graph, rule, partition_cfg, eps: Fraction, order=None):
 def _load_run_instance(args):
     """(graph, rule) of the one instance source the parser let through,
     refused when a vertex allows no assignment: no run can satisfy it."""
-    if args.dimacs is not None:
-        cfg = {"kind": "dimacs", "path": args.dimacs}
-    elif args.instance is not None:
-        cfg = {"kind": "json", "path": args.instance}
-    elif args.bundled is not None:
-        cfg = {"kind": "bundled", "name": args.bundled}
-    elif args.torus is not None:
-        d, m, count, colors = args.torus
-        cfg = {"kind": "torus", "dimension": d, "side": m, "count": count, "colors": colors}
-    else:
-        clauses, delta = args.generate
-        cfg = {"kind": "generator", "clauses": clauses, "delta": delta, "seed": args.seed}
+    cfg = args.source
+    if cfg["kind"] == "generator":
+        cfg = {**cfg, "seed": args.seed}
     graph, rule = load_instance_from_config(cfg)
     for x in rule.support:
         if len(rule.forbidden[x]) == rule.b ** rule.word_lengths[x]:
@@ -523,11 +526,12 @@ class _Parser(argparse.ArgumentParser):
 def _add_run_args(sub) -> None:
     """The options solve and tail share: exactly one instance source, then the system and its run."""
     source = sub.add_mutually_exclusive_group(required=True)
-    source.add_argument("--dimacs", help="DIMACS CNF file")
-    source.add_argument("--instance", help="instance JSON file")
-    source.add_argument("--bundled", help="bundled instance name (disjoint, chain, torus)")
-    source.add_argument("--torus", type=_ints("--torus", "d,m,translates,colors"), help="torus spec d,m,translates,colors")
-    source.add_argument("--generate", type=_generate, help="random 3-SAT spec clauses,delta")
+    source.add_argument("--dimacs", dest="source", type=_source("dimacs"), metavar="DIMACS", help="DIMACS CNF file")
+    source.add_argument("--instance", dest="source", type=_source("json"), metavar="INSTANCE", help="instance JSON file")
+    source.add_argument("--bundled", dest="source", type=_source("bundled", "name"), metavar="BUNDLED",
+                        help="bundled instance name (disjoint, chain, torus)")
+    source.add_argument("--torus", dest="source", type=_torus, metavar="TORUS", help="torus spec d,m,translates,colors")
+    source.add_argument("--generate", dest="source", type=_generate, metavar="GENERATE", help="random 3-SAT spec clauses,delta")
     sub.add_argument("--seed", type=_seed, default=0)
     sub.add_argument("--cap", type=_int("--cap", 0, MAX_CAP), default=1000)
     sub.add_argument("--partition", type=_partition, default="auto", help="auto | singletons | <radius>")

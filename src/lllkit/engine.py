@@ -196,7 +196,12 @@ class RoundPlan(NamedTuple):
 
 
 class MtaSystem:
-    """Everything a run depends on besides the initial assignment and tape."""
+    """Everything a run depends on besides the initial assignment and tape.
+
+    ``readers[x]``, for each support vertex x, maps an assignment to the
+    word x reads.  ``rank`` maps a vertex to its position in the order; it
+    is None for the identity order.
+    """
 
     def __init__(self, graph: VariableGraph, rule: LocalRule, partition: Partition,
                  order: Sequence[int]):
@@ -213,7 +218,14 @@ class MtaSystem:
         self.rel = graph.rel
         self.partition = partition
         self.order = tuple(order)
-        self._tables: tuple[dict[int, Reader], list[int] | None] | None = None
+        self.readers: dict[int, Reader] = {}
+        for x in rule.support:
+            var = graph.var(x)
+            # itemgetter returns no tuple for a word of length 0 or 1
+            self.readers[x] = itemgetter(*var) if len(var) > 1 else lambda f, var=var: tuple(f[v] for v in var)
+        n = graph.vertex_count
+        identity = self.order == tuple(range(n))
+        self.rank: list[int] | None = None if identity else sorted(range(n), key=self.order.__getitem__)
         self._start: tuple[tuple[int, ...], frozenset[int], RoundPlan | None] | None = None
 
     @classmethod
@@ -231,27 +243,6 @@ class MtaSystem:
     def p(self) -> int:
         return self.partition.part_count
 
-    def loop_tables(self) -> tuple[dict[int, Reader], list[int] | None]:
-        """The resample loop's tables, built on the first run, not in ``build``.
-
-        ``readers[x]``, for each support vertex x, maps an assignment to the
-        word x reads.  ``rank`` maps a vertex to its position in the order;
-        it is None for the identity order.
-        """
-        if self._tables is None:
-            readers: dict[int, Reader] = {}
-            for x in self.rule.support:
-                var = self.graph.var(x)
-                # itemgetter returns no tuple for a word of length 0 or 1
-                readers[x] = itemgetter(*var) if len(var) > 1 else lambda f, var=var: tuple(f[v] for v in var)
-            rank = None
-            if self.order != tuple(range(len(self.order))):
-                rank = [0] * len(self.order)
-                for i, x in enumerate(self.order):
-                    rank[x] = i
-            self._tables = readers, rank
-        return self._tables
-
     def start(self, f: Sequence[int]) -> tuple[frozenset[int], RoundPlan | None]:
         """The violated set at f and, if it is nonempty, the plan of round 1.
 
@@ -266,9 +257,8 @@ class MtaSystem:
                 raise ValueError("initial assignment has wrong length")
             if f and (min(f) < 0 or max(f) >= self.b):
                 raise ValueError("initial assignment has digits outside the alphabet")
-            readers, _ = self.loop_tables()
             forbidden = self.rule.forbidden
-            violated = frozenset([x for x, read in readers.items() if read(f) in forbidden[x]])
+            violated = frozenset([x for x, read in self.readers.items() if read(f) in forbidden[x]])
             plan = _plan_round(self, violated, (0,) * len(f)) if violated else None
             self._start = f, violated, plan
         return self._start[1], self._start[2]
@@ -332,8 +322,8 @@ def _plan_round(system: MtaSystem, violated: Collection[int], counters: Sequence
     Walking only the violated vertices, in vertex-order rank, picks the set
     a walk over the whole vertex order picks.
     """
-    readers, rank = system.loop_tables()
-    ranked = sorted(violated) if rank is None else sorted(violated, key=rank.__getitem__)
+    readers, rank = system.readers, system.rank
+    ranked = sorted(violated, key=None if rank is None else rank.__getitem__)
     chosen = tuple(sorted(greedy_mis(system.rel.adj_noself, violated, ranked)))
     targets, cells = _round_cells(system, chosen, counters)
     # Only constraints reading a redrawn variable can change status.
@@ -362,8 +352,7 @@ def _run(system: MtaSystem, f: Sequence[int], tape: RandomTape, *,
     violated = set(violated)
     assignment, counters = list(initial), [0] * len(initial)
     trace = RunTrace(system, tape, initial)
-    readers, _ = system.loop_tables()
-    forbidden = system.rule.forbidden
+    readers, forbidden = system.readers, system.rule.forbidden
     for _ in range(max_steps):
         if not violated:
             if stop_when_satisfied:

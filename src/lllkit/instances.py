@@ -101,28 +101,31 @@ def parse_dimacs(text: str, clause_size: int | None = 3) -> CnfInstance:
 
     Whitespace tolerant; clauses are 0-terminated and may span lines.
     ``clause_size=3`` enforces 3-SAT, ``None`` accepts any clause width.
+    One pass in line order: the first bad problem line or non-integer token
+    raises where it is found; the header's counts are checked at the end.
     """
     header: tuple[int, int] | None = None
-    body: list[str] = []
+    tokens: list[int] = []
     for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("c") or line.startswith("%"):
             continue
-        if line.startswith("p"):
-            parts = line.split()
-            try:
-                if len(parts) != 4 or parts[:2] != ["p", "cnf"]:
-                    raise ValueError(f"bad problem line: {line!r}")
-                header = (int(parts[2]), int(parts[3]))
-                if min(header) < 0:
-                    raise ValueError(f"bad problem line: {line!r}")
-            except ValueError as error:
-                # A bad token on an earlier line is the first fault.
-                _body_ints(body, text)
-                raise _byte_error(number, line) or error from None
+        if not line.startswith("p"):
+            for token in line.split():
+                try:
+                    tokens.append(int(token))
+                except ValueError as error:
+                    raise _byte_error(number, token) or error from None
             continue
-        body.append(line)
-    tokens = _body_ints(body, text)
+        parts = line.split()
+        try:
+            if len(parts) != 4 or parts[:2] != ["p", "cnf"]:
+                raise ValueError(f"bad problem line: {line!r}")
+            header = (int(parts[2]), int(parts[3]))
+            if min(header) < 0:
+                raise ValueError(f"bad problem line: {line!r}")
+        except ValueError as error:
+            raise _byte_error(number, line) or error from None
     if header is None:
         raise ValueError("missing 'p cnf' header")
     n_vars, n_clauses = header
@@ -159,23 +162,6 @@ def _byte_error(number: int, text: str) -> ValueError | None:
         if "\udc80" <= ch <= "\udcff":
             return ValueError(f"line {number}: byte {ord(ch) - 0xDC00:#04x} is not UTF-8")
     return None
-
-
-def _body_ints(body: list[str], text: str) -> list[int]:
-    """The integer tokens of ``body``, the clause lines of ``text`` so far.  A first
-    bad token holding a byte that is not UTF-8 is reported by its line in ``text``
-    and the byte."""
-    try:
-        return list(map(int, " ".join(body).split()))
-    except ValueError as error:
-        for number, line in enumerate(text.splitlines(), 1):
-            line = line.strip()
-            for token in () if line[:1] in ("", "c", "%", "p") else line.split():  # clause lines only
-                try:
-                    int(token)
-                except ValueError:
-                    raise _byte_error(number, token) or error from None
-        raise
 
 
 def from_cnf(cnf: CnfInstance) -> tuple[VariableGraph, LocalRule, list[tuple[str, int]]]:

@@ -115,10 +115,10 @@ class DecoratedLandscape:
             if par[1] != child[1] - 1 or not self.rel.adjacent(par[0], child[0]):
                 raise InternalConsistencyError(f"edge {par} -> {child} is not a canvas edge")
         by_level: dict[int, list[int]] = {}
-        for base, level in self.verts:
+        for base, level in sorted(self.verts):  # sorted: the pair named depends on the landscape alone
             by_level.setdefault(level, []).append(base)
         nbrs = self.rel.nbrs
-        for level, bases in by_level.items():
+        for level, bases in sorted(by_level.items()):
             # The first adjacent pair (bases[i], bases[j]), i < j, in (i, j) order.
             rank = {x: i for i, x in enumerate(bases)}
             for i, x in enumerate(bases):

@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import hashlib
 import json
 import os
 import random
@@ -408,6 +409,57 @@ class TestConfigFile:
         cfg.write_text('{"": 1}')
         assert main(["--config", str(cfg), "verify", "--tapes", "1", "--runs", "1"]) == 2
         assert capsys.readouterr().err == "error: unrecognized arguments: --=1\n"
+
+
+class TestInstanceSources:
+    """Each instance source option parses to the config
+    ``load_instance_from_config`` takes; a generator config gets its seed
+    from --seed when the instance is loaded."""
+
+    SOURCES = [
+        (["--dimacs", "small.cnf"], {"kind": "dimacs", "path": "small.cnf"}),
+        (["--instance", "chain.json"], {"kind": "json", "path": "chain.json"}),
+        (["--bundled", "chain"], {"kind": "bundled", "name": "chain"}),
+        (["--torus", "1,24,8,2"], {"kind": "torus", "dimension": 1, "side": 24, "count": 8, "colors": 2}),
+        (["--generate", "40,3"], {"kind": "generator", "clauses": 40, "delta": 3}),
+    ]
+
+    @pytest.mark.parametrize("command", ["solve", "tail"])
+    @pytest.mark.parametrize("source, cfg", SOURCES, ids=[argv[0] for argv, _ in SOURCES])
+    def test_source_parses_to_its_config(self, command, source, cfg, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "small.cnf").write_text(SAT_TEXT)
+        (tmp_path / "chain.json").write_text(instance_to_json(*bundled_instances()["chain"]))
+        parsed = cli.make_parser().parse_args([command, *source])
+        assert parsed.source == cfg
+        graph, rule = cli.load_instance_from_config({**cfg, "seed": 0})
+        assert graph.vertex_count == rule.vertex_count > 0
+
+    def test_config_entry_parses_to_its_config(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"torus": "1,24,8,2", "seed": 4}))
+        argv = cli._apply_config_file(["--config", str(path), "solve"])
+        parsed = cli.make_parser().parse_args(argv)
+        assert parsed.source == {"kind": "torus", "dimension": 1, "side": 24, "count": 8, "colors": 2}
+        assert parsed.seed == 4
+
+    # sha256 of each command's --help at 1000 columns, without colour, as
+    # Python 3.10 to 3.13 print it; a narrower terminal wraps the usage line
+    # differently from one Python to the next.
+    HELP_SHA256 = {
+        "solve": "f74b924c20ccebec3ca15dd2a7c49afe94f0e006eabd61ae45701527743b612a",
+        "tail": "f4619fdb2b163db2d62e49619c3e31b80843ed9405f180b8ce5d4a28893c68db",
+    }
+
+    @pytest.mark.parametrize("command", sorted(HELP_SHA256))
+    def test_help_bytes_are_pinned(self, command, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "1000")
+        monkeypatch.setenv("NO_COLOR", "1")
+        monkeypatch.delenv("FORCE_COLOR", raising=False)
+        monkeypatch.delenv("PYTHON_COLORS", raising=False)
+        assert main([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.HELP_SHA256[command], out
 
 
 class TestInputValidation:

@@ -531,12 +531,25 @@ class TestLoopOracle:
             order = list(range(system.graph.vertex_count))
             rng.shuffle(order)
             system = MtaSystem.build(system.graph, system.rule, system.partition, order)
-            assert system.loop_tables()[1] is not None or order == sorted(order)
+            assert system.rank is not None or order == sorted(order)
             f0 = [rng.randrange(system.b) for _ in range(system.graph.vertex_count)]
             assert_run_matches_step(system, f0, 5, RandomTape.stream(system.b, rng.randrange(2**30)))
 
     def test_identity_order_builds_no_rank(self, rng):
-        assert random_system(rng).loop_tables()[1] is None
+        assert random_system(rng).rank is None
+        for _ in range(40):
+            system = random_system(rng, mixed_width=True)
+            order = list(range(system.graph.vertex_count))
+            rng.shuffle(order)
+            built = MtaSystem.build(system.graph, system.rule, system.partition, order)
+            # never run: the tables come from the build
+            assert built.readers.keys() == set(built.rule.support)
+            f = [rng.randrange(built.b) for _ in order]
+            for x, read in built.readers.items():
+                assert read(f) == tuple(f[v] for v in built.graph.var(x))
+            assert (built.rank is None) == (order == sorted(order))
+            if built.rank is not None:
+                assert [built.rank[x] for x in order] == list(range(len(order)))
 
     def test_one_and_zero_variable_words(self, rng):
         widths = set()
@@ -569,7 +582,7 @@ class TestLoopOracle:
 
 
 def fresh_copy(system: MtaSystem) -> MtaSystem:
-    """The same system with nothing built or remembered."""
+    """The same system with nothing remembered."""
     return MtaSystem.build(system.graph, system.rule, system.partition, system.order)
 
 
@@ -601,7 +614,7 @@ class TestSharedStart:
             zeros = [0] * n
             drawn = [rng.randrange(b) for _ in range(n)]
             satisfied = run_until_satisfied(fresh_copy(system), drawn, RandomTape.stream(b, 1), 50).final
-            seen["ordered"] += system.loop_tables()[1] is not None
+            seen["ordered"] += system.rank is not None
             for f in (zeros, drawn, tuple(drawn), zeros, satisfied, drawn, zeros):
                 seed = rng.randrange(2**30)
                 for tape in (RandomTape.stream(b, seed),

@@ -95,12 +95,12 @@ def four_cycle_landscape():
 
 def pairwise_separation_failure(rel, verts):
     """The message of the first dependency-adjacent pair of same-level bases,
-    testing every pair per level in the order the levels' bases appear."""
+    testing every pair of each level's sorted bases, levels in increasing order."""
     by_level = {}
     for base, level in verts:
         by_level.setdefault(level, []).append(base)
-    for level, bases in by_level.items():
-        for a, b in itertools.combinations(bases, 2):
+    for level in sorted(by_level):
+        for a, b in itertools.combinations(sorted(by_level[level]), 2):
             if rel.adjacent(a, b):
                 return f"level {level} holds dependency-adjacent bases {a}, {b}"
     return None
@@ -138,7 +138,7 @@ class TestLandscapeInvariants:
 
     def test_separation_names_the_first_pair_in_level_order(self):
         # clause 0 shares a variable with clauses 1 and 2, which share none;
-        # the level lists its bases in the vertex set's order, here 1, 2, 0
+        # the first pair of the level's sorted bases is 0, 1
         graph = VariableGraph([(3, 4), (3,), (4,), (), ()])
         rule = LocalRule.for_graph(graph, 2, [{(1, 1)}, {(1,)}, {(1,)}, {()}, {()}])
         verts = [(0, 0), (1, 0), (2, 0)]
@@ -146,7 +146,7 @@ class TestLandscapeInvariants:
         with pytest.raises(InternalConsistencyError) as exc:
             DecoratedLandscape(graph, rule, {}, prev, (0,) * 5, tuple(range(5)))
         assert str(exc.value) == pairwise_separation_failure(graph.rel, frozenset(verts))
-        assert str(exc.value) == "level 0 holds dependency-adjacent bases 1, 0"
+        assert str(exc.value) == "level 0 holds dependency-adjacent bases 0, 1"
 
     def test_separation_matches_the_pairwise_check(self, rng):
         failures = 0
@@ -164,6 +164,29 @@ class TestLandscapeInvariants:
                 failures += 1
             else:
                 assert want is None
+        assert failures > 50
+
+    def test_separation_message_ignores_insertion_order(self, rng):
+        """One landscape built from its vertices in shuffled orders gives one
+        message, though its vertex set may iterate in another order."""
+        failures = 0
+        for _ in range(300):
+            graph, rule = random_instance(rng)
+            support = list(rule.support)
+            verts = [(x, rng.randrange(2)) for x in rng.sample(support, rng.randint(0, len(support)))]
+            messages = set()
+            for _ in range(4):
+                rng.shuffle(verts)
+                prev = {v: min(rule.forbidden[v[0]]) for v in verts}
+                try:
+                    DecoratedLandscape(graph, rule, {}, prev, (0,) * graph.vertex_count,
+                                       tuple(range(graph.vertex_count)))
+                except InternalConsistencyError as exc:
+                    messages.add(str(exc))
+                else:
+                    messages.add(None)
+            assert len(messages) == 1, messages
+            failures += None not in messages
         assert failures > 50
 
     def test_prev_must_be_forbidden(self):

@@ -45,7 +45,14 @@ class VariableGraph:
     ``out_adj[x]`` is the ordered list var(x); ``in_adj[x]`` the ordered list
     cl(x).  The two sides must describe the same edge set.  At most one
     self-loop per vertex is possible because the lists are duplicate-free.
+
+    ``transitive`` marks a graph whose automorphisms act transitively on its
+    vertices, so any vertex's ball of radius r is an automorphic image of
+    any other's.  Only ``instances.torus_instance`` sets it; every other
+    graph is unmarked.
     """
+
+    transitive = False
 
     def __init__(self, out_adj: Adjacency, in_adj: Adjacency | None = None):
         n = len(out_adj)
@@ -80,9 +87,10 @@ class VariableGraph:
     @property
     def sym_adj(self) -> SymAdj:
         """Symmetrized adjacency (var and cl merged), for graph metrics,
-        built on first use."""
+        built on first use, with the graph's ``transitive`` mark."""
         if self._sym is None:
             self._sym = SymAdj([tuple(sorted({*var, *cl})) for var, cl in zip(self.out_adj, self.in_adj)])
+            self._sym.transitive = self.transitive
         return self._sym
 
     @functools.cached_property
@@ -281,7 +289,14 @@ class SymAdj(tuple):
     graph's ``SymAdj``.  ``components`` are its connected components by
     least vertex, each (its vertices in increasing order, its reach: the
     largest distance from its least vertex); ``balls`` holds the balls
-    B(y, 3n) that ``landscapes.find_window`` keeps, by (y, n)."""
+    B(y, 3n) that ``landscapes.find_window`` keeps, by (y, n).
+
+    ``transitive`` is the mark of the graph it was built from: when set, an
+    automorphism carries any vertex to any other, so all vertices have equal
+    balls of each radius and equal eccentricity, and the components are
+    isomorphic.  Unmarked unless ``VariableGraph.sym_adj`` passes it on."""
+
+    transitive = False
 
     @functools.cached_property
     def components(self) -> tuple[tuple[Word, int], ...]:
@@ -394,13 +409,15 @@ def sparse_partition(adj: SymAdj, r: int) -> Partition:
     ``adj`` is the graph's ``SymAdj``.  Components are independent: where a
     component's least vertex is within r of all of it, any two of its
     vertices lie within 2r, so first fit gives each vertex its rank in the
-    component and no ball is taken there.
+    component and no ball is taken there.  On a ``transitive`` graph every
+    vertex's eccentricity is the reach, so a reach of at most 2r already
+    puts any two vertices of a component within 2r: ranks again.
     """
     if r < 0:
         raise ValueError(f"radius must be non-negative, got {r}")
     part_of = [0] * len(adj)
     for members, reach in adj.components:
-        if reach <= r:
+        if reach <= (2 * r if adj.transitive else r):
             for rank, x in enumerate(members):
                 part_of[x] = rank
             continue

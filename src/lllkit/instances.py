@@ -299,33 +299,31 @@ def non_surjective_count(length: int, b: int) -> int:
     return sum((-1) ** (j + 1) * math.comb(b, j) * (b - j) ** length for j in range(1, b))
 
 
-def torus_point_index(point: Sequence[int], side: int) -> int:
-    idx = 0
-    for c in point:
-        idx = idx * side + (c % side)
-    return idx
-
-
 def torus_instance(spec: TorusSpec) -> tuple[VariableGraph, LocalRule]:
     """Every point reads its translate set and forbids the words missing a colour.
 
     A satisfying assignment is exactly a coloring under which every
-    translate set x + T is multicolored.
+    translate set x + T is multicolored.  Points are indexed in
+    lexicographic order of their coordinates, so the index of p + t over
+    all p is a product of per-axis rotations of range(m): the rows are
+    built one translate column at a time.  Every translation of the torus
+    is an automorphism of the graph and they act transitively on the
+    points, so the graph is marked ``transitive``.
     """
     d, m, b = spec.dimension, spec.side, spec.colors
     beta = non_surjective_count(len(spec.translates), b)
     if beta > MAX_LOAD_WORDS:
         raise ValueError(f"each point would forbid {beta} words, more than the {MAX_LOAD_WORDS} a rule may hold")
     n = m ** d
-    points = list(itertools.product(range(m), repeat=d))
-    out_adj = []
-    for p in points:
-        row = tuple(
-            torus_point_index([c + t for c, t in zip(p, tr)], m)
-            for tr in spec.translates
-        )
-        out_adj.append(row)
-    graph = VariableGraph(out_adj)
+    columns = []
+    for tr in spec.translates:
+        column = [0]
+        for t in tr:
+            axis = [(c + t) % m for c in range(m)]
+            column = [i * m + c for i in column for c in axis]
+        columns.append(column)
+    graph = VariableGraph(list(zip(*columns)))
+    graph.transitive = True
     words = non_surjective_words(len(spec.translates), b)
     rule = LocalRule(b, [words] * n, [len(spec.translates)] * n)
     return graph, rule

@@ -523,7 +523,9 @@ def default_window_params(adj: SymAdj, eps: Fraction = EPS) -> int:
     Requires eps > 0.  Then it exists on every finite graph: once
     (1 + eps)^n exceeds the vertex count every ball is small enough.
     ``adj`` is the graph's ``SymAdj``.  The power (1 + eps)^n is kept exact; at
-    ``EPS`` and within the load caps n is at most 33.
+    ``EPS`` and within the load caps n is at most 33.  On a ``transitive``
+    graph every ball B(x, 3n) is an automorphic image of the one around the
+    least vertex of x's component, so that one ball per component decides n.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -537,7 +539,8 @@ def default_window_params(adj: SymAdj, eps: Fraction = EPS) -> int:
         # out of every later search, as the bound only grows.
         components = [(members, reach) for members, reach in components if len(members) >= need]
         failing = next(
-            ((members, reach) for members, reach in components for x in members
+            ((members, reach) for members, reach in components
+             for x in (members[:1] if adj.transitive else members)
              if len(ball(adj, x, 3 * n, need)) >= need),
             None,
         )

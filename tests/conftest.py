@@ -5,9 +5,9 @@ because no command runs them: the deque search, one resampling ``step``
 that re-checks every constraint, the fresh-bits baseline
 ``classic_parallel_mta``, a tape's ``prefix`` in one draw, a trace's
 ``counters`` after each round, the brute-force tree enumeration, the exact
-Q values, the faithfulness test of a restriction, the rebranchable triples
-and ``graph_distance``.  ``to_dimacs`` writes a CNF back out for the
-round-trip tests."""
+Q values, the faithfulness test of a restriction, the rebranchable triples,
+``graph_distance`` and the per-point torus build.  ``to_dimacs`` writes a
+CNF back out for the round-trip tests."""
 
 import itertools
 import math
@@ -18,11 +18,11 @@ from typing import Iterable, Iterator, NamedTuple
 
 import pytest
 
-from lllkit import (DecoratedLandscape, MtaSystem, Partition, RandomTape, RunTrace, ball, extract_landscape,
-                    greedy_mis, restrict, violating_set)
+from lllkit import (DecoratedLandscape, LocalRule, MtaSystem, Partition, RandomTape, RunTrace, VariableGraph,
+                    ball, extract_landscape, greedy_mis, restrict, violating_set)
 from lllkit.engine import _run
 from lllkit.graphs import Adjacency, _distances
-from lllkit.instances import CnfInstance, tight_threshold
+from lllkit.instances import CnfInstance, TorusSpec, non_surjective_words, tight_threshold
 from lllkit.landscapes import ForestVertex, canvas_sources
 from lllkit.properties import fuzz_runs
 
@@ -216,6 +216,25 @@ def rebranchable_triples(ls: DecoratedLandscape) -> Iterator[tuple[ForestVertex,
 def graph_distance(adj: Adjacency, x: int, y: int):
     """BFS distance in a symmetric graph; math.inf when disconnected."""
     return _distances(adj, [x]).get(y, INF)
+
+
+def torus_point_index(point, side: int) -> int:
+    idx = 0
+    for c in point:
+        idx = idx * side + (c % side)
+    return idx
+
+
+def per_point_torus_instance(spec: TorusSpec) -> tuple[VariableGraph, LocalRule]:
+    """The build ``torus_instance`` replaced: each point's row by one
+    ``torus_point_index`` per translate, the points in lexicographic order."""
+    m, n = spec.side, spec.side ** spec.dimension
+    out_adj = [
+        tuple(torus_point_index([c + t for c, t in zip(p, tr)], m) for tr in spec.translates)
+        for p in itertools.product(range(m), repeat=spec.dimension)
+    ]
+    words = non_surjective_words(len(spec.translates), spec.colors)
+    return VariableGraph(out_adj), LocalRule(spec.colors, [words] * n, [len(spec.translates)] * n)
 
 
 def to_dimacs(cnf: CnfInstance) -> str:

@@ -571,6 +571,18 @@ class TestNorthStarTorus:
         result = json.loads(proc.stdout)
         assert result["certified"] is True and len(result["assignment"]) == 4096
 
+    def test_torus_136_sets_up_and_stops_at_the_cap(self):
+        # 18,496 points: a ball per point in the window search and first fit
+        # in the partition kept the set-up from ending within a minute
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lllkit.cli", "solve", "--torus", "2,136,4,2", "--force", "--cap", "5"],
+            capture_output=True, text=True, timeout=30, env=env,
+        )
+        assert proc.returncode == 3, proc.stderr
+        result = json.loads(proc.stdout)
+        assert result["status"] == "cap_exceeded" and len(result["assignment"]) == 136 ** 2
+
 
 class TestWideRules:
     def test_torus_with_24_translates_solves(self):

@@ -33,7 +33,7 @@ from lllkit.instances import (
     random_instance,
     str_to_word,
 )
-from conftest import to_dimacs
+from conftest import per_point_torus_instance, to_dimacs
 
 
 def surjective_words(length: int, b: int) -> frozenset:
@@ -189,6 +189,52 @@ class TestTorus:
             for length in range(1, 9):
                 assert non_surjective_count(length, b) == len(non_surjective_words(length, b)), (length, b)
         assert non_surjective_count(8, 3) == 765
+
+    @staticmethod
+    def random_specs(rng, dimension, side, count):
+        """Torus specs whose translates are distinct residues moved by random
+        multiples of the side, so coordinates fall below 0 or at or above it."""
+        points = side ** dimension
+        for _ in range(count):
+            translates = []
+            for r in rng.sample(range(points), rng.randint(1, min(5, points))):
+                coords = [(r // side ** i) % side for i in reversed(range(dimension))]
+                translates.append(tuple(c + side * rng.randint(-2, 2) for c in coords))
+            yield TorusSpec(dimension, side, tuple(translates), rng.randint(1, min(4, len(translates))))
+
+    def assert_same_build(self, spec):
+        graph, rule = torus_instance(spec)
+        reference, reference_rule = per_point_torus_instance(spec)
+        assert graph.out_adj == reference.out_adj, spec
+        assert graph.in_adj == reference.in_adj, spec
+        assert rule == reference_rule, spec
+        assert graph.transitive and graph.sym_adj.transitive and not reference.transitive
+
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_columns_match_per_point_build(self, dimension):
+        rng = random.Random(20261020 + dimension)
+        for side in range(1, 10):
+            for spec in self.random_specs(rng, dimension, side, 4):
+                self.assert_same_build(spec)
+        for side in {1: (64, 257), 2: (17, 40), 3: (12, 16)}[dimension]:
+            for spec in self.random_specs(rng, dimension, side, 2):
+                self.assert_same_build(spec)
+
+    @pytest.mark.parametrize("b", [1, 2, 3, 4])
+    def test_several_components_match_per_point_build(self, b):
+        for spec in (
+            TorusSpec(1, 12, ((0,), (4,)), min(b, 2)),  # 4 components of 3 points
+            TorusSpec(1, 12, ((0,), (-4,), (16,), (6,)), b),  # gcd 2: 2 components
+            TorusSpec(2, 6, ((0, 0), (2, 0), (0, -2), (8, 4)), b),  # 4 components
+            TorusSpec(3, 4, ((0, 0, 0), (2, 2, 2), (-2, 0, 6), (0, 2, 0)), b),  # 16 components
+        ):
+            self.assert_same_build(spec)
+        assert len(torus_instance(TorusSpec(1, 12, ((0,), (4,)), 2))[0].sym_adj.components) == 4
+
+    def test_bundled_torus_matches_per_point_build(self):
+        graph, rule = bundled_instances()["torus"]
+        assert graph.transitive
+        assert (graph, rule) == per_point_torus_instance(TorusSpec(1, 24, tuple((i,) for i in range(10)), 2))
 
     def test_default_translates_sorted_oracle(self):
         for d in (1, 2, 3):

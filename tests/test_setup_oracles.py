@@ -9,7 +9,9 @@ below the bound skipped, n jumping once a failing component lies within 3n
 of its least vertex) must equal the scan over full per-vertex BFS distance
 lists and the plain n = 1, 2, ... loop; ``build_rel`` (a walk keeping first
 appearances) must equal the sort by edge label; ``check_lll_condition``
-(one comparison per distinct case) must equal the per-vertex loop.
+(one comparison per distinct case) must equal the per-vertex loop.  On
+graphs marked ``transitive`` (tori), the window from one ball per component
+and the ranks wherever the reach is at most 2r must equal the same oracles.
 """
 
 import bisect
@@ -25,7 +27,9 @@ from lllkit import (
     CnfInstance,
     ConditionReport,
     LocalRule,
+    MtaSystem,
     Partition,
+    RandomTape,
     RelGraph,
     TorusSpec,
     VariableGraph,
@@ -34,13 +38,20 @@ from lllkit import (
     bundled_instances,
     check_lll_condition,
     default_window_params,
+    extract_landscape,
     from_cnf,
     greedy_mis,
     graphs,
+    instance_from_json,
+    instance_to_json,
     instances,
+    landscapes,
+    pad_uniform,
     params,
     parse_dimacs,
     random_bounded_overlap_sat,
+    restrict,
+    run_k,
     sparse_partition,
     torus_instance,
 )
@@ -667,3 +678,136 @@ def test_generate_checks_the_condition_once(monkeypatch, capsys):
     report = real(graph, rule)
     assert printed == {"variant": "tight", "delta": report.delta, "threshold": str(report.threshold_lo),
                        "worst_margin": str(report.worst_margin), "all_pass": True}
+
+
+# ---------------------------------------------------------------------------
+# The transitive mark: one ball per component in the window search, ranks in
+# the partition wherever the reach is at most 2r
+# ---------------------------------------------------------------------------
+
+
+def torus_specs(count=60, seed=20261027):
+    """Small torus specs in dimensions 1 to 3 with 2 to 5 translates, drawn
+    from a box of twice the side so that some generate a proper subgroup
+    and the torus falls into several components."""
+    rng = random.Random(seed)
+    specs = [TorusSpec(1, 12, ((0,), (4,)), 2), TorusSpec(1, 30, ((0,), (6,), (10,)), 2),
+             TorusSpec(2, 8, ((0, 0), (2, 0), (0, 2)), 2), TorusSpec(3, 4, ((0, 0, 0), (2, 0, 0), (0, 2, 2)), 2)]
+    while len(specs) < count:
+        d = rng.randint(1, 3)
+        side = rng.randint(3, {1: 60, 2: 10, 3: 5}[d])
+        step = rng.choice((1, 1, 2, 3))  # a common factor of the translates
+        box = [tuple(step * rng.randrange(2 * side) for _ in range(d)) for _ in range(rng.randint(2, 5))]
+        translates = tuple({tuple(c % side for c in t): t for t in box}.values())
+        if len(translates) >= 2:
+            specs.append(TorusSpec(d, side, translates, 2))
+    return specs
+
+
+def marked(spec):
+    """The torus's ``SymAdj``, which carries the mark."""
+    adj = torus_instance(spec)[0].sym_adj
+    assert adj.transitive
+    return adj
+
+
+def with_mark(adj):
+    """A marked copy of an adjacency."""
+    copy = SymAdj(adj)
+    copy.transitive = True
+    return copy
+
+
+def centred_path(n):
+    """A path on n vertices labelled by distance from its middle, so that the
+    least vertex's reach is half the diameter."""
+    order = sorted(range(n), key=lambda i: (abs(2 * i - (n - 1)), i))
+    label = {x: i for i, x in enumerate(order)}
+    rows = [()] * n
+    for x in range(n):
+        rows[label[x]] = tuple(sorted(label[y] for y in (x - 1, x + 1) if 0 <= y < n))
+    return SymAdj(rows)
+
+
+@pytest.fixture
+def ball_calls(monkeypatch):
+    """Counts the balls the set-up geometry takes from here on."""
+    calls = []
+    real = graphs.ball
+
+    def counting(adj, x, r, limit=math.inf):
+        calls.append(x)
+        return real(adj, x, r, limit)
+
+    monkeypatch.setattr(graphs, "ball", counting)
+    monkeypatch.setattr(landscapes, "ball", counting)
+    return calls
+
+
+class TestTransitiveMark:
+    def test_specs_cover_several_components_and_three_dimensions(self):
+        specs = torus_specs()
+        assert len(specs) >= 50
+        assert sum(len(marked(spec).components) > 1 for spec in specs) >= 10
+        assert sum(spec.dimension == 3 for spec in specs) >= 10
+
+    def test_window_matches_full_search(self, ball_calls):
+        for spec in torus_specs():
+            adj = marked(spec)
+            for eps in EPSILONS:
+                before = len(ball_calls)
+                n = default_window_params(adj, eps)
+                assert n == full_bfs_window_params(adj, eps), (spec, eps)
+                assert len(ball_calls) - before <= n * len(adj.components), (spec, eps)
+
+    def test_partition_matches_iterated_mis(self, ball_calls):
+        shortcuts = 0
+        for spec in torus_specs():
+            adj = marked(spec)
+            reach = adj.components[0][1]
+            between = [r for r in range(reach) if r < reach <= 2 * r]
+            for r in RADII + tuple(between):
+                before = len(ball_calls)
+                assert sparse_partition(adj, r) == iterated_mis_partition(adj, r), (spec, r)
+                if r in between:
+                    assert len(ball_calls) == before, (spec, r)  # ranks, no first fit
+                    shortcuts += 1
+        assert shortcuts >= 100
+
+    @pytest.mark.parametrize("name", ["path-100", "centred-path-101", "small-and-long-path"])
+    def test_a_misplaced_mark_is_caught(self, name):
+        """The oracles above see a mark on a graph that is not transitive."""
+        adj = {"path-100": path(100), "centred-path-101": centred_path(101),
+               "small-and-long-path": named_graphs()["small-and-long-path"]}[name]
+        wrong = with_mark(adj)
+        windows = [eps for eps in EPSILONS
+                   if default_window_params(wrong, eps) != full_bfs_window_params(adj, eps)]
+        partitions = [r for r in range(1, 60)
+                      if sparse_partition(wrong, r) != iterated_mis_partition(adj, r)]
+        assert windows or partitions, name
+
+    def test_other_builders_leave_graphs_unmarked(self, tmp_path):
+        spec = TorusSpec(2, 6, default_translates(2, 4), 2)
+        graph, rule = torus_instance(spec)
+        system = MtaSystem.build(graph, rule, Partition.singletons(graph.vertex_count))
+        trace = run_k(system, [0] * graph.vertex_count, 4, RandomTape.stream(2, 3))
+        restricted, _ = restrict(extract_landscape(trace), ball(graph.sym_adj, 0, 2))
+        padded, _ = pad_uniform(system)
+        saved, _ = instance_from_json(instance_to_json(graph, rule))
+        cnf, _, _ = from_cnf(random_bounded_overlap_sat(50, 3, 0))
+        assert padded.graph == saved == graph  # the same torus, built another way
+        for other in (restricted.graph, padded.graph, saved, cnf, VariableGraph(graph.out_adj)):
+            assert not other.transitive and not other.sym_adj.transitive
+
+
+class TestSetupCliffs:
+    """Item 11's scaling check as counts: on tori of 16,384 and 18,496 points
+    the window search takes at most one ball per tried n and component."""
+
+    @pytest.mark.parametrize("spec", ["1,16384,10,2", "2,136,4,2"])
+    def test_window_takes_a_ball_per_n_and_component(self, spec, ball_calls):
+        d, m, count, b = map(int, spec.split(","))
+        adj = marked(TorusSpec(d, m, default_translates(d, count), b))
+        n = default_window_params(adj)
+        assert 0 < len(ball_calls) <= n * len(adj.components), (len(ball_calls), n)
+        assert n == {"1,16384,10,2": 17, "2,136,4,2": 24}[spec]

@@ -425,10 +425,12 @@ def process_map(jobs: int) -> Callable:
     where ``os.fork`` does not exist.
 
     The parent forks a child for each of ``min(jobs, len(items))``
-    contiguous shares of the items but the last, maps the last itself, then
-    reads every child's marshalled results to EOF before it reaps them, so
-    results keep item order.  A child that dies, fails or sends short
-    results raises ``ChildProcessError``; no child outlives the map.
+    contiguous shares of the items but the last, and maps the last itself,
+    reaping between its items any child that has ended.  It then reads every
+    child's marshalled results to EOF before it reaps it, so results keep
+    item order.  A child that dies or fails raises ``ChildProcessError`` as
+    soon as the parent reaps it, one that sends short results once it is
+    read; no child outlives the map.
     """
     if not hasattr(os, "fork"):
         return map
@@ -438,7 +440,19 @@ def process_map(jobs: int) -> Callable:
         shares = max(1, min(jobs, len(items)))
         cuts = [len(items) * k // shares for k in range(shares + 1)]
         pipes: list = []  # each child's (read end, write end); closing twice is harmless
-        pids: list[int] = []  # the children not yet reaped, in item order
+        children: list[tuple[int, int]] = []  # each child's (pid, share size), in item order
+        pids: list[int] = []  # the children not yet reaped
+
+        def reap(pid: int, size: int, flags: int = 0) -> None:
+            """Reap ``pid`` if it has ended (at once under ``os.WNOHANG``, else
+            waiting); raise if it was killed or exited with a failure."""
+            done, status = os.waitpid(pid, flags)
+            if done:
+                pids.remove(pid)
+                code = os.waitstatus_to_exitcode(status)
+                if code:
+                    raise _worker_error(pid, code, 0, size)
+
         try:
             for lo, hi in zip(cuts, cuts[1:-1]):
                 r, w = os.pipe()
@@ -455,18 +469,22 @@ def process_map(jobs: int) -> Callable:
                     finally:
                         os._exit(code)
                 w.close()
+                children.append((pid, hi - lo))
                 pids.append(pid)
-            last = list(map(fn, items[cuts[-2]:]))
-            replies = [r.read() for r, _ in pipes]
+            last = []
+            for item in items[cuts[-2]:]:
+                last.append(fn(item))
+                for pid, size in children:
+                    if pid in pids:
+                        reap(pid, size, os.WNOHANG)
             results = []
-            for reply, lo, hi in zip(replies, cuts, cuts[1:]):
-                pid, status = os.waitpid(pids[0], 0)
-                del pids[0]
-                code = os.waitstatus_to_exitcode(status)
-                share = marshal.loads(reply) if reply and not code else []
-                if len(share) != hi - lo:
-                    how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-                    raise ChildProcessError(f"worker {pid} {how} after sending {len(share)} of {hi - lo} results")
+            for (r, _), (pid, size) in zip(pipes, children):
+                reply = r.read()
+                if pid in pids:
+                    reap(pid, size)
+                share = marshal.loads(reply) if reply else []
+                if len(share) != size:
+                    raise _worker_error(pid, 0, len(share), size)
                 results += share
             return results + last
         finally:
@@ -478,3 +496,10 @@ def process_map(jobs: int) -> Callable:
                 os.waitpid(pid, 0)
 
     return run_map
+
+
+def _worker_error(pid: int, code: int, sent: int, size: int) -> ChildProcessError:
+    """The error of a worker that ended with exit code ``code`` (minus the
+    signal that killed it) after sending ``sent`` of its ``size`` results."""
+    how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+    return ChildProcessError(f"worker {pid} {how} after sending {sent} of {size} results")

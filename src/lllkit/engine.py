@@ -211,7 +211,9 @@ class MtaSystem:
             raise ValueError("rule word lengths disagree with the graph's out-degrees")
         if partition.vertex_count != graph.vertex_count:
             raise ValueError("partition does not cover the graph")
-        if any(type(x) is not int for x in order) or sorted(order) != list(range(graph.vertex_count)):
+        n = graph.vertex_count
+        # ``build``'s default order, range(n), is a permutation without a check.
+        if order != range(n) and (any(type(x) is not int for x in order) or sorted(order) != list(range(n))):
             raise ValueError("order must be a permutation of the vertices")
         self.graph = graph
         self.rule = rule
@@ -223,7 +225,6 @@ class MtaSystem:
             var = graph.var(x)
             # itemgetter returns no tuple for a word of length 0 or 1
             self.readers[x] = itemgetter(*var) if len(var) > 1 else lambda f, var=var: tuple(f[v] for v in var)
-        n = graph.vertex_count
         identity = self.order == tuple(range(n))
         self.rank: list[int] | None = None if identity else sorted(range(n), key=self.order.__getitem__)
         self._start: tuple[tuple[int, ...], frozenset[int], RoundPlan | None] | None = None
@@ -320,11 +321,12 @@ def _plan_round(system: MtaSystem, violated: Collection[int], counters: Sequence
     nonempty ``violated`` at these counters.
 
     Walking only the violated vertices, in vertex-order rank, picks the set
-    a walk over the whole vertex order picks.
+    a walk over the whole vertex order picks.  The dependency rows are read
+    with their self-loops, which block nothing the walk has yet to visit.
     """
     readers, rank = system.readers, system.rank
     ranked = sorted(violated, key=None if rank is None else rank.__getitem__)
-    chosen = tuple(sorted(greedy_mis(system.rel.adj_noself, violated, ranked)))
+    chosen = tuple(sorted(greedy_mis(system.rel.nbrs, violated, ranked)))
     targets, cells = _round_cells(system, chosen, counters)
     # Only constraints reading a redrawn variable can change status.
     dirty = frozenset([y for x in chosen for y in system.rel.nbrs[x] if y in readers])

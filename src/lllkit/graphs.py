@@ -56,11 +56,11 @@ class VariableGraph:
 
     def __init__(self, out_adj: Adjacency, in_adj: Adjacency | None = None):
         n = len(out_adj)
-        self.out_adj: tuple[Word, ...] = tuple(tuple(row) for row in out_adj)
+        self.out_adj: tuple[Word, ...] = tuple(map(tuple, out_adj))
         _check_adjacency_lists(self.out_adj, n, "out_adj")
         derived: list[list[int]] = [[] for _ in range(n)]  # the transpose, rows sorted
-        for x, row in enumerate(self.out_adj):
-            for y in row:
+        for x in itertools.compress(range(n), self.out_adj):  # the vertices that read something
+            for y in self.out_adj[x]:
                 derived[y].append(x)
         if in_adj is None:
             self.in_adj = tuple(map(tuple, derived))
@@ -89,7 +89,9 @@ class VariableGraph:
         """Symmetrized adjacency (var and cl merged), for graph metrics,
         built on first use, with the graph's ``transitive`` mark."""
         if self._sym is None:
-            self._sym = SymAdj([tuple(sorted({*var, *cl})) for var, cl in zip(self.out_adj, self.in_adj)])
+            # A row with one side empty is the other side sorted: no set union.
+            self._sym = SymAdj([tuple(sorted({*var, *cl})) if var and cl else tuple(sorted(var or cl))
+                                for var, cl in zip(self.out_adj, self.in_adj)])
             self._sym.transitive = self.transitive
         return self._sym
 
@@ -115,6 +117,17 @@ class VariableGraph:
         return f"VariableGraph({self.vertex_count} vertices)"
 
 
+def _word_fault(words: Iterable, n: int, b: int) -> tuple[object, str] | None:
+    """The first word that is no length-n tuple over 0..b-1, with what is
+    wrong with it, or None."""
+    for w in words:
+        if not isinstance(w, tuple) or len(w) != n:
+            return w, "has wrong length"
+        if any(not 0 <= d < b for d in w):
+            return w, f"has digits outside 0..{b - 1}"
+    return None
+
+
 class LocalRule:
     """Per-vertex forbidden assignment sets over alphabet ``b``.
 
@@ -131,22 +144,20 @@ class LocalRule:
             raise ValueError("forbidden and word_lengths disagree on vertex count")
         self.b = b
         self.word_lengths = tuple(word_lengths)
-        sets = []
-        checked: set[tuple[int, int]] = set()  # shared sets validated once
-        for x, words in enumerate(forbidden):
-            ws = words if isinstance(words, frozenset) else frozenset(tuple(w) for w in words)
-            if (id(ws), self.word_lengths[x]) not in checked:
-                for w in ws:
-                    if not isinstance(w, tuple) or len(w) != self.word_lengths[x]:
-                        raise ValueError(f"forbidden word {w} at vertex {x} has wrong length")
-                    if any(not 0 <= d < b for d in w):
-                        raise ValueError(
-                            f"forbidden word {w} at vertex {x} has digits outside 0..{b - 1}"
-                        )
-                checked.add((id(ws), self.word_lengths[x]))
-            sets.append(ws)
-        self.forbidden: tuple[frozenset[Word], ...] = tuple(sets)
-        self.support: tuple[int, ...] = tuple(x for x, ws in enumerate(self.forbidden) if ws)
+        if set(map(type, forbidden)) <= {frozenset}:
+            sets = tuple(forbidden)
+        else:
+            sets = tuple(ws if isinstance(ws, frozenset) else frozenset(map(tuple, ws)) for ws in forbidden)
+        # Each distinct (set, length) case is validated once, on the set of its
+        # first vertex and in the order of first vertices, so the first fault
+        # found is the one a walk over the vertices meets first.
+        for case in dict.fromkeys(zip(sets, self.word_lengths)):
+            fault = _word_fault(*case, b)
+            if fault:
+                x = list(zip(sets, self.word_lengths)).index(case)
+                raise ValueError(f"forbidden word {fault[0]} at vertex {x} {fault[1]}")
+        self.forbidden: tuple[frozenset[Word], ...] = sets
+        self.support: tuple[int, ...] = tuple(itertools.compress(range(len(sets)), sets))
 
     @classmethod
     def for_graph(cls, graph: VariableGraph, b: int, allowed: Sequence[Iterable[Word]]) -> "LocalRule":
@@ -204,6 +215,8 @@ class RelGraph:
     ``nbrs[x]`` lists the neighbourhood of x in canonical label order; the
     label of an edge (x, y) is the position of y in ``nbrs[x]``.  A vertex
     with nonempty var(x) carries a self-loop and appears in its own list.
+    ``greedy_mis`` reads these rows as they are: a self-loop blocks only
+    its own vertex, which the walk has then already visited.
     """
 
     def __init__(self, nbrs: Iterable[Iterable[int]]):
@@ -211,11 +224,6 @@ class RelGraph:
 
     def adjacent(self, x: int, y: int) -> bool:
         return y in self.nbrs[x]
-
-    @functools.cached_property
-    def adj_noself(self) -> tuple[Word, ...]:
-        """Neighbourhoods with self-loops removed (for independence tests)."""
-        return tuple(tuple(y for y in row if y != x) for x, row in enumerate(self.nbrs))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RelGraph) and self.nbrs == other.nbrs
@@ -230,7 +238,7 @@ def build_rel(graph: VariableGraph) -> RelGraph:
     exactly this order.
     """
     cl = graph.in_adj
-    return RelGraph([dict.fromkeys([y for v in row for y in cl[v]]) for row in graph.out_adj])
+    return RelGraph([dict.fromkeys([y for v in row for y in cl[v]]) if row else () for row in graph.out_adj])
 
 
 class InstanceParams(NamedTuple):
@@ -346,8 +354,10 @@ def interior(adj: Adjacency, subset: Iterable[int], i: int) -> set[int]:
 def greedy_mis(adj: Adjacency, members: Iterable[int], order: Sequence[int]) -> set[int]:
     """Greedy maximal independent subset of ``members``, taken in ``order``.
 
-    Self-loops are ignored for the independence test, so a self-looped
-    vertex can still be chosen.
+    Self-loops are harmless: a chosen vertex blocks itself only after it is
+    chosen, and the walk visits each vertex once (a repeat would add
+    nothing), so a self-looped vertex can still be chosen and rows with or
+    without self-loops give the same set.
     """
     member_set = set(members)
     blocked: set[int] = set()

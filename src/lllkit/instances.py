@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import random
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
@@ -48,21 +49,15 @@ class CnfInstance:
 
     def __init__(self, variable_count: int, clauses: Sequence[Sequence[Literal]]):
         self.variable_count = variable_count
-        canon = []
-        seen = set()
-        for idx, clause in enumerate(clauses):
-            # Distinct variables, all in range and signed +-1: the plain sort
-            # is then the sort by variable.
-            if clause and len(
-                {v for v, s in clause if 0 <= v < variable_count and s in (1, -1)}
-            ) == len(clause):
-                lits = tuple(sorted(map(tuple, clause)))
-            else:
+        canon = _sound_canon(clauses, variable_count)
+        if canon is None:  # some clause is at fault, or unusual: check clause by clause
+            canon, seen = [], set()
+            for idx, clause in enumerate(clauses):
                 lits = _checked_clause(idx, clause, variable_count)
-            if lits in seen:
-                raise ValueError(f"clause {idx} duplicates an earlier clause: {lits}")
-            seen.add(lits)
-            canon.append(lits)
+                if lits in seen:
+                    raise ValueError(f"clause {idx} duplicates an earlier clause: {lits}")
+                seen.add(lits)
+                canon.append(lits)
         self.clauses: tuple[tuple[Literal, ...], ...] = tuple(canon)
 
     @property
@@ -78,6 +73,29 @@ class CnfInstance:
 
     def __repr__(self) -> str:
         return f"CnfInstance({self.variable_count} vars, {self.clause_count} clauses)"
+
+
+def _sound_canon(clauses: Sequence[Sequence[Literal]], variable_count: int) -> list[tuple[Literal, ...]] | None:
+    """Each clause sorted, if every clause is a nonempty sequence of
+    (int, +-1) tuples with distinct variables in 0..variable_count-1 and no
+    clause repeats, decided in C-level passes over all literals; else None,
+    also where literals do not sort or have unhashable parts."""
+    try:
+        canon = list(map(tuple, map(sorted, clauses)))
+        lits = list(itertools.chain.from_iterable(canon))
+        if not (all(canon) and set(map(type, lits)) <= {tuple} and set(map(len, lits)) <= {2}):
+            return None
+        vs = list(map(operator.itemgetter(0), lits))
+        # Sorted clauses repeat a variable only in neighbouring literals, so an
+        # equal neighbour must start the next clause.
+        starts = set(itertools.accumulate(map(len, canon)))
+        repeats = itertools.compress(itertools.count(1), map(operator.eq, vs, itertools.islice(vs, 1, None)))
+        sound = (set(map(type, vs)) <= {int} and min(vs, default=0) >= 0 and max(vs, default=0) < variable_count
+                 and set(map(operator.itemgetter(1), lits)) <= {1, -1}
+                 and starts.issuperset(repeats) and len(set(canon)) == len(canon))
+    except TypeError:  # literals that do not sort, or unhashable signs
+        return None
+    return canon if sound else None
 
 
 def _checked_clause(idx: int, clause: Sequence[Literal], variable_count: int) -> tuple[Literal, ...]:
@@ -101,21 +119,18 @@ def parse_dimacs(text: str, clause_size: int | None = 3) -> CnfInstance:
 
     Whitespace tolerant; clauses are 0-terminated and may span lines.
     ``clause_size=3`` enforces 3-SAT, ``None`` accepts any clause width.
-    One pass in line order: the first bad problem line or non-integer token
-    raises where it is found; the header's counts are checked at the end.
+    The first bad problem line or non-integer token in line order raises;
+    the header's counts are checked at the end.
     """
     header: tuple[int, int] | None = None
-    tokens: list[int] = []
-    for number, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
+    body: list[str] = []  # the clause lines, stripped
+    numbers: list[int] = []  # their line numbers
+    for number, line in enumerate(map(str.strip, text.splitlines()), 1):
+        if not line or line[0] in "c%":
             continue
-        if not line.startswith("p"):
-            for token in line.split():
-                try:
-                    tokens.append(int(token))
-                except ValueError as error:
-                    raise _byte_error(number, token) or error from None
+        if line[0] != "p":
+            body.append(line)
+            numbers.append(number)
             continue
         parts = line.split()
         try:
@@ -125,7 +140,9 @@ def parse_dimacs(text: str, clause_size: int | None = 3) -> CnfInstance:
             if min(header) < 0:
                 raise ValueError(f"bad problem line: {line!r}")
         except ValueError as error:
+            _clause_tokens(body, numbers)  # a bad token on an earlier line comes first
             raise _byte_error(number, line) or error from None
+    tokens = _clause_tokens(body, numbers)
     if header is None:
         raise ValueError("missing 'p cnf' header")
     n_vars, n_clauses = header
@@ -153,6 +170,22 @@ def parse_dimacs(text: str, clause_size: int | None = 3) -> CnfInstance:
             if len(clause) != clause_size:
                 raise ValueError(f"clause {i} has {len(clause)} literals, expected {clause_size}")
     return CnfInstance(n_vars, clauses)
+
+
+def _clause_tokens(lines: list[str], numbers: list[int]) -> list[int]:
+    """The integers on the clause lines, converted in one ``map`` over their
+    join; if that fails, the lines are read again token by token to raise
+    the error naming the first bad token and its line number."""
+    try:
+        return list(map(int, " ".join(lines).split()))
+    except ValueError:
+        for number, line in zip(numbers, lines):
+            for token in line.split():
+                try:
+                    int(token)
+                except ValueError as error:
+                    raise _byte_error(number, token) or error from None
+        raise
 
 
 def _byte_error(number: int, text: str) -> ValueError | None:

@@ -2,12 +2,15 @@
 adjacencies, and the reference oracles.  The oracles are slow, plain
 versions of what the library computes, kept here and not in ``lllkit``
 because no command runs them: the deque search, one resampling ``step``
-that re-checks every constraint, the fresh-bits baseline
+that re-checks every constraint and picks its independent set on the
+self-loop-free dependency rows, the fresh-bits baseline
 ``classic_parallel_mta``, a tape's ``prefix`` in one draw, a trace's
 ``counters`` after each round, the brute-force tree enumeration, the exact
 Q values, the faithfulness test of a restriction, the rebranchable triples,
-``graph_distance`` and the per-point torus build.  ``to_dimacs`` writes a
-CNF back out for the round-trip tests."""
+``graph_distance``, the per-point torus build, and the per-element set-up
+builds: the union on every ``sym_adj`` row, the dict on every dependency
+row and the vertex-by-vertex rule check.  ``to_dimacs`` writes a CNF back
+out for the round-trip tests."""
 
 import itertools
 import math
@@ -21,7 +24,7 @@ import pytest
 from lllkit import (DecoratedLandscape, LocalRule, MtaSystem, Partition, RandomTape, RunTrace, VariableGraph,
                     ball, extract_landscape, greedy_mis, restrict, violating_set)
 from lllkit.engine import _run
-from lllkit.graphs import Adjacency, _distances
+from lllkit.graphs import Adjacency, RelGraph, _distances
 from lllkit.instances import CnfInstance, TorusSpec, non_surjective_words, tight_threshold
 from lllkit.landscapes import ForestVertex, canvas_sources
 from lllkit.properties import fuzz_runs
@@ -76,6 +79,12 @@ def _bfs_distances(adj, sources):
     return dist
 
 
+def self_loop_free(rel) -> tuple[tuple[int, ...], ...]:
+    """The dependency rows without their self-loops, the rows the engine's
+    greedy independent set read before it read ``rel.nbrs`` as they are."""
+    return tuple(tuple(y for y in row if y != x) for x, row in enumerate(rel.nbrs))
+
+
 class RunState(NamedTuple):
     step: int
     assignment: tuple[int, ...]
@@ -91,7 +100,7 @@ def step(system: MtaSystem, state: RunState, tape: RandomTape) -> tuple[RunState
     anything if the tape is too short.
     """
     violated = violating_set(system.graph, system.rule, state.assignment)
-    chosen = greedy_mis(system.rel.adj_noself, violated, system.order)
+    chosen = greedy_mis(self_loop_free(system.rel), violated, system.order)
     if not chosen:
         return RunState(state.step + 1, state.assignment, state.counters), frozenset()
     targets = sorted({v for x in chosen for v in system.graph.var(x)})
@@ -235,6 +244,35 @@ def per_point_torus_instance(spec: TorusSpec) -> tuple[VariableGraph, LocalRule]
     ]
     words = non_surjective_words(len(spec.translates), spec.colors)
     return VariableGraph(out_adj), LocalRule(spec.colors, [words] * n, [len(spec.translates)] * n)
+
+
+def per_row_sym_adj(graph: VariableGraph) -> tuple[tuple[int, ...], ...]:
+    """``VariableGraph.sym_adj`` before one-sided rows skipped the union:
+    every row the sorted union of a set built from var(x) and cl(x)."""
+    return tuple(tuple(sorted({*var, *cl})) for var, cl in zip(graph.out_adj, graph.in_adj))
+
+
+def per_row_build_rel(graph: VariableGraph) -> RelGraph:
+    """``build_rel`` before empty var rows skipped the dict: first
+    appearances kept by a ``dict.fromkeys`` on every row."""
+    cl = graph.in_adj
+    return RelGraph([dict.fromkeys([y for v in row for y in cl[v]]) for row in graph.out_adj])
+
+
+def per_vertex_rule(b: int, forbidden, word_lengths) -> tuple[tuple[frozenset, ...], tuple[int, ...]]:
+    """The (forbidden, support) of ``LocalRule`` from its check before each
+    distinct case was checked once: vertex by vertex, every word of every
+    set, raising the ValueError of the first bad word met."""
+    sets = []
+    for x, words in enumerate(forbidden):
+        ws = words if isinstance(words, frozenset) else frozenset(tuple(w) for w in words)
+        for w in ws:
+            if not isinstance(w, tuple) or len(w) != word_lengths[x]:
+                raise ValueError(f"forbidden word {w} at vertex {x} has wrong length")
+            if any(not 0 <= d < b for d in w):
+                raise ValueError(f"forbidden word {w} at vertex {x} has digits outside 0..{b - 1}")
+        sets.append(ws)
+    return tuple(sets), tuple(x for x, ws in enumerate(sets) if ws)
 
 
 def to_dimacs(cnf: CnfInstance) -> str:

@@ -350,6 +350,42 @@ class TestTail:
             os.waitpid(-1, os.WNOHANG)
 
 
+    @pytest.mark.parametrize("death, reason", [
+        ("killed", "was killed by signal 9"), ("raises", "exited with status 1"),
+    ])
+    def test_worker_dead_on_its_first_seed_stops_the_parent(self, death, reason, monkeypatch, tmp_path, capsys):
+        """A worker that dies on its first seed is noticed between the
+        parent's own seeds: the parent runs at most a few of its 100 before
+        the one-line error.  Its first seed waits, without reaping, until
+        the worker has ended, so the count does not hang on timing."""
+        parent, tail_worker = os.getpid(), counting._tail_worker
+        ran: list[int] = []
+
+        def dying_worker(system, f, step_cap, seed):
+            if os.getpid() != parent:
+                if death == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise ValueError(seed)
+            if not ran:
+                os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
+            ran.append(seed)
+            return tail_worker(system, f, step_cap, seed)
+
+        monkeypatch.setattr(counting, "_tail_worker", dying_worker)
+        code = main(["tail", "--bundled", "disjoint", "--seeds", "200", "--seed", "1", "--jobs", "2"])
+        if os.getpid() != parent:  # a worker came back here
+            (tmp_path / "escaped").touch()
+            os._exit(0)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: the workers of --jobs 2 failed: worker ")
+        assert captured.err.endswith(f" {reason} after sending 0 of 100 results\n") and captured.err.count("\n") == 1
+        assert 1 <= len(ran) <= 2, ran
+        assert not (tmp_path / "escaped").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -240,6 +240,44 @@ class TestTailEstimate:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_dead_worker_is_reaped_between_the_parent_items(self):
+        """A child that dies on its first item raises after at most a few of
+        the parent's own items, not after its whole share.  The parent's
+        first item waits, without reaping, until the child has ended."""
+        parent = os.getpid()
+        mapped = []
+
+        def fn(x):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            if not mapped:
+                os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
+            mapped.append(x)
+            return x
+
+        with pytest.raises(ChildProcessError, match="killed by signal 9 after sending 0 of 100 results"):
+            process_map(2)(fn, range(200))
+        assert mapped and len(mapped) <= 2, mapped
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_early_clean_exit_is_read_as_before(self):
+        """A child that ends cleanly while the parent still maps is reaped
+        then, and its results are still read, in item order."""
+        parent = os.getpid()
+        mapped = []
+
+        def fn(x):
+            if os.getpid() == parent and not mapped:
+                os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)  # the child is done
+            mapped.append(x)
+            return x * 3
+
+        assert process_map(2)(fn, range(50)) == [x * 3 for x in range(50)]
+        assert mapped == list(range(25, 50))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_failure_in_the_parent_share_reaps_every_child(self):
         """The parent's own share raises while its children still run; they
         are killed and reaped before the exception leaves the map."""

@@ -27,7 +27,7 @@ from lllkit.instances import TorusSpec, default_translates, random_instance, tor
 from lllkit.landscapes import EPS
 from lllkit import counting, properties
 from lllkit.properties import random_system
-from conftest import RunState, classic_parallel_mta, counters, prefix, step
+from conftest import RunState, classic_parallel_mta, counters, prefix, self_loop_free, step
 
 
 def single_clause_system(falsifier=(0,), b=2):
@@ -54,6 +54,18 @@ class TestMtaSystemChecks:
             with pytest.raises(ValueError, match="permutation"):
                 MtaSystem.build(graph, rule, Partition.singletons(2), order)
         assert MtaSystem.build(graph, rule, Partition.singletons(2), [1, 0]).order == (1, 0)
+
+    def test_only_the_identity_range_skips_the_check(self):
+        """``build``'s default range(n) is taken as it is; any other range is
+        checked like a list."""
+        graph = VariableGraph([(1,), (), ()])
+        rule = LocalRule(2, [{(0,)}, set(), set()], [1, 0, 0])
+        for order in (range(1, 4), range(2), range(4), range(0, 6, 2)):
+            with pytest.raises(ValueError, match="permutation"):
+                MtaSystem.build(graph, rule, Partition.singletons(3), order)
+        assert MtaSystem.build(graph, rule, Partition.singletons(3), range(2, -1, -1)).rank == [2, 1, 0]
+        assert MtaSystem.build(graph, rule, Partition.singletons(3), range(2, -1, -1)[::-1]).rank is None
+        assert MtaSystem.build(graph, rule, Partition.singletons(3)).order == (0, 1, 2)
 
 
 class TestRandomTape:
@@ -249,7 +261,7 @@ class TestRunInvariants:
             tape = RandomTape.finite_random(system.b, system.p, 4, seed=rng.randrange(2**30))
             f0 = [rng.randrange(system.b) for _ in range(system.graph.vertex_count)]
             trace = run_k(system, f0, 4, tape)
-            adj = system.rel.adj_noself
+            adj = self_loop_free(system.rel)
             for j, chosen in enumerate(trace.resampled):
                 chosen = set(chosen)
                 violated = violating_set(system.graph, system.rule, trace.assignments[j])

@@ -21,7 +21,7 @@ from lllkit import (
     violating_set,
 )
 from lllkit.graphs import SymAdj
-from conftest import _bfs_distances, graph_distance, random_symmetric_adjacency
+from conftest import _bfs_distances, graph_distance, random_symmetric_adjacency, self_loop_free
 
 
 def clause_graph(out_lists, n_vars, in_adj=None):
@@ -344,6 +344,22 @@ class TestGreedyMis:
                 assert not (set(adj[x]) & chosen) - {x}
             for x in members - chosen:
                 assert set(adj[x]) & chosen, "greedy result is not maximal"
+
+
+    def test_dependency_rows_pick_what_self_loop_free_rows_pick(self, rng):
+        """The engine walks ``rel.nbrs`` with its self-loops; on random
+        dependency graphs, members and orders (members in any order, repeats
+        included) the choice equals the one on the self-loop-free rows."""
+        graphs = [properties.random_system(rng, mixed_width=i % 2 == 1).graph for i in range(100)]
+        for _ in range(200):
+            n = rng.randint(1, 14)
+            graphs.append(VariableGraph([rng.sample(range(n), rng.randint(0, min(4, n))) for _ in range(n)]))
+        for graph in graphs:
+            rel, n = graph.rel, graph.vertex_count
+            assert any(x in row for x, row in enumerate(rel.nbrs)) or not any(graph.out_adj)
+            members = rng.sample(range(n), rng.randint(0, n))
+            for order in (sorted(members), rng.sample(members, len(members)), rng.choices(range(n), k=2 * n)):
+                assert greedy_mis(rel.nbrs, members, order) == greedy_mis(self_loop_free(rel), members, order)
 
 
 class TestGreedyMisCost:

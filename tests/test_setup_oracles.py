@@ -15,6 +15,7 @@ and the ranks wherever the reach is at most 2r must equal the same oracles.
 """
 
 import bisect
+import collections
 import functools
 import json
 import math
@@ -58,11 +59,12 @@ from lllkit import (
 from lllkit.cli import build_system, main
 from lllkit.graphs import SymAdj
 from lllkit.instances import (
+    _byte_error,
     default_translates,
     random_instance,
     tight_threshold,
 )
-from conftest import _bfs_distances, random_symmetric_adjacency
+from conftest import _bfs_distances, per_row_build_rel, per_row_sym_adj, per_vertex_rule, random_symmetric_adjacency
 
 RADII = (0, 1, 2, 3)
 EPSILONS = (Fraction(1, 10), Fraction(1, 5), Fraction(1, 2), Fraction(2))
@@ -258,6 +260,16 @@ def shuffled_variable_graphs(count=400, seed=20261020):
         yield VariableGraph(out_adj, in_adj)
 
 
+def shuffled_one_sided_graphs(count=200, seed=20261029):
+    """Clause-variable graphs as ``random_instance`` draws them, where every
+    row has at most one nonempty side, given with shuffled cl(v) lists."""
+    rng = random.Random(seed)
+    for i in range(count):
+        graph, _ = random_instance(rng, mixed_width=i % 2 == 1)
+        in_adj = [rng.sample(row, len(row)) for row in graph.in_adj]
+        yield VariableGraph(graph.out_adj, in_adj)
+
+
 class TestBuildRelOracle:
     def test_random_instances(self):
         rng = random.Random(20261021)
@@ -277,6 +289,92 @@ class TestBuildRelOracle:
     def test_generated_cnf(self):
         graph, _, _ = from_cnf(random_bounded_overlap_sat(10000, 3, 0))
         assert build_rel(graph) == sorted_build_rel(graph)
+
+    def test_empty_var_rows(self):
+        """Graphs where many vertices read nothing (every CNF variable, and
+        here whole graphs of them) against the dict on every row."""
+        rng = random.Random(20261028)
+        cases = [VariableGraph([()] * n) for n in (0, 1, 5)]
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            out_adj = [rng.sample(range(n), rng.randint(0, min(3, n))) if rng.random() < 0.3 else []
+                       for _ in range(n)]
+            cases.append(VariableGraph(out_adj))
+        cases += shuffled_one_sided_graphs(count=100)
+        for graph in cases:
+            rel = build_rel(graph)
+            assert rel == per_row_build_rel(graph) == sorted_build_rel(graph), graph.out_adj
+            assert all(rel.nbrs[x] == () for x in range(graph.vertex_count) if not graph.var(x))
+
+
+def rule_outcome(b, forbidden, word_lengths):
+    """("ok", forbidden, support) of a ``LocalRule``, or ("error", message)."""
+    try:
+        rule = LocalRule(b, forbidden, word_lengths)
+    except ValueError as exc:
+        return "error", str(exc)
+    return "ok", rule.forbidden, rule.support
+
+
+def reference_rule_outcome(b, forbidden, word_lengths):
+    try:
+        return ("ok", *per_vertex_rule(b, forbidden, word_lengths))
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+class TestRuleCheckOracle:
+    """``LocalRule`` checks each distinct (set, word length) case once; its
+    error must name the vertex and word the vertex-by-vertex check names."""
+
+    def test_bad_set_shared_by_many_vertices(self):
+        good, bad = frozenset({(0, 1), (1, 1)}), frozenset({(0, 1), (2, 0), (0, 5), (1,)})
+        for first in (0, 3, 40):
+            forbidden = [good] * first + [bad] * 50 + [good, frozenset()] * 5
+            lengths = [2] * len(forbidden)
+            got = rule_outcome(3, forbidden, lengths)
+            assert got == reference_rule_outcome(3, forbidden, lengths)
+            assert got[0] == "error" and f" at vertex {first} " in got[1], got
+
+    def test_set_checked_at_two_word_lengths(self):
+        """One set object sound at length 2 and unsound at length 3: the
+        first vertex reading it at length 3 is named, wherever it comes."""
+        shared = frozenset({(0, 1), (1, 0)})
+        for lengths in ([2, 2, 3, 2, 3], [3, 2, 2], [2, 3], [2] * 9 + [3]):
+            forbidden = [shared] * len(lengths)
+            got = rule_outcome(2, forbidden, lengths)
+            assert got == reference_rule_outcome(2, forbidden, lengths)
+            assert got[0] == "error" and f" at vertex {lengths.index(3)} has wrong length" in got[1]
+        assert rule_outcome(2, [shared, frozenset()], [2, 3]) == ("ok", (shared, frozenset()), (0,))
+
+    def test_fuzzed_rules(self):
+        """Shared sets, equal sets that are distinct objects, sets given as
+        lists, empty sets at any length, and bad words of every kind."""
+        rng = random.Random(20261101)
+        kinds = set()
+        for _ in range(600):
+            b = rng.randint(1, 3)
+            n = rng.randint(0, 12)
+            pool = []
+            for _ in range(rng.randint(1, 4)):
+                length = rng.randint(0, 3)
+                words = {tuple(rng.randrange(b) for _ in range(length)) for _ in range(rng.randint(0, 4))}
+                if rng.random() < 0.15:
+                    words.add(rng.choice(((b,) * max(length, 1), (0,) * (length + 1), (-1,), "ab", 7)))
+                pool.append((frozenset(words), length))
+            forbidden, lengths = [], []
+            for _ in range(n):
+                ws, length = rng.choice(pool)
+                if rng.random() < 0.2:
+                    ws = frozenset(set(ws))  # an equal set, another object
+                elif rng.random() < 0.1:
+                    ws = [w for w in ws if isinstance(w, tuple)]  # a list
+                forbidden.append(ws)
+                lengths.append(length if rng.random() < 0.85 else rng.randint(0, 3))
+            got = rule_outcome(b, forbidden, lengths)
+            assert got == reference_rule_outcome(b, forbidden, lengths), (b, forbidden, lengths)
+            kinds.add(got[0] if got[0] == "ok" else got[1].rsplit(" has ", 1)[1].split(" ")[0])
+        assert kinds == {"ok", "wrong", "digits"}
 
 
 def per_vertex_condition(graph, rule):
@@ -321,8 +419,9 @@ class TestConditionOracle:
 
 
 def reference_canonical(variable_count, clauses):
-    """The canonicalisation ``CnfInstance`` did before its plain-sort fast
-    path: a keyed sort by variable, then the checks literal by literal."""
+    """The canonicalisation ``CnfInstance`` did before its fast paths, and
+    still does where its check of all literals at once fails: a keyed sort
+    by variable, then the checks literal by literal."""
     canon = []
     seen = set()
     for idx, clause in enumerate(clauses):
@@ -345,23 +444,31 @@ def reference_canonical(variable_count, clauses):
 
 
 def reference_parse_dimacs(text, clause_size=3):
-    """``parse_dimacs`` before it tokenised in one pass: tokens converted
-    line by line, then ``reference_canonical``."""
+    """``parse_dimacs`` before it converted all clause lines in one map:
+    each token converted, and its error (naming the line of a non-UTF-8
+    byte) raised, where it is read; then ``reference_canonical``."""
     header = None
     tokens = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("c") or line.startswith("%"):
             continue
-        if line.startswith("p"):
-            parts = line.split()
+        if not line.startswith("p"):
+            for token in line.split():
+                try:
+                    tokens.append(int(token))
+                except ValueError as error:
+                    raise _byte_error(number, token) or error from None
+            continue
+        parts = line.split()
+        try:
             if len(parts) != 4 or parts[:2] != ["p", "cnf"]:
                 raise ValueError(f"bad problem line: {line!r}")
             header = (int(parts[2]), int(parts[3]))
             if min(header) < 0:
                 raise ValueError(f"bad problem line: {line!r}")
-            continue
-        tokens.extend(int(t) for t in line.split())
+        except ValueError as error:
+            raise _byte_error(number, line) or error from None
     if header is None:
         raise ValueError("missing 'p cnf' header")
     n_vars, n_clauses = header
@@ -470,6 +577,9 @@ def dimacs_case(rng):
     return end.join(lines) + end * rng.randint(0, 1), clause_size, fault
 
 
+LITERAL = collections.namedtuple("LITERAL", "variable sign")
+
+
 class TestDimacsOracle:
     def test_fuzzed_texts(self):
         rng = random.Random(20261024)
@@ -503,7 +613,84 @@ class TestDimacsOracle:
             got = outcome(lambda: parse_dimacs(text, clause_size))
             assert got == outcome(lambda: reference_parse_dimacs(text, clause_size))
 
+    BAD_TOKENS = ("x", "1.5", "3x", "--2", "1e3", "\udcff", "1\udcc32", "-\udc80")
+
+    def test_bad_token_mid_line(self):
+        """A non-integer token or a non-UTF-8 byte (a lone surrogate, as
+        ``surrogateescape`` decodes it) inside a clause line names the same
+        line and token as the token-by-token read, also with a second bad
+        token or a bad problem line after it."""
+        rng = random.Random(20261031)
+        seen = set()
+        for _ in range(400):
+            text, clause_size, fault = dimacs_case(rng)
+            if fault is not None:
+                continue
+            lines = text.splitlines()
+            clause_lines = [i for i, line in enumerate(lines) if line.strip() and line.strip()[0] not in "cp%"]
+            i = rng.choice(clause_lines)
+            tokens = lines[i].split()
+            bad = rng.choice(self.BAD_TOKENS)
+            tokens.insert(rng.randint(1, max(1, len(tokens) - 1)), bad)
+            lines[i] = " ".join(tokens)
+            if rng.random() < 0.3:
+                lines.insert(rng.randint(i + 1, len(lines)), rng.choice(("1 y 0", "p dnf 1 1", "p cnf \udcfe 1")))
+            broken = "\n".join(lines) + "\n"
+            got = outcome(lambda: parse_dimacs(broken, clause_size))
+            assert got == outcome(lambda: reference_parse_dimacs(broken, clause_size)), broken
+            assert got[0] == "error" and got[1].startswith((f"line {i + 1}: byte", "invalid literal")), (broken, got)
+            seen.add("byte" if got[1].startswith("line") else "token")
+        assert seen == {"byte", "token"}
+
+    @pytest.mark.parametrize("text", [
+        "p cnf 3 1\n1 x 2 3 0\n",
+        "p cnf 3 1\n1 2 \udcff 3 0\n",
+        "p cnf 3 1\n1 2\udc80 3 0\n",
+        "p cnf 3 1\n1 2 3 0\n1 \udcff x 0\n",
+        "p cnf 3 1\n1 x 3 0\np dnf 3 1\n",
+        "p dnf 3 1\n1 x 3 0\n",
+        "c \udcff in a comment\np cnf 3 1\n1 -2 3 0\n",
+    ])
+    def test_bad_token_lines(self, text):
+        for clause_size in (3, None):
+            got = outcome(lambda: parse_dimacs(text, clause_size))
+            assert got == outcome(lambda: reference_parse_dimacs(text, clause_size)), got
+
     LITERAL_FAULTS = ("is empty", "repeats a variable", "outside", "has sign", "duplicates")
+
+    @pytest.mark.parametrize("clauses", [
+        [[[0, 1], [1, -1]]],  # list literals
+        [[(True, 1), (0, -1)]],  # a bool variable, as 1
+        [[(True, 1), (1, -1)]],
+        [[(0, True), (1, -1.0)]],  # signs equal to +-1 but not ints
+        [[(0.0, 1), (1, 1)]],
+        [[(math.nan, 1)]],
+        [[(0, 1, 5)]],  # literals of other lengths
+        [[(0,)]],
+        [[(0, 1)], [(0, 1), ("a", 1)]],  # literals that do not sort
+        [[], [(0, 1), ("a", 1)]],
+        [[(0, [1])]],  # an unhashable sign
+        [[LITERAL(0, 1), (1, -1)]],  # a tuple subclass, stored as a plain tuple
+        [[(1, 1), (0, 1)], [(0, 1), (1, 1)]],  # a duplicate after sorting
+        [[(2, 1)], [(0, 1), (0, -1)]],
+        [[(0, 1), (1, 1)], [(1, -1), (2, 1), (2, -1)]],  # repeats on a clause's inside, not its edge
+        [[(0, 1), (1, 1)], [(1, -1), (2, 1)]],  # equal neighbours across a clause edge
+    ])
+    def test_literal_kinds(self, clauses):
+        """Literals off the plain path (lists, bools, floats, other lengths,
+        unsortable or unhashable parts) and repeats at and inside clause
+        edges give what the literal-by-literal check gives, errors included."""
+
+        def result(build):
+            try:
+                return outcome(build)
+            except Exception as exc:  # a TypeError, as the reference raises it
+                return type(exc).__name__, str(exc)
+
+        got = result(lambda: CnfInstance(3, clauses))
+        assert got == result(lambda: reference_canonical(3, clauses))
+        if got[0] == "ok":
+            assert all(type(lit) is tuple for clause in got[2] for lit in clause)
 
     def test_literal_lists(self):
         """``CnfInstance`` on clause lists with every literal fault: empty
@@ -533,15 +720,6 @@ class TestDimacsOracle:
         assert kinds == {"ok", *self.LITERAL_FAULTS}
 
 
-def reference_sym_adj(graph):
-    """The construction ``sym_adj`` replaced: per vertex, the sorted union
-    of two sets built from var(x) and cl(x)."""
-    return tuple(
-        tuple(sorted(set(graph.out_adj[x]) | set(graph.in_adj[x])))
-        for x in range(graph.vertex_count)
-    )
-
-
 def oriented(adj, rng):
     """A variable graph keeping each edge of a symmetric graph one way or
     both, with some self-loops and every var(x) shuffled."""
@@ -566,17 +744,35 @@ class TestSymAdjOracle:
         rng = random.Random(20261026)
         for adj in random_graphs():
             for graph in (VariableGraph(adj), oriented(adj, rng)):
-                assert graph.sym_adj == reference_sym_adj(graph), graph.out_adj
+                assert graph.sym_adj == per_row_sym_adj(graph), graph.out_adj
 
     def test_shuffled_cl_orders(self):
         for graph in shuffled_variable_graphs(count=100):
-            assert graph.sym_adj == reference_sym_adj(graph), (graph.out_adj, graph.in_adj)
+            assert graph.sym_adj == per_row_sym_adj(graph), (graph.out_adj, graph.in_adj)
 
     @pytest.mark.parametrize("name", ["disjoint", "chain", "torus"])
     def test_bundled(self, name):
         graph, _ = bundled_instances()[name]
-        assert graph.sym_adj == reference_sym_adj(graph)
+        assert graph.sym_adj == per_row_sym_adj(graph)
         assert all(type(row) is tuple for row in graph.sym_adj)
+
+    def test_one_sided_rows(self):
+        """Rows with an empty var or cl side, cl given unsorted, against the
+        union on every row; the solve-cnf shape at full size too."""
+        cases = list(shuffled_one_sided_graphs())
+        rng = random.Random(20261030)
+        for _ in range(100):  # an empty side on some rows, self-loops on others
+            n = rng.randint(1, 10)
+            out_adj = [rng.sample(range(n), rng.randint(0, min(3, n))) if rng.random() < 0.4 else []
+                       for _ in range(n)]
+            in_adj = [[x for x in range(n) if y in out_adj[x]] for y in range(n)]
+            cases.append(VariableGraph(out_adj, [rng.sample(row, len(row)) for row in in_adj]))
+        cases.append(from_cnf(random_bounded_overlap_sat(2000, 3, 0))[0])
+        assert any(graph.in_adj != tuple(map(tuple, map(sorted, graph.in_adj))) for graph in cases)
+        for graph in cases:
+            sym = graph.sym_adj
+            assert sym == per_row_sym_adj(graph), (graph.out_adj, graph.in_adj)
+            assert all(type(row) is tuple for row in sym)
 
 
 def reference_components(adj):

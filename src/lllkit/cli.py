@@ -313,31 +313,21 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _bundled_runs(systems: dict, k: int, tape_seeds):
-    """(name, window n, run) per bundled system and tape seed.  The runs share
-    one tape memo, which lives as long as this generator: the first system to
-    reach a seed draws its rows, and a system with more parts draws only the
-    rows it lacks."""
-    memo: dict = {}
-    for name, (system, n) in systems.items():
-        for tape_seed in tape_seeds:
-            yield name, n, properties.Run(system, k, tape_seed, [0] * system.graph.vertex_count, memo)
-
-
 def cmd_verify(args) -> int:
     seed, runs = args.seed, args.runs
     # Each bundled instance on the auto partition, built once for every suite that reads it.
     systems = {name: build_system(graph, rule, "auto", landscapes.EPS)
                for name, (graph, rule) in instances.bundled_instances().items()}
     abstract = random.Random(seed + 2)
+    tape_seeds = range(seed * 100003, seed * 100003 + args.tapes)
     suites = [
-        ("roundtrip", properties.roundtrip, _bundled_runs(systems, 5, range(seed * 100003, seed * 100003 + args.tapes))),
+        ("roundtrip", properties.roundtrip, properties.bundled_runs(systems, 5, tape_seeds)),
         ("seq_used", properties.seq_used, properties.fuzz_runs(seed + 1, runs, radius=2, random_f0=True)),
         ("grounding", properties.grounding, (properties.random_abstract_landscape(abstract) for _ in range(runs))),
         ("padding", properties.padding, properties.fuzz_runs(seed + 3, runs, radius=2, mixed_width=True)),
         ("tree_counts", properties.tree_counts, itertools.product((2, 3, 4), range(1, 9))),
         ("fault_injection", properties.fault_injection,
-         _bundled_runs({"disjoint": systems["disjoint"]}, 4, [seed + 4])),
+         properties.bundled_runs({"disjoint": systems["disjoint"]}, 4, [seed + 4])),
         ("sparse_partitions", properties.sparse_partitions,
          ((name, system.graph.sym_adj, r) for name, (system, _) in systems.items() for r in (1, 2, 3))),
     ]
@@ -378,9 +368,9 @@ MAX_JOBS = 64
 # 2-vCPU host; on the 64x64 torus a round costs about 8 ms and 2.7 KiB, so
 # 10^6 rounds would take hours and 2.6 GiB.
 MAX_CAP = 10**4
-# At the caps, verify took 80 s and 53 MiB at --tapes 10^5 (the tape memo
-# keeps every seed's rows until the suite ends) and 95 s and 24 MiB at
-# --runs 10^5.
+# At the caps, verify took 52 s and 17 MiB at --tapes 10^5 (no seed's rows
+# outlive its cases, so memory does not grow with --tapes) and 95 s and
+# 24 MiB at --runs 10^5.
 MAX_VERIFY_TAPES = 10**5
 MAX_VERIFY_RUNS = 10**5
 

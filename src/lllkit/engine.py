@@ -78,29 +78,17 @@ class RandomTape:
 
     @classmethod
     def finite_random(cls, b: int, parts: int, width: int, seed: int, *,
-                      memo: dict | None = None) -> "RandomTape":
+                      cells: "Cells | None" = None) -> "RandomTape":
         """The first ``parts`` streams of ``stream(b, seed)``, each cut to
         ``width`` digits, as a finite tape.
 
-        A ``memo`` dict shared by several calls keeps each (b, seed,
-        width)'s rows drawn so far, in order, as one ``bytes`` when every
-        digit fits a byte (b <= 256), else as a tuple, so a call draws only
-        the rows it lacks.  It also
-        keeps each block of rows drawn as a ``Cells``, so the block's hash
-        messages are encoded once for every seed.
+        ``cells``, if given, must be the tape's (part, position) cells in row
+        order; a ``Cells`` shared by several calls encodes its hash messages
+        once for all of them.
         """
-        if memo is None:
-            memo = {}
-        key = ("digits", b, seed, width)
-        drawn = memo.get(key, b"" if b <= 256 else ())
-        if len(drawn) < parts * width:
-            first = len(drawn) // width
-            block = ("cells", first, parts, width)
-            cells = memo.get(block)
-            if cells is None:
-                cells = memo[block] = Cells((i, pos) for i in range(first, parts) for pos in range(width))
-            fresh = cls.stream(b, seed).draw(cells)
-            drawn = memo[key] = drawn + (bytes(fresh) if b <= 256 else tuple(fresh))
+        if cells is None:
+            cells = [(i, pos) for i in range(parts) for pos in range(width)]
+        drawn = cls.stream(b, seed).draw(cells)
         return cls(b, digits=tuple(tuple(drawn[i * width:(i + 1) * width]) for i in range(parts)))
 
     def digit(self, part: int, pos: int) -> int:

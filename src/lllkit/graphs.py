@@ -375,9 +375,10 @@ class Partition:
     def __init__(self, part_count: int, part_of: Sequence[int]):
         self.part_count = part_count
         self.part_of = tuple(part_of)
-        for x, i in enumerate(self.part_of):
-            if not 0 <= i < part_count:
-                raise ValueError(f"vertex {x} assigned to part {i} outside 0..{part_count - 1}")
+        # Decided by min/max; the loop runs only to name the first offender.
+        if self.part_of and not (min(self.part_of) >= 0 and max(self.part_of) < part_count):
+            x, i = next((x, i) for x, i in enumerate(self.part_of) if not 0 <= i < part_count)
+            raise ValueError(f"vertex {x} assigned to part {i} outside 0..{part_count - 1}")
 
     @classmethod
     def singletons(cls, n: int) -> "Partition":

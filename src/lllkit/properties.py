@@ -4,7 +4,8 @@ A property checks an iterable of cases in order (a lazy generator draws each
 case just before it is checked) and returns ``(checks made, first
 counterexample or None)``; a counterexample is a JSON-ready dict whose
 ``suite`` names the property.  ``fuzz_runs`` is the one fuzz generator of
-runs, and ``random_abstract_landscape`` draws the landscapes no run makes.
+runs, ``bundled_runs`` the one source of runs on the bundled systems, and
+``random_abstract_landscape`` draws the landscapes no run makes.
 """
 
 from __future__ import annotations
@@ -14,27 +15,44 @@ import random
 from typing import Iterable, Iterator, NamedTuple
 
 from . import counting, engine, graphs, landscapes
-from .engine import MtaSystem, RandomTape, RunTrace
+from .engine import Cells, MtaSystem, RandomTape, RunTrace
 from .instances import random_instance
 from .landscapes import DecoratedLandscape
 
 
 class Run(NamedTuple):
-    """k rounds of ``system`` from ``f0`` on the tape seeded ``tape_seed``;
-    runs that share a ``memo`` dict draw each of a seed's rows once (see
-    ``RandomTape.finite_random``)."""
+    """k rounds of ``system`` from ``f0`` on the tape seeded ``tape_seed``:
+    the tape ``RandomTape.finite_random`` gives, unless ``digits`` holds its
+    rows already drawn (see ``bundled_runs``)."""
 
     system: MtaSystem
     k: int
     tape_seed: int
     f0: list[int]
-    memo: dict | None = None
+    digits: tuple[tuple[int, ...], ...] | None = None
 
     def tape(self) -> RandomTape:
-        return RandomTape.finite_random(self.system.b, self.system.p, self.k, self.tape_seed, memo=self.memo)
+        if self.digits is None:
+            return RandomTape.finite_random(self.system.b, self.system.p, self.k, self.tape_seed)
+        return RandomTape(self.system.b, digits=self.digits)
 
     def trace(self, tape: RandomTape | None = None) -> RunTrace:
         return engine.run_k(self.system, self.f0, self.k, self.tape() if tape is None else tape)
+
+
+def bundled_runs(systems: dict[str, tuple[MtaSystem, int]], k: int,
+                 tape_seeds: Iterable[int]) -> Iterator[tuple[str, int, Run]]:
+    """(name, window n, run) per tape seed and then per system, from zeros.
+    The systems share one b, and a system's tape is the first p rows of the
+    widest one's, so each seed's rows are drawn once, through one ``Cells``
+    block, and nothing is kept from one seed to the next."""
+    (b,) = {system.b for system, _ in systems.values()}
+    parts = max(system.p for system, _ in systems.values())
+    block = Cells((i, pos) for i in range(parts) for pos in range(k))
+    for tape_seed in tape_seeds:
+        rows = RandomTape.finite_random(b, parts, k, tape_seed, cells=block).digits
+        for name, (system, n) in systems.items():
+            yield name, n, Run(system, k, tape_seed, [0] * system.graph.vertex_count, rows[:system.p])
 
 
 def random_system(rng: random.Random, *, mixed_width: bool = False, radius: int | None = None) -> MtaSystem:

@@ -1,16 +1,16 @@
-"""Shared helpers for the test suite: restricted run landscapes, random
-adjacencies, and the reference oracles.  The oracles are slow, plain
-versions of what the library computes, kept here and not in ``lllkit``
-because no command runs them: the deque search, one resampling ``step``
-that re-checks every constraint and picks its independent set on the
-self-loop-free dependency rows, the fresh-bits baseline
-``classic_parallel_mta``, a tape's ``prefix`` in one draw, a trace's
-``counters`` after each round, the brute-force tree enumeration, the exact
-Q values, the faithfulness test of a restriction, the rebranchable triples,
-``graph_distance``, the per-point torus build, and the per-element set-up
-builds: the union on every ``sym_adj`` row, the dict on every dependency
-row and the vertex-by-vertex rule check.  ``to_dimacs`` writes a CNF back
-out for the round-trip tests."""
+"""Shared helpers for the test suite: the bundled systems, restricted run
+landscapes, random adjacencies, and the reference oracles.  The oracles
+are slow, plain versions of what the library computes, kept here and not
+in ``lllkit`` because no command runs them: the deque search, one
+resampling ``step`` that re-checks every constraint and picks its
+independent set on the self-loop-free dependency rows, the fresh-bits
+baseline ``classic_parallel_mta``, a tape's ``prefix`` in one draw, a
+trace's ``counters`` after each round, the brute-force tree enumeration,
+the exact Q values, the faithfulness test of a restriction, the
+rebranchable triples, ``graph_distance``, the per-point torus build, and
+the per-element set-up builds: the union on every ``sym_adj`` row, the
+dict on every dependency row, and the vertex-by-vertex rule and partition
+checks.  ``to_dimacs`` writes a CNF back out for the round-trip tests."""
 
 import itertools
 import math
@@ -22,7 +22,8 @@ from typing import Iterable, Iterator, NamedTuple
 import pytest
 
 from lllkit import (DecoratedLandscape, LocalRule, MtaSystem, Partition, RandomTape, RunTrace, VariableGraph,
-                    ball, extract_landscape, greedy_mis, restrict, violating_set)
+                    ball, bundled_instances, extract_landscape, greedy_mis, restrict, violating_set)
+from lllkit.cli import build_system
 from lllkit.engine import _run
 from lllkit.graphs import Adjacency, RelGraph, _distances
 from lllkit.instances import CnfInstance, TorusSpec, non_surjective_words, tight_threshold
@@ -30,6 +31,13 @@ from lllkit.landscapes import ForestVertex, canvas_sources
 from lllkit.properties import fuzz_runs
 
 INF = math.inf
+
+
+def bundled_systems() -> dict[str, tuple[MtaSystem, int]]:
+    """The systems ``verify`` builds: each bundled instance on the auto
+    partition, with its window parameter."""
+    return {name: build_system(graph, rule, "auto", Fraction(1, 2))
+            for name, (graph, rule) in bundled_instances().items()}
 
 
 def restricted_runs(rng: random.Random, count: int, plain: int, *, k_max: int = 5):
@@ -273,6 +281,16 @@ def per_vertex_rule(b: int, forbidden, word_lengths) -> tuple[tuple[frozenset, .
                 raise ValueError(f"forbidden word {w} at vertex {x} has digits outside 0..{b - 1}")
         sets.append(ws)
     return tuple(sets), tuple(x for x, ws in enumerate(sets) if ws)
+
+
+def per_vertex_partition(part_count: int, part_of) -> tuple[int, ...]:
+    """``Partition``'s range check before min/max decided it: vertex by
+    vertex, raising the ValueError of the first vertex outside the parts."""
+    part_of = tuple(part_of)
+    for x, i in enumerate(part_of):
+        if not 0 <= i < part_count:
+            raise ValueError(f"vertex {x} assigned to part {i} outside 0..{part_count - 1}")
+    return part_of
 
 
 def to_dimacs(cnf: CnfInstance) -> str:

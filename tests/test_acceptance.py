@@ -28,25 +28,15 @@ from lllkit import (
     violating_set,
 )
 from lllkit import properties
-from lllkit.cli import build_system
 from lllkit.instances import TorusSpec, chain_sat_instance, default_translates, disjoint_clause_instance
-from lllkit.properties import Run
-from conftest import enumerate_labelled_trees, q_values_exact, restricted_landscapes
-
-
-def _bundled_systems():
-    return {name: build_system(*instance, "auto", Fraction(1, 2)) for name, instance in bundled_instances().items()}
+from conftest import bundled_systems, enumerate_labelled_trees, q_values_exact, restricted_landscapes
 
 
 def test_01_tape_encoding_injective_roundtrip():
     """decode(encode(tape)) == tape on 3 bundled instances x 10^4 tapes."""
     start = time.time()
     tapes_per_instance = 10_000
-    cases = (
-        (name, n, Run(system, 5, i, [0] * system.graph.vertex_count))
-        for name, (system, n) in _bundled_systems().items()
-        for i in range(tapes_per_instance)
-    )
+    cases = properties.bundled_runs(bundled_systems(), 5, range(tapes_per_instance))
     assert properties.roundtrip(cases) == (3 * tapes_per_instance, None)
     elapsed = time.time() - start
     assert elapsed < 120, f"runtime target missed: {elapsed:.1f}s"

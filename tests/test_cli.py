@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from lllkit import bundled_instances, cli, counting, engine, graphs, instance_to_json, instances, landscapes
+from lllkit import bundled_instances, cli, counting, engine, graphs, instance_to_json, instances, landscapes, properties
 from lllkit.instances import from_cnf, random_bounded_overlap_sat
 from lllkit.cli import build_system, main
 
@@ -201,6 +201,63 @@ class TestVerify:
         assert captured.out.count("\n") == 7
         assert captured.err.count("\n") == 1
         assert json.loads(captured.err)["suite"] == suite
+
+
+def _case_key(value):
+    """A suite case's inputs as nested tuples of ints and strings: a run's
+    system, k, seed, start and tape digits, a landscape's fields, a graph's
+    rows."""
+    if isinstance(value, properties.Run):
+        return ("run", _case_key(value.system), value.k, value.tape_seed, tuple(value.f0), value.tape().digits)
+    if isinstance(value, engine.MtaSystem):
+        forbidden = tuple(tuple(sorted(words)) for words in value.rule.forbidden)
+        return (value.b, value.graph.out_adj, forbidden, value.partition.part_of)
+    if isinstance(value, landscapes.DecoratedLandscape):
+        return (value.graph.out_adj, tuple(sorted(value.parent.items())), tuple(sorted(value.prev.items())),
+                value.final, value.part_of)
+    if isinstance(value, tuple):
+        return tuple(map(_case_key, value))
+    return value
+
+
+VERIFY_SUITES = ("roundtrip", "seq_used", "grounding", "padding", "tree_counts", "fault_injection",
+                 "sparse_partitions")
+
+
+def _suite_digests(monkeypatch, seed):
+    """The sha256 of each suite's case inputs in one ``verify --seed`` call."""
+    digests = {}
+
+    def folding(name, check):
+        def run(cases):
+            digest = digests[name] = hashlib.sha256()
+            def keyed():
+                for case in cases:
+                    digest.update(repr(_case_key(case)).encode())
+                    yield case
+            return check(keyed())
+        return run
+
+    for name in VERIFY_SUITES:
+        monkeypatch.setattr(properties, name, folding(name, getattr(properties, name)))
+    assert main(["verify", "--seed", str(seed), "--tapes", "3", "--runs", "4"]) == 0
+    monkeypatch.undo()
+    return {name: digest.hexdigest() for name, digest in digests.items()}
+
+
+class TestVerifySeed:
+    def test_cases_follow_the_seed(self, monkeypatch, capsys):
+        """The stdout is the same for every seed, so the suites' case inputs
+        must show the seed: they differ between seeds 0 and 1 and repeat for
+        one seed.  ``tree_counts`` (a fixed grid) and ``sparse_partitions``
+        (the bundled graphs) do not use the seed."""
+        zero, one, again = (_suite_digests(monkeypatch, seed) for seed in (0, 1, 0))
+        assert sorted(zero) == sorted(VERIFY_SUITES)
+        assert zero == again
+        assert {name for name in VERIFY_SUITES if zero[name] != one[name]} == {
+            "roundtrip", "seq_used", "grounding", "padding", "fault_injection"}
+        outputs = capsys.readouterr().out
+        assert outputs == 3 * outputs[:len(outputs) // 3]
 
 
 class TestDependencyGraphOnce:

@@ -64,7 +64,8 @@ from lllkit.instances import (
     random_instance,
     tight_threshold,
 )
-from conftest import _bfs_distances, per_row_build_rel, per_row_sym_adj, per_vertex_rule, random_symmetric_adjacency
+from conftest import (_bfs_distances, per_row_build_rel, per_row_sym_adj, per_vertex_partition, per_vertex_rule,
+                      random_symmetric_adjacency)
 
 RADII = (0, 1, 2, 3)
 EPSILONS = (Fraction(1, 10), Fraction(1, 5), Fraction(1, 2), Fraction(2))
@@ -375,6 +376,50 @@ class TestRuleCheckOracle:
             assert got == reference_rule_outcome(b, forbidden, lengths), (b, forbidden, lengths)
             kinds.add(got[0] if got[0] == "ok" else got[1].rsplit(" has ", 1)[1].split(" ")[0])
         assert kinds == {"ok", "wrong", "digits"}
+
+
+def partition_outcome(check, part_count, part_of):
+    try:
+        return "ok", check(part_count, part_of)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+class TestPartitionCheckOracle:
+    """``Partition`` decides its range by min/max; its error must name the
+    vertex the vertex-by-vertex check names."""
+
+    def outcomes(self, part_count, part_of):
+        got = partition_outcome(lambda c, p: Partition(c, p).part_of, part_count, part_of)
+        assert got == partition_outcome(per_vertex_partition, part_count, part_of), (part_count, part_of)
+        return got
+
+    @pytest.mark.parametrize("at", [0, 17, 39])
+    @pytest.mark.parametrize("bad", [5, 9, -1, -7])
+    def test_first_offender_named(self, at, bad):
+        """One offender at the start, middle or end; then a second, later
+        offender of the other kind, which must not be the one named."""
+        part_of = [x % 5 for x in range(40)]
+        part_of[at] = bad
+        assert self.outcomes(5, part_of) == ("error", f"vertex {at} assigned to part {bad} outside 0..4")
+        if at < 39:
+            part_of[39] = -3 if bad > 0 else 12
+            assert self.outcomes(5, part_of)[1].startswith(f"vertex {at} ")
+
+    def test_no_parts(self):
+        assert self.outcomes(0, []) == ("ok", ())
+        assert self.outcomes(0, [0]) == ("error", "vertex 0 assigned to part 0 outside 0..-1")
+        assert self.outcomes(0, (-1, 0)) == ("error", "vertex 0 assigned to part -1 outside 0..-1")
+
+    def test_fuzzed(self):
+        rng = random.Random(20261021)
+        kinds = set()
+        for _ in range(400):
+            count, n = rng.randint(0, 6), rng.randint(0, 30)
+            part_of = [rng.randint(-2, count + 1) if rng.random() < 0.05 else rng.randrange(max(count, 1))
+                       for _ in range(n)]
+            kinds.add(self.outcomes(count, part_of)[0])
+        assert kinds == {"ok", "error"}
 
 
 def per_vertex_condition(graph, rule):

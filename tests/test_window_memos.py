@@ -1,9 +1,11 @@
 """The tape code's window geometry: ``find_window`` against its full-radius
 reference, and what a graph keeps (one ball per centre, one restricted
-canvas per window) against runs on a fresh graph; and the tape memo
-``verify``'s round trips share, against tapes drawn cold."""
+canvas per window) against runs on a fresh graph; and the tape rows that
+``properties.bundled_runs`` shares among the bundled systems, drawn once
+per seed and kept for no longer, against tapes drawn cold."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -23,13 +25,12 @@ from lllkit import (
     restrict,
     run_k,
 )
-from lllkit import cli
 from lllkit.cli import build_system, main
 from lllkit.engine import Cells
 from lllkit.graphs import SymAdj
 from lllkit.landscapes import Window, WindowError
 from lllkit.properties import Run, fuzz_runs
-from conftest import _bfs_distances, prefix, random_symmetric_adjacency
+from conftest import _bfs_distances, bundled_systems, prefix, random_symmetric_adjacency
 
 
 def reference_find_window(adj, weights, eps, n):
@@ -117,11 +118,9 @@ class TestFindWindowReference:
 
 
 def bundled_traces(seeds):
-    """(system, n, trace) per bundled instance and tape seed, k = 5."""
-    for name, (graph, rule) in bundled_instances().items():
-        system, n = build_system(graph, rule, "auto", Fraction(1, 2))
-        for seed in seeds:
-            yield system, n, Run(system, 5, seed, [0] * graph.vertex_count).trace()
+    """(system, n, trace) per tape seed and bundled system, k = 5."""
+    for _, n, run in properties.bundled_runs(bundled_systems(), 5, seeds):
+        yield run.system, n, run.trace()
 
 
 def code_fields(code):
@@ -202,17 +201,10 @@ class TestWhatIsKept:
         monkeypatch.setattr(landscapes, "_ball_pairs", counting_pairs)
         monkeypatch.setattr(landscapes, "VariableGraph", counting_graph)
         monkeypatch.setattr(landscapes, "find_window", recording_find)
-        system, n = build_system(*bundled_instances()["chain"], "auto", Fraction(1, 2))
-        cases = (("chain", n, Run(system, 5, seed, [0] * system.graph.vertex_count)) for seed in range(600))
+        cases = properties.bundled_runs({"chain": bundled_systems()["chain"]}, 5, range(600))
         assert properties.roundtrip(cases) == (600, None)
         assert centres and len(searches) == len(set(searches)) <= len(centres)
         assert 0 < len(graphs_built) <= len(windows)
-
-
-def bundled_systems():
-    """The systems ``verify`` builds: each bundled instance on the auto partition."""
-    return {name: build_system(graph, rule, "auto", Fraction(1, 2))
-            for name, (graph, rule) in bundled_instances().items()}
 
 
 def count_stream_cells(monkeypatch):
@@ -230,35 +222,43 @@ def count_stream_cells(monkeypatch):
     return drawn
 
 
+def cold(systems, seeds):
+    """The bundled cases in seed order, each run drawing its own tape."""
+    return ((name, n, Run(system, 5, seed, [0] * system.graph.vertex_count))
+            for seed in seeds for name, (system, n) in systems.items())
+
+
 class TestTapeMemo:
+    """The tape rows the bundled runs share: each seed's drawn once, for
+    every system, and kept for no longer than that seed's cases."""
+
     @pytest.mark.parametrize("b", [2, 3, 4, 256, 257])
     def test_matches_cold_prefix(self, b):
-        """Parts grow and then shrink, at width 0 too, over seeds sharing one memo."""
-        memo = {}
-        for seed in (0, 17, -5):
-            for width in (0, 3, 7):
-                for parts in (1, 4, 9, 5, 0, 9, 2):
-                    got = RandomTape.finite_random(b, parts, width, seed, memo=memo)
+        """With and without a ``Cells`` block shared by every seed."""
+        for width in (0, 3, 7):
+            for parts in (1, 4, 9, 0):
+                block = Cells((i, pos) for i in range(parts) for pos in range(width))
+                for seed in (0, 17, -5):
                     want = prefix(RandomTape.stream(b, seed), parts, width)
-                    assert got == want and got.digits == want.digits, (seed, width, parts)
-                    assert all(type(d) is int for row in got.digits for d in row)
-        kept = [value for key, value in memo.items() if key[0] == "digits"]
-        assert len(kept) == 6  # widths 3 and 7 per seed; width 0 draws nothing
-        assert all(type(value) is (bytes if b <= 256 else tuple) for value in kept)
+                    for got in (RandomTape.finite_random(b, parts, width, seed),
+                                RandomTape.finite_random(b, parts, width, seed, cells=block)):
+                        assert got == want and got.digits == want.digits, (seed, width, parts)
+                        assert all(type(d) is int for row in got.digits for d in row)
 
     def test_bundled_rows_drawn_once(self, monkeypatch):
-        """The bundled systems have 4, 13 and 24 parts: with the memo a seed's
-        24 rows are drawn once, without it 4 + 13 + 24 rows."""
+        """The bundled systems have 4, 13 and 24 parts: shared, a seed's 24
+        rows are drawn once; each run drawing its own, 4 + 13 + 24 rows."""
         drawn = count_stream_cells(monkeypatch)
         systems, seeds = bundled_systems(), range(20)
-        assert properties.roundtrip(cli._bundled_runs(systems, 5, seeds)) == (60, None)
+        assert properties.roundtrip(properties.bundled_runs(systems, 5, seeds)) == (60, None)
         assert sum(drawn) == 20 * 24 * 5
         drawn.clear()
-        cold = ((name, n, run._replace(memo=None)) for name, n, run in cli._bundled_runs(systems, 5, seeds))
-        assert properties.roundtrip(cold) == (60, None)
+        assert properties.roundtrip(cold(systems, seeds)) == (60, None)
         assert sum(drawn) == 20 * (4 + 13 + 24) * 5
 
     def test_first_counterexample_is_kept(self, monkeypatch):
+        """In seed order: seeds 0..16 pass on all three systems, then
+        ``disjoint`` passes and ``chain`` fails at seed 17."""
         systems, seeds = bundled_systems(), range(40)
         bad = RandomTape.finite_random(2, systems["chain"][0].p, 5, 17)
         real_decode = landscapes.decode_tape
@@ -268,10 +268,30 @@ class TestTapeMemo:
             return None if tape == bad else tape
 
         monkeypatch.setattr(landscapes, "decode_tape", failing_decode)
-        warm = properties.roundtrip(cli._bundled_runs(systems, 5, seeds))
-        cold = properties.roundtrip((name, n, run._replace(memo=None))
-                                    for name, n, run in cli._bundled_runs(systems, 5, seeds))
-        assert warm == cold == (40 + 18, {"suite": "roundtrip", "instance": "chain", "tape_seed": 17})
+        shared = properties.roundtrip(properties.bundled_runs(systems, 5, seeds))
+        alone = properties.roundtrip(cold(systems, seeds))
+        assert shared == alone == (17 * 3 + 2, {"suite": "roundtrip", "instance": "chain", "tape_seed": 17})
+
+    def test_memory_does_not_grow_with_seeds(self):
+        """The peak of a suite over 1,000 seeds is that over 100: no seed's
+        rows outlive its cases.  The systems first keep some window
+        geometry, and the interpreter's tuple free lists are filled under
+        the trace, so that tuples parked there do not read as growth."""
+        systems = bundled_systems()
+        assert properties.roundtrip(properties.bundled_runs(systems, 5, range(100))) == (300, None)
+        peaks = []
+        tracemalloc.start()
+        try:
+            parked = [tuple(range(size)) for size in range(1, 21) for _ in range(4000)]
+            del parked
+            for count in (100, 1000):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                assert properties.roundtrip(properties.bundled_runs(systems, 5, range(count))) == (3 * count, None)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 64 * 1024, peaks
 
     def test_memo_lives_for_one_call(self, monkeypatch, capsys):
         """A second in-process verify draws every cell the first drew."""

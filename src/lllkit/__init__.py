@@ -8,7 +8,6 @@ from .graphs import (
     InstanceParams,
     LocalRule,
     Partition,
-    RelGraph,
     VariableGraph,
     ball,
     build_rel,
@@ -71,7 +70,6 @@ from .counting import (
     labelled_tree_bound,
     landscape_class_bound,
     landscape_count_reports,
-    q_value_upper_bounds,
     tail_estimate,
     tree_count_iterates,
     tree_count_reports,

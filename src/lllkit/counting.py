@@ -101,32 +101,6 @@ def labelled_tree_bound(delta: int, n: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# The fixed-point iteration evaluated at rho = tight_threshold(delta)
-# ---------------------------------------------------------------------------
-
-
-def q_value_upper_bounds(delta: int, steps: int) -> list[Fraction]:
-    """Certified upper bounds on Q_0(rho), ..., Q_steps(rho) at rho = tight_threshold(delta).
-
-    The map v -> rho (1 + v)^delta is increasing, so rounding each value up
-    to a denominator of 2^512 keeps a rigorous upper bound while the numbers
-    stay small.  Every returned value is an exact rational >= the true one.
-    """
-    if delta < 2:
-        raise ValueError("delta must be at least 2")
-    rho = tight_threshold(delta)
-    scale = 1 << 512
-
-    def round_up(value: Fraction) -> Fraction:
-        return Fraction(-((-value.numerator * scale) // value.denominator), scale)
-
-    values = [round_up(rho)]
-    for _ in range(steps):
-        values.append(round_up(rho * (1 + values[-1]) ** delta))
-    return values
-
-
-# ---------------------------------------------------------------------------
 # The landscape iso-class bound
 # ---------------------------------------------------------------------------
 
@@ -250,7 +224,7 @@ def _grounded_forests(graph: VariableGraph, n2: int):
         ok = True
         for lvl, bases in by_level.items():
             for a, c in itertools.combinations(bases, 2):
-                if graph.rel.adjacent(a, c):
+                if c in graph.rel[a]:
                     ok = False
                     break
             if not ok:
@@ -308,7 +282,7 @@ def enumerate_small_landscapes(
     seen: set = set()
     for size in range(1, n1 + 1):
         for graph in _graph_candidates(size, d):
-            if any(len(row) > delta for row in graph.rel.nbrs):
+            if any(len(row) > delta for row in graph.rel):
                 continue
             forests = list(_grounded_forests(graph, n2))
             if not forests:

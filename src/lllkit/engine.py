@@ -205,7 +205,7 @@ class MtaSystem:
             raise ValueError("order must be a permutation of the vertices")
         self.graph = graph
         self.rule = rule
-        self.rel = graph.rel
+        graph.rel  # the dependency rows every round reads: built in set-up, not in the first round
         self.partition = partition
         self.order = tuple(order)
         self.readers: dict[int, Reader] = {}
@@ -314,10 +314,10 @@ def _plan_round(system: MtaSystem, violated: Collection[int], counters: Sequence
     """
     readers, rank = system.readers, system.rank
     ranked = sorted(violated, key=None if rank is None else rank.__getitem__)
-    chosen = tuple(sorted(greedy_mis(system.rel.nbrs, violated, ranked)))
+    chosen = tuple(sorted(greedy_mis(system.graph.rel, violated, ranked)))
     targets, cells = _round_cells(system, chosen, counters)
     # Only constraints reading a redrawn variable can change status.
-    dirty = frozenset([y for x in chosen for y in system.rel.nbrs[x] if y in readers])
+    dirty = frozenset([y for x in chosen for y in system.graph.rel[x] if y in readers])
     return RoundPlan(chosen, targets, cells, dirty)
 
 

@@ -96,8 +96,8 @@ class VariableGraph:
         return self._sym
 
     @functools.cached_property
-    def rel(self) -> RelGraph:
-        """The dependency graph with its edge labeling, built on first use."""
+    def rel(self) -> tuple[Word, ...]:
+        """The dependency graph's rows (see ``build_rel``), built on first use."""
         return build_rel(self)
 
     @functools.cached_property
@@ -209,36 +209,22 @@ def violating_set(graph: VariableGraph, rule: LocalRule, f: Sequence[int]) -> se
     return {x for x in rule.support if tuple(f[v] for v in graph.var(x)) in rule.forbidden[x]}
 
 
-class RelGraph:
-    """The dependency graph: x ~ y iff var(x) and var(y) intersect.
+def build_rel(graph: VariableGraph) -> tuple[Word, ...]:
+    """The dependency graph (x ~ y iff var(x) and var(y) intersect) as
+    its rows, one per vertex, with the canonical edge labeling.
 
-    ``nbrs[x]`` lists the neighbourhood of x in canonical label order; the
-    label of an edge (x, y) is the position of y in ``nbrs[x]``.  A vertex
-    with nonempty var(x) carries a self-loop and appears in its own list.
-    ``greedy_mis`` reads these rows as they are: a self-loop blocks only
-    its own vertex, which the walk has then already visited.
-    """
-
-    def __init__(self, nbrs: Iterable[Iterable[int]]):
-        self.nbrs: tuple[Word, ...] = tuple(map(tuple, nbrs))
-
-    def adjacent(self, x: int, y: int) -> bool:
-        return y in self.nbrs[x]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, RelGraph) and self.nbrs == other.nbrs
-
-
-def build_rel(graph: VariableGraph) -> RelGraph:
-    """Build the dependency graph with its canonical edge labeling.
-
-    At x the neighbours are ordered by the var(x)-least shared variable;
-    ties (same shared variable v) are broken by position in cl(v).  Walking
-    var(x) and each cl(v) in order and keeping first appearances yields
-    exactly this order.
+    Row x lists the neighbourhood of x in canonical label order; the label
+    of an edge (x, y) is the position of y in row x.  A vertex with
+    nonempty var(x) carries a self-loop and appears in its own row; a
+    vertex that reads nothing has an empty row.  At x the neighbours are
+    ordered by the var(x)-least shared variable; ties (same shared
+    variable v) are broken by position in cl(v).  Walking var(x) and each
+    cl(v) in order and keeping first appearances yields exactly this
+    order.  ``greedy_mis`` reads these rows as they are: a self-loop blocks
+    only its own vertex, which the walk has then already visited.
     """
     cl = graph.in_adj
-    return RelGraph([dict.fromkeys([y for v in row for y in cl[v]]) if row else () for row in graph.out_adj])
+    return tuple([tuple(dict.fromkeys([y for v in row for y in cl[v]])) if row else () for row in graph.out_adj])
 
 
 class InstanceParams(NamedTuple):
@@ -256,7 +242,7 @@ def params(graph: VariableGraph, rule: LocalRule) -> InstanceParams:
     """
     support = rule.support
     d = max((len(graph.var(x)) for x in support), default=0)
-    delta = max(map(len, graph.rel.nbrs), default=0)
+    delta = max(map(len, graph.rel), default=0)
     beta = max(map(len, rule.forbidden), default=0)
     return InstanceParams(d, delta, beta)
 

@@ -20,7 +20,6 @@ from .engine import RandomTape, RunTrace, used_unused
 from .graphs import (
     Adjacency,
     LocalRule,
-    RelGraph,
     SymAdj,
     VariableGraph,
     Word,
@@ -87,7 +86,6 @@ class DecoratedLandscape:
     ):
         self.graph = graph
         self.rule = rule
-        self.rel = graph.rel
         self.parent = dict(parent)
         self.prev = dict(prev)
         self.verts = frozenset(self.prev)
@@ -98,7 +96,7 @@ class DecoratedLandscape:
     # -- structural invariants -------------------------------------------
 
     def validate(self) -> None:
-        n, b = self.graph.vertex_count, self.rule.b
+        n, b, rel = self.graph.vertex_count, self.rule.b, self.graph.rel
         if len(self.final) != n or len(self.part_of) != n:
             raise InternalConsistencyError("decoration length disagrees with graph")
         if self.final and (min(self.final) < 0 or max(self.final) >= b):
@@ -112,17 +110,18 @@ class DecoratedLandscape:
         for child, par in self.parent.items():
             if par not in self.verts:
                 raise InternalConsistencyError(f"parent {par} of {child} missing")
-            if par[1] != child[1] - 1 or not self.rel.adjacent(par[0], child[0]):
+            if par[1] != child[1] - 1 or child[0] not in rel[par[0]]:
                 raise InternalConsistencyError(f"edge {par} -> {child} is not a canvas edge")
         by_level: dict[int, list[int]] = {}
-        for base, level in sorted(self.verts):  # sorted: the pair named depends on the landscape alone
+        for base, level in sorted(self.verts):  # sorted: the vertex or pair named depends on the landscape alone
+            if not rel[base]:  # no self-loop: its copies are never linked, so grounding could not merge them
+                raise InternalConsistencyError(f"forest vertex {(base, level)} reads nothing")
             by_level.setdefault(level, []).append(base)
-        nbrs = self.rel.nbrs
         for level, bases in sorted(by_level.items()):
             # The first adjacent pair (bases[i], bases[j]), i < j, in (i, j) order.
             rank = {x: i for i, x in enumerate(bases)}
             for i, x in enumerate(bases):
-                later = [rank[y] for y in nbrs[x] if rank.get(y, -1) > i]
+                later = [rank[y] for y in rel[x] if rank.get(y, -1) > i]
                 if later:
                     raise InternalConsistencyError(
                         f"level {level} holds dependency-adjacent bases {x}, {bases[min(later)]}"
@@ -204,13 +203,13 @@ class DecoratedLandscape:
         )
 
 
-def canvas_sources(rel: RelGraph, verts: Container[ForestVertex], v: ForestVertex) -> list[ForestVertex]:
+def canvas_sources(rel: Adjacency, verts: Container[ForestVertex], v: ForestVertex) -> list[ForestVertex]:
     """The members of ``verts`` with a canvas edge into v, in label order
     (none when v is at level 0)."""
     base, level = v
     if level == 0:
         return []
-    return [(y, level - 1) for y in rel.nbrs[base] if (y, level - 1) in verts]
+    return [(y, level - 1) for y in rel[base] if (y, level - 1) in verts]
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +229,7 @@ def extract_landscape(trace: RunTrace) -> DecoratedLandscape:
             v = (x, i)
             prev[v] = tuple(assignment[u] for u in system.graph.var(x))
             if i > 0:
-                sources = canvas_sources(system.rel, prev, v)  # prev's keys: the forest so far
+                sources = canvas_sources(system.graph.rel, prev, v)  # prev's keys: the forest so far
                 if not sources:
                     raise InternalConsistencyError(
                         f"resampled vertex {x} at step {i} has no adjacent "
@@ -338,12 +337,12 @@ def restrict(ls: DecoratedLandscape, vertices: Iterable[int]) -> tuple[Decorated
             continue  # outside, or reads nothing here: carries no decoding information
         prev[i, level] = tuple(word[pos] for pos in kept_positions[i])
     parent = {}
-    adjacent = graph.rel.adjacent
+    rel = graph.rel
     for child, par in ls.parent.items():
         if child[0] in new_id and par[0] in new_id:
             c = (new_id[child[0]], child[1])
             q = (new_id[par[0]], par[1])
-            if c in prev and q in prev and adjacent(q[0], c[0]):
+            if c in prev and q in prev and c[0] in rel[q[0]]:
                 parent[c] = q
     final = tuple(ls.final[x] for x in keep)
     part_of = tuple(ls.part_of[x] for x in keep)
@@ -358,7 +357,7 @@ def restrict(ls: DecoratedLandscape, vertices: Iterable[int]) -> tuple[Decorated
 def _cross_edges_into(ls: DecoratedLandscape, tree: frozenset[ForestVertex]) -> Iterator[tuple[ForestVertex, ForestVertex]]:
     """Canvas edges (o, v) with o in another tree and v in this tree."""
     for v in sorted(tree):
-        for o in canvas_sources(ls.rel, ls.verts, v):
+        for o in canvas_sources(ls.graph.rel, ls.verts, v):
             if o not in tree:
                 yield (o, v)
 
@@ -413,7 +412,7 @@ def rebranch(ls: DecoratedLandscape, triple: tuple[ForestVertex, ForestVertex, F
         raise LandscapeError("rebranch: (x, z) is not a forest edge")
     if y not in ls.verts or y == x or y == z:
         raise LandscapeError("rebranch: y is not a distinct forest vertex")
-    if y[1] != z[1] - 1 or not ls.rel.adjacent(y[0], z[0]):
+    if y[1] != z[1] - 1 or z[0] not in ls.graph.rel[y[0]]:
         raise LandscapeError("rebranch: (y, z) is not a canvas edge")
     parent = dict(ls.parent)
     parent[z] = y
@@ -423,7 +422,7 @@ def rebranch(ls: DecoratedLandscape, triple: tuple[ForestVertex, ForestVertex, F
 def joinable_pairs(ls: DecoratedLandscape) -> Iterator[tuple[ForestVertex, ForestVertex]]:
     """(y, z): z is a root, (y, z) a canvas edge from a forest vertex."""
     for z in ls.roots():
-        for y in canvas_sources(ls.rel, ls.verts, z):
+        for y in canvas_sources(ls.graph.rel, ls.verts, z):
             yield (y, z)
 
 
@@ -431,7 +430,7 @@ def join(ls: DecoratedLandscape, pair: tuple[ForestVertex, ForestVertex]) -> Dec
     y, z = pair
     if z in ls.parent or z not in ls.verts:
         raise LandscapeError("join: z is not a root")
-    if y not in ls.verts or y[1] != z[1] - 1 or not ls.rel.adjacent(y[0], z[0]):
+    if y not in ls.verts or y[1] != z[1] - 1 or z[0] not in ls.graph.rel[y[0]]:
         raise LandscapeError("join: (y, z) is not a canvas edge from a forest vertex")
     parent = dict(ls.parent)
     parent[z] = y

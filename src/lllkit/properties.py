@@ -92,12 +92,12 @@ def random_abstract_landscape(rng: random.Random) -> DecoratedLandscape:
         for x in rng.sample(support, len(support)):
             if rng.random() < 0.5:
                 continue
-            if any(rel.adjacent(x, y) for y in chosen):
+            if any(y in rel[x] for y in chosen):
                 continue
             chosen.append(x)
         by_level[level] = chosen
         for x in chosen:
-            candidates = [y for y in by_level.get(level - 1, []) if rel.adjacent(y, x)]
+            candidates = [y for y in by_level.get(level - 1, []) if x in rel[y]]
             if candidates and rng.random() < 0.8:
                 parent[x, level] = (rng.choice(candidates), level - 1)
     # The words are drawn after all the levels, in level order: the grounding pins hash these landscapes.

@@ -6,10 +6,11 @@ resampling ``step`` that re-checks every constraint and picks its
 independent set on the self-loop-free dependency rows, the fresh-bits
 baseline ``classic_parallel_mta``, a tape's ``prefix`` in one draw, a
 trace's ``counters`` after each round, the brute-force tree enumeration,
-the exact Q values, the faithfulness test of a restriction, the
-rebranchable triples, ``graph_distance``, the per-point torus build, and
-the per-element set-up builds: the union on every ``sym_adj`` row, the
-dict on every dependency row, and the vertex-by-vertex rule and partition
+the exact Q values and their certified upper bounds, the faithfulness
+test of a restriction, the rebranchable triples, ``graph_distance``, the
+ball-form sparseness test, the per-point torus build, and the
+per-element set-up builds: the union on every ``sym_adj`` row, the dict
+on every dependency row, and the vertex-by-vertex rule and partition
 checks.  ``to_dimacs`` writes a CNF back out for the round-trip tests."""
 
 import itertools
@@ -25,7 +26,7 @@ from lllkit import (DecoratedLandscape, LocalRule, MtaSystem, Partition, RandomT
                     ball, bundled_instances, extract_landscape, greedy_mis, restrict, violating_set)
 from lllkit.cli import build_system
 from lllkit.engine import _run
-from lllkit.graphs import Adjacency, RelGraph, _distances
+from lllkit.graphs import Adjacency, _distances
 from lllkit.instances import CnfInstance, TorusSpec, non_surjective_words, tight_threshold
 from lllkit.landscapes import ForestVertex, canvas_sources
 from lllkit.properties import fuzz_runs
@@ -87,10 +88,20 @@ def _bfs_distances(adj, sources):
     return dist
 
 
+def ball_form_sparse(adj, part_of, r) -> bool:
+    """Reference sparseness: the parts of the vertices within distance r of
+    any one vertex, by the deque search, are pairwise distinct."""
+    for x in range(len(adj)):
+        parts = [part_of[y] for y, d in enumerate(_bfs_distances(adj, [x])) if d <= r]
+        if len(parts) != len(set(parts)):
+            return False
+    return True
+
+
 def self_loop_free(rel) -> tuple[tuple[int, ...], ...]:
     """The dependency rows without their self-loops, the rows the engine's
-    greedy independent set read before it read ``rel.nbrs`` as they are."""
-    return tuple(tuple(y for y in row if y != x) for x, row in enumerate(rel.nbrs))
+    greedy independent set read before it read ``graph.rel`` as it is."""
+    return tuple(tuple(y for y in row if y != x) for x, row in enumerate(rel))
 
 
 class RunState(NamedTuple):
@@ -108,7 +119,7 @@ def step(system: MtaSystem, state: RunState, tape: RandomTape) -> tuple[RunState
     anything if the tape is too short.
     """
     violated = violating_set(system.graph, system.rule, state.assignment)
-    chosen = greedy_mis(self_loop_free(system.rel), violated, system.order)
+    chosen = greedy_mis(self_loop_free(system.graph.rel), violated, system.order)
     if not chosen:
         return RunState(state.step + 1, state.assignment, state.counters), frozenset()
     targets = sorted({v for x in chosen for v in system.graph.var(x)})
@@ -207,6 +218,27 @@ def q_values_exact(delta: int, steps: int) -> list[Fraction]:
     return values
 
 
+def q_value_upper_bounds(delta: int, steps: int) -> list[Fraction]:
+    """Certified upper bounds on Q_0(rho), ..., Q_steps(rho) at rho = tight_threshold(delta).
+
+    The map v -> rho (1 + v)^delta is increasing, so rounding each value up
+    to a denominator of 2^512 keeps a rigorous upper bound while the numbers
+    stay small.  Every returned value is an exact rational >= the true one.
+    """
+    if delta < 2:
+        raise ValueError("delta must be at least 2")
+    rho = tight_threshold(delta)
+    scale = 1 << 512
+
+    def round_up(value: Fraction) -> Fraction:
+        return Fraction(-((-value.numerator * scale) // value.denominator), scale)
+
+    values = [round_up(rho)]
+    for _ in range(steps):
+        values.append(round_up(rho * (1 + values[-1]) ** delta))
+    return values
+
+
 def is_faithful_at(ls: DecoratedLandscape, vertices: Iterable[int], x: int) -> bool:
     """True when every constraint reading x keeps its full var list inside
     the restriction set (then x's decoded sequence is preserved)."""
@@ -225,7 +257,7 @@ def rebranchable_triples(ls: DecoratedLandscape) -> Iterator[tuple[ForestVertex,
     """(x, y, z): (x, z) is a forest edge, (y, z) a canvas edge, y a forest
     vertex distinct from x."""
     for z, x in sorted(ls.parent.items()):
-        for y in canvas_sources(ls.rel, ls.verts, z):
+        for y in canvas_sources(ls.graph.rel, ls.verts, z):
             if y != x:
                 yield (x, y, z)
 
@@ -260,11 +292,11 @@ def per_row_sym_adj(graph: VariableGraph) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted({*var, *cl})) for var, cl in zip(graph.out_adj, graph.in_adj))
 
 
-def per_row_build_rel(graph: VariableGraph) -> RelGraph:
+def per_row_build_rel(graph: VariableGraph) -> tuple[tuple[int, ...], ...]:
     """``build_rel`` before empty var rows skipped the dict: first
     appearances kept by a ``dict.fromkeys`` on every row."""
     cl = graph.in_adj
-    return RelGraph([dict.fromkeys([y for v in row for y in cl[v]]) for row in graph.out_adj])
+    return tuple([tuple(dict.fromkeys([y for v in row for y in cl[v]])) for row in graph.out_adj])
 
 
 def per_vertex_rule(b: int, forbidden, word_lengths) -> tuple[tuple[frozenset, ...], tuple[int, ...]]:

@@ -20,7 +20,6 @@ from lllkit import (
     fuss_catalan,
     check_lll_condition,
     landscape_class_bound,
-    q_value_upper_bounds,
     random_bounded_overlap_sat,
     run_until_satisfied,
     tail_estimate,
@@ -29,7 +28,7 @@ from lllkit import (
 )
 from lllkit import properties
 from lllkit.instances import TorusSpec, chain_sat_instance, default_translates, disjoint_clause_instance
-from conftest import bundled_systems, enumerate_labelled_trees, q_values_exact, restricted_landscapes
+from conftest import bundled_systems, enumerate_labelled_trees, q_value_upper_bounds, q_values_exact, restricted_landscapes
 
 
 def test_01_tape_encoding_injective_roundtrip():

@@ -85,6 +85,16 @@ class TestSolve:
         capsys.readouterr()
         assert main(["solve", "--dimacs", str(path), "--force", "--seed", "4"]) == 0
 
+    def test_no_clauses_certified_at_delta_zero(self, tmp_path, capsys):
+        path = tmp_path / "empty.cnf"
+        path.write_text("p cnf 3 0\n")
+        assert main(["solve", "--dimacs", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            '{"status":"satisfied","steps":0,"max_resamples":0,'
+            '"condition":{"variant":"tight","delta":0,"threshold":"1","worst_margin":null,"all_pass":true},'
+            '"certified":true,"assignment":[0,0,0]}\n'
+        )
+
     def test_condition_numbers_past_the_int_str_limit(self, tmp_path, capsys):
         # 2,000 clauses all reading variable 1: delta = 2,000, so the threshold
         # 1999^1999 / 2000^2000 and the margin have thousands of digits
@@ -287,9 +297,11 @@ class TestDependencyGraphOnce:
 
     @pytest.mark.parametrize("spec", ["singletons", "auto", "1"])
     def test_system_shares_the_graphs_rel(self, spec):
+        # The system reads the graph's own rows, and builds them in set-up.
         graph, rule = bundled_instances()["chain"]
-        system, _ = build_system(graph, rule, spec, Fraction(1, 2))
-        assert system.rel is graph.rel
+        assert "rel" not in vars(graph)
+        build_system(graph, rule, spec, Fraction(1, 2))
+        assert "rel" in vars(graph)
 
 
 class TestCount:
@@ -344,6 +356,19 @@ class TestTail:
         assert code == 0
         text = svg.read_text()
         assert text.startswith("<svg") and "polyline" in text
+
+    def test_svg_without_positive_estimates(self, tmp_path, capsys):
+        # satisfied at the all-zero start, so no seed resamples anything
+        graph = graphs.VariableGraph([(1,), ()])
+        instance = tmp_path / "calm.json"
+        instance.write_text(instance_to_json(graph, graphs.LocalRule.for_graph(graph, 2, [{(0,)}, {()}])))
+        svg = tmp_path / "chart.svg"
+        assert main(["tail", "--instance", str(instance), "--seeds", "5", "--n-max", "2", "--svg", str(svg)]) == 0
+        assert capsys.readouterr().out.split("\n")[1:4] == ["0,5,0,0.0,0.0", "1,5,0,0.0,0.0", "2,5,0,0.0,0.0"]
+        assert svg.read_text() == (
+            '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="400"><title>exceedance decay</title>'
+            '<text x="320" y="200" text-anchor="middle">no positive estimates</text></svg>\n'
+        )
 
     def test_zero_seeds_rejected(self, capsys):
         assert main(["tail", "--bundled", "disjoint", "--seeds", "0"]) == 2
@@ -497,6 +522,16 @@ class TestConfigFile:
         assert named in captured.err and "cfg.json" not in captured.err, captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("value, injected", [(True, ["--force"]), (False, [])])
+    def test_boolean_entry_is_a_bare_flag(self, value, injected, tmp_path):
+        """true injects the flag alone and false injects nothing, so a
+        config can turn --force on but never passes it a value."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"force": value, "seed": 4}))
+        argv = cli._apply_config_file(["--config", str(path), "solve", "--bundled", "chain"])
+        assert argv == ["solve", *injected, "--seed=4", "--bundled", "chain"]
+        assert cli.make_parser().parse_args(argv).force is value
+
     def test_empty_config_key_is_unrecognized(self, tmp_path, capsys):
         cfg = tmp_path / "empty_key.json"
         cfg.write_text('{"": 1}')
@@ -527,6 +562,11 @@ class TestInstanceSources:
         assert parsed.source == cfg
         graph, rule = cli.load_instance_from_config({**cfg, "seed": 0})
         assert graph.vertex_count == rule.vertex_count > 0
+
+    def test_unknown_kind_refused(self):
+        with pytest.raises(cli.CliError) as exc:
+            cli.load_instance_from_config({"kind": "nope"})
+        assert exc.value.code == 2 and str(exc.value) == "unknown instance kind 'nope'"
 
     def test_config_entry_parses_to_its_config(self, tmp_path):
         path = tmp_path / "cfg.json"

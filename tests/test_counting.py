@@ -15,7 +15,6 @@ from lllkit import (
     fuss_catalan,
     labelled_tree_bound,
     landscape_class_bound,
-    q_value_upper_bounds,
     tail_estimate,
     tree_count_iterates,
 )
@@ -26,7 +25,7 @@ from lllkit.counting import (
     _canonical_key,
 )
 from lllkit.instances import disjoint_clause_instance, tight_threshold
-from conftest import enumerate_labelled_trees, q_values_exact
+from conftest import enumerate_labelled_trees, q_value_upper_bounds, q_values_exact
 
 
 class TestTreeCounts:

@@ -47,6 +47,26 @@ class TestMtaSystemChecks:
         with pytest.raises(ValueError, match="word lengths"):
             MtaSystem.build(graph, rule, Partition.singletons(2))
 
+    def test_rule_and_partition_must_cover_the_graph(self):
+        graph = VariableGraph([(1,), ()])
+        rule = LocalRule(2, [{(0,)}, set()], [1, 0])
+        with pytest.raises(ValueError, match="^rule does not cover the graph$"):
+            MtaSystem.build(graph, LocalRule(2, [{(0,)}], [1]), Partition.singletons(2))
+        with pytest.raises(ValueError, match="^partition does not cover the graph$"):
+            MtaSystem.build(graph, rule, Partition.singletons(3))
+
+    @pytest.mark.parametrize("f, message", [
+        ((0,), "initial assignment has wrong length"),
+        ((0, 0, 0), "initial assignment has wrong length"),
+        ((0, 2), "initial assignment has digits outside the alphabet"),
+        ((-1, 0), "initial assignment has digits outside the alphabet"),
+    ])
+    def test_run_refuses_an_assignment_of_another_system(self, f, message):
+        system = single_clause_system()
+        with pytest.raises(ValueError) as exc:
+            run_k(system, f, 1, RandomTape.stream(2, seed=0))
+        assert str(exc.value) == message
+
     def test_order_entries_must_be_integers(self):
         graph = VariableGraph([(1,), ()])
         rule = LocalRule(2, [{(0,)}, set()], [1, 0])
@@ -261,7 +281,7 @@ class TestRunInvariants:
             tape = RandomTape.finite_random(system.b, system.p, 4, seed=rng.randrange(2**30))
             f0 = [rng.randrange(system.b) for _ in range(system.graph.vertex_count)]
             trace = run_k(system, f0, 4, tape)
-            adj = self_loop_free(system.rel)
+            adj = self_loop_free(system.graph.rel)
             for j, chosen in enumerate(trace.resampled):
                 chosen = set(chosen)
                 violated = violating_set(system.graph, system.rule, trace.assignments[j])

@@ -21,7 +21,7 @@ from lllkit import (
     violating_set,
 )
 from lllkit.graphs import SymAdj
-from conftest import _bfs_distances, graph_distance, random_symmetric_adjacency, self_loop_free
+from conftest import _bfs_distances, ball_form_sparse, graph_distance, random_symmetric_adjacency, self_loop_free
 
 
 def clause_graph(out_lists, n_vars, in_adj=None):
@@ -80,16 +80,16 @@ class TestBuildRel:
         # two clauses reading the same single variable
         g = clause_graph([[0], [0]], 1)
         rel = build_rel(g)
-        assert rel.adjacent(0, 1) and rel.adjacent(1, 0)
-        assert rel.adjacent(0, 0) and rel.adjacent(1, 1)
-        assert rel.nbrs[2] == ()  # the variable vertex reads nothing
+        assert 1 in rel[0] and 0 in rel[1]
+        assert 0 in rel[0] and 1 in rel[1]
+        assert rel[2] == ()  # the variable vertex reads nothing
 
     def test_label_order_follows_cl_order(self):
         g = clause_graph([[0], [0]], 1)
         rel = build_rel(g)
         # cl(v) = (c0, c1), so at c0 the tie at v resolves to c0 before c1
-        assert rel.nbrs[0] == (0, 1)
-        assert rel.nbrs[0].index(0) == 0 and rel.nbrs[0].index(1) == 1
+        assert rel[0] == (0, 1)
+        assert rel[0].index(0) == 0 and rel[0].index(1) == 1
 
     def test_label_order_with_reversed_cl(self):
         m = 2
@@ -97,12 +97,12 @@ class TestBuildRel:
         in_adj = [(), (), (1, 0)]  # reversed clause order at the variable
         g = VariableGraph(out, in_adj)
         rel = build_rel(g)
-        assert rel.nbrs[0] == (1, 0)
+        assert rel[0] == (1, 0)
 
     def test_empty_var_no_edges(self):
         g = VariableGraph([()])
         rel = build_rel(g)
-        assert rel.nbrs[0] == ()
+        assert rel[0] == ()
 
     def test_three_clause_path_ordering(self):
         # c0 reads v01; c1 reads v01,v12; c2 reads v12
@@ -110,8 +110,8 @@ class TestBuildRel:
         rel = build_rel(g)
         # at c1: c0 and c1 share v01 (position 0), tie broken by cl(v01) = (c0, c1);
         # c2 shares v12 (position 1)
-        assert rel.nbrs[1] == (0, 1, 2)
-        assert [rel.nbrs[1].index(y) for y in (0, 1, 2)] == [0, 1, 2]
+        assert rel[1] == (0, 1, 2)
+        assert [rel[1].index(y) for y in (0, 1, 2)] == [0, 1, 2]
 
     def test_symmetric_and_label_injective(self, rng):
         for _ in range(30):
@@ -125,9 +125,9 @@ class TestBuildRel:
             again = build_rel(g)
             assert rel == again  # deterministic
             for x in range(g.vertex_count):
-                assert len(set(rel.nbrs[x])) == len(rel.nbrs[x])
-                for y in rel.nbrs[x]:
-                    assert rel.adjacent(y, x)
+                assert len(set(rel[x])) == len(rel[x])
+                for y in rel[x]:
+                    assert x in rel[y]
                     shared = set(g.var(x)) & set(g.var(y))
                     assert shared
 
@@ -347,7 +347,7 @@ class TestGreedyMis:
 
 
     def test_dependency_rows_pick_what_self_loop_free_rows_pick(self, rng):
-        """The engine walks ``rel.nbrs`` with its self-loops; on random
+        """The engine walks ``graph.rel`` with its self-loops; on random
         dependency graphs, members and orders (members in any order, repeats
         included) the choice equals the one on the self-loop-free rows."""
         graphs = [properties.random_system(rng, mixed_width=i % 2 == 1).graph for i in range(100)]
@@ -356,10 +356,10 @@ class TestGreedyMis:
             graphs.append(VariableGraph([rng.sample(range(n), rng.randint(0, min(4, n))) for _ in range(n)]))
         for graph in graphs:
             rel, n = graph.rel, graph.vertex_count
-            assert any(x in row for x, row in enumerate(rel.nbrs)) or not any(graph.out_adj)
+            assert any(x in row for x, row in enumerate(rel)) or not any(graph.out_adj)
             members = rng.sample(range(n), rng.randint(0, n))
             for order in (sorted(members), rng.sample(members, len(members)), rng.choices(range(n), k=2 * n)):
-                assert greedy_mis(rel.nbrs, members, order) == greedy_mis(self_loop_free(rel), members, order)
+                assert greedy_mis(rel, members, order) == greedy_mis(self_loop_free(rel), members, order)
 
 
 class TestGreedyMisCost:
@@ -410,6 +410,37 @@ class TestSparsePartition:
                 yield "random", adj, rng.randint(0, 4)
 
         assert properties.sparse_partitions(cases()) == (25, None)
+
+    def test_coarse_partitions_refused(self):
+        path = SymAdj([(1,), (0, 2), (1, 3), (2, 4), (3,)])
+        part = sparse_partition(path, 1)
+        assert part.part_of == (0, 1, 2, 0, 1)
+        assert is_sparse(path, part, 1) and not is_sparse(path, part, 2)  # B(2, 2) holds 0 and 3
+        # distance 2 shares a ball of radius 1 though the vertices are not adjacent
+        assert not is_sparse(path, Partition(2, (0, 1, 0, 1, 0)), 1)
+        assert is_sparse(path, Partition(3, (0, 1, 2, 0, 1)), 1)
+        assert not is_sparse(SymAdj([(1,), (0,)]), Partition(1, (0, 0)), 1)
+        assert is_sparse(SymAdj([(1,), (0,)]), Partition(1, (0, 0)), 0)  # radius 0: every ball is one vertex
+
+    def test_is_sparse_matches_the_ball_form_reference(self, rng):
+        verdicts = []
+        for _ in range(300):
+            n = rng.randint(1, 10)
+            adj = random_symmetric_adjacency(rng, n)
+            parts = rng.randint(1, n)
+            partition = Partition(parts, [rng.randrange(parts) for _ in range(n)])
+            r = rng.randint(0, 3)
+            verdict = is_sparse(adj, partition, r)
+            assert verdict == ball_form_sparse(adj, partition.part_of, r), (adj, partition.part_of, r)
+            verdicts.append(verdict)
+        assert 50 < sum(verdicts) < 250  # both answers are checked
+
+    def test_property_reports_a_partition_too_coarse(self, monkeypatch):
+        """With a partition of one part, the suite's case fails on the real
+        ``is_sparse`` and the failure names the instance and the radius."""
+        monkeypatch.setattr("lllkit.graphs.sparse_partition", lambda adj, r: Partition(1, (0,) * len(adj)))
+        cases = [("edge", SymAdj([(1,), (0,)]), 0), ("path", SymAdj([(1,), (0, 2), (1,)]), 1)]
+        assert properties.sparse_partitions(cases) == (2, {"suite": "sparse_partitions", "instance": "path", "r": 1})
 
     def test_part_count_bound(self, rng):
         # parts <= max |B_H(x, 2)| where H joins points at distance <= 2r

@@ -79,7 +79,7 @@ class TestCnf:
         cnf = CnfInstance(5, [[(0, 1), (1, 1), (2, 1)], [(0, -1), (3, 1), (4, 1)]])
         graph, _, _ = from_cnf(cnf)
         rel = build_rel(graph)
-        assert rel.adjacent(0, 1)
+        assert 1 in rel[0]
 
 
 class TestDimacs:
@@ -323,7 +323,7 @@ class TestGenerator:
             cnf = random_bounded_overlap_sat(15, delta_target, seed=seed)
             graph, rule, _ = from_cnf(cnf)
             rel = build_rel(graph)
-            assert max(len(rel.nbrs[x]) for x in range(graph.vertex_count)) <= delta_target
+            assert max(len(rel[x]) for x in range(graph.vertex_count)) <= delta_target
 
     @pytest.mark.parametrize("delta_target", [1, 2, 3])
     def test_every_instance_passes_the_tight_condition(self, delta_target):

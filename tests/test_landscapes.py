@@ -93,6 +93,23 @@ def four_cycle_landscape():
     return DecoratedLandscape(graph, rule, parent, prev, (0,) * 8, tuple(range(8)))
 
 
+def crossed_trees_landscape():
+    """Two trees on the graph of ``four_cycle_landscape``, (0,1) -> (1,2)
+    and (2,1) -> (3,2): each receives a canvas edge from the other, so
+    neither can be pushed alone, and no root can be joined."""
+    ls = four_cycle_landscape()
+    parent = {(1, 2): (0, 1), (3, 2): (2, 1)}
+    prev = {v: (0, 0) for v in [(0, 1), (1, 2), (2, 1), (3, 2)]}
+    return DecoratedLandscape(ls.graph, ls.rule, parent, prev, ls.final, ls.part_of)
+
+
+def _rebuilt(ls, **change):
+    """The landscape ``ls`` with some constructor arguments replaced."""
+    args = dict(parent=ls.parent, prev=ls.prev, final=ls.final, part_of=ls.part_of)
+    args.update(change)
+    return DecoratedLandscape(ls.graph, ls.rule, **args)
+
+
 def pairwise_separation_failure(rel, verts):
     """The message of the first dependency-adjacent pair of same-level bases,
     testing every pair of each level's sorted bases, levels in increasing order."""
@@ -101,7 +118,7 @@ def pairwise_separation_failure(rel, verts):
         by_level.setdefault(level, []).append(base)
     for level in sorted(by_level):
         for a, b in itertools.combinations(sorted(by_level[level]), 2):
-            if rel.adjacent(a, b):
+            if b in rel[a]:
                 return f"level {level} holds dependency-adjacent bases {a}, {b}"
     return None
 
@@ -204,6 +221,55 @@ class TestLandscapeInvariants:
                 {(0, 0): (0,), (1, 1): (0,)}, (0, 0, 0, 0), (0, 1, 2, 3),
             )
 
+    def test_vertex_that_reads_nothing_refused(self):
+        """A forest vertex whose base reads nothing has no self-loop, so its
+        two copies are never linked and can never share level 0: grounding
+        such a landscape would collide, so it is no landscape."""
+        graph = VariableGraph([(1,), (), ()])
+        rule = LocalRule(2, [frozenset({(0,)}), frozenset(), frozenset()], [1, 0, 0])
+        with pytest.raises(InternalConsistencyError) as exc:
+            DecoratedLandscape(graph, rule, {}, {(2, 0): (), (2, 1): ()}, (0, 0, 0), (0, 1, 2))
+        assert type(exc.value) is InternalConsistencyError
+        assert str(exc.value) == "forest vertex (2, 0) reads nothing"
+
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda ls: _rebuilt(ls, final=(0,) * 7), InternalConsistencyError,
+         "decoration length disagrees with graph"),
+        (lambda ls: _rebuilt(ls, final=(2,) + (0,) * 7), InternalConsistencyError,
+         "final assignment outside alphabet"),
+        (lambda ls: _rebuilt(ls, prev={**ls.prev, (8, 0): ()}), InternalConsistencyError,
+         "forest vertex (8, 0) outside the canvas"),
+        (lambda ls: _rebuilt(ls, parent={**ls.parent, (0, 0): (0, 1)}), InternalConsistencyError,
+         "parent map names a vertex outside the forest"),
+        (lambda ls: _rebuilt(ls, parent={**ls.parent, (0, 1): (0, 0)}), InternalConsistencyError,
+         "parent (0, 0) of (0, 1) missing"),
+        (lambda ls: _rebuilt(ls, prev={**ls.prev, (0, 1): (0,)}), InternalConsistencyError,
+         "prev word at (0, 1) has wrong length"),
+        (lambda ls: _rebuilt(ls, prev={**ls.prev, (0, 1): (0, 2)}), InternalConsistencyError,
+         "prev word at (0, 1) outside alphabet"),
+        (lambda ls: push_tree(ls, frozenset({(0, 1)})), LandscapeError,
+         "push_tree: not a tree of this landscape"),
+        (lambda ls: push_tree(crossed_trees_landscape(), crossed_trees_landscape().trees()[0]), LandscapeError,
+         "push_tree: tree is at level 0 or receives a cross edge"),
+        (lambda ls: rebranch(ls, ((1, 2), (1, 2), (2, 3))), LandscapeError,
+         "rebranch: y is not a distinct forest vertex"),
+        (lambda ls: rebranch(ls, ((0, 1), (3, 2), (1, 2))), LandscapeError,
+         "rebranch: (y, z) is not a canvas edge"),
+        (lambda ls: join(ls, ((2, 3), (0, 1))), LandscapeError,
+         "join: (y, z) is not a canvas edge from a forest vertex"),
+        (lambda ls: restrict(ls, [0, 8]), ValueError,
+         "restriction set mentions unknown vertices"),
+    ], ids=["length", "final-digit", "canvas", "parent-key", "parent-missing", "prev-length", "prev-digit",
+            "push-not-a-tree", "push-crossed", "rebranch-same-y", "rebranch-not-canvas", "join-not-canvas",
+            "restrict-unknown"])
+    def test_each_refusal_names_its_fault(self, make, error, message):
+        """Each check of ``validate`` and each applicability predicate of
+        the calculus, fed one bad input on the four-cycle landscape."""
+        with pytest.raises(error) as exc:
+            make(four_cycle_landscape())
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+
 
 class TestExtract:
     def test_no_violations_empty(self, rng):
@@ -242,7 +308,7 @@ class TestExtract:
             for (x, level) in ls.verts:
                 if level > 0:
                     assert (x, level) in ls.parent or any(
-                        ls.rel.adjacent(y, x) for y in trace.resampled[level - 1]
+                        x in ls.graph.rel[y] for y in trace.resampled[level - 1]
                     )
 
 
@@ -406,6 +472,13 @@ class TestGround:
         grounded, ops = ground(ls)
         assert grounded.verts == {(0, 0)}
         assert [op[0] for op in ops] == ["push_tree"] * 3
+
+    def test_push_all_when_every_tree_receives_a_cross_edge(self):
+        ls = crossed_trees_landscape()
+        grounded, ops = ground(ls)
+        assert ops == [("push_all",)]
+        assert grounded.verts == {(0, 0), (1, 1), (2, 0), (3, 1)}
+        assert asgn_seq(grounded) == asgn_seq(ls)
 
     def test_fuzzed_grounding(self, rng):
         # roots at level 0, sequences and the base-column multiset preserved

@@ -28,7 +28,6 @@ KEPT = {
     "engine.RunTrace.to_jsonl": "the run-trace format that docs/instance-format.md documents",
     "landscapes.LandscapeType.fits_within": "the type order that ROADMAP item 5 needs",
     "landscapes.DecoratedLandscape.type_of": "a landscape's type, which ROADMAP item 5 needs",
-    "counting.q_value_upper_bounds": "acceptance criterion 06 checks it",
     "instances.instance_to_json": "writes the JSON instance format that docs/instance-format.md documents",
 }
 
